@@ -26,10 +26,12 @@ from .gtl import (
 )
 from .noise import (
     CanonicalForm,
+    CompiledPlan,
     NoiseMap,
     NoiseState,
     ZOperator,
     closed_form_maps,
+    compile_plan,
     component_fidelities,
     dephasing_map,
     depolarizing_map,
@@ -54,6 +56,7 @@ from .rolling import (
 
 __all__ = [
     "CanonicalForm",
+    "CompiledPlan",
     "Graph",
     "GtlParams",
     "GtlState",
@@ -68,6 +71,7 @@ __all__ = [
     "build_gtl",
     "centralized_resolution",
     "closed_form_maps",
+    "compile_plan",
     "component_fidelities",
     "default_resolution_plan",
     "dephasing_map",

@@ -128,6 +128,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
         data = _load_json(args.config)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     if args.kappa_b is not None:
         data["kappa_b_hat"] = args.kappa_b
     if args.n_o is not None:
@@ -140,8 +142,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         data["T_grid_ms"] = [x for x in args.t_grid.split(",")]
     if args.seed is not None:
         data["seed"] = args.seed
-    if args.workers is not None:
-        data["workers"] = args.workers
     if "kappa_b_hat" not in data or "n_o" not in data:
         raise ValueError("kappa_b_hat and n_o are required (config file or flags)")
     return ExperimentConfig.from_json(data)
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p-grid", default=None, help="comma-separated depolarizing parameters")
         p.add_argument("--t-grid", default=None, help="comma-separated dephasing times in ms (inf allowed)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
         if name == "threshold":
             p.add_argument("--level", type=float, default=0.5)
         p.add_argument("-o", "--out", default=None)

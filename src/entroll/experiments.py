@@ -1,24 +1,26 @@
 """Experiment harness: fidelity sweeps, threshold curves, verification runs.
 
-Grid points are independent pipeline runs (build, roll, propagate noise,
-score components), so they parallelize trivially; results are always emitted
-in grid order regardless of completion order, and output is byte-stable for a
-fixed configuration and seed.
+A sweep or threshold search builds its resource and plan once and compiles
+the plan into GF(2) images of single-qubit Z operators (see
+:func:`entroll.noise.compile_plan`); every (p, T) point then only builds its
+noise maps, maps them through the images and scores the components.  Rows are
+emitted in grid order, and output is byte-stable for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 from . import oracle
+from .graphstate import json_field
 from .gtl import GtlParams, GtlState, bridge_neighborhoods, build_gtl, validate_gtl
 from .noise import (
+    CompiledPlan,
     NoiseState,
     closed_form_maps,
+    compile_plan,
     component_fidelities,
     depolarizing_map,
     propagate,
@@ -43,7 +45,7 @@ __all__ = [
     "verify",
 ]
 
-WORKERS_ENV = "ENTROLL_WORKERS"
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,6 @@ class ExperimentConfig:
     qubit_times_ms: tuple[tuple[int, float], ...] = ()
     plan: ResolutionPlan | None = None
     seed: int = 0
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if self.target not in ("bell", "ghz"):
@@ -81,28 +82,42 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> ExperimentConfig:
+        """Parse a config object; a malformed field raises a ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+
         def _t(value: object) -> float:
             if isinstance(value, str) and value.lower() in ("inf", "infinity"):
                 return math.inf
             return float(value)  # type: ignore[arg-type]
 
-        plan = None
-        if data.get("plan") is not None:
-            plan = ResolutionPlan.from_json(data["plan"])
-        qubit_times = tuple(
-            sorted((int(k), float(v)) for k, v in (data.get("qubit_times_ms") or {}).items())
-        )
+        def _list(value: object) -> list:
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"expected a list, got {type(value).__name__}")
+            return list(value)
+
+        def field(name: str, parse, default=_REQUIRED):
+            if name not in data:
+                if default is _REQUIRED:
+                    raise ValueError(f"config field {name!r} is required")
+                return default
+            with json_field("config", name):
+                return parse(data[name])
+
         return cls(
-            kappa_b_hat=int(data["kappa_b_hat"]),
-            n_o=int(data["n_o"]),
-            target=data.get("target", "bell"),
-            p_grid=tuple(float(p) for p in data.get("p_grid", [1.0])),
-            t_grid_ms=tuple(_t(t) for t in data.get("T_grid_ms", ["inf"])),
-            protocol_time_ms=float(data.get("protocol_time_ms", 1.0)),
-            qubit_times_ms=qubit_times,
-            plan=plan,
-            seed=int(data.get("seed", 0)),
-            workers=int(data["workers"]) if data.get("workers") is not None else None,
+            kappa_b_hat=field("kappa_b_hat", int),
+            n_o=field("n_o", int),
+            target=field("target", str, "bell"),
+            p_grid=field("p_grid", lambda v: tuple(float(p) for p in _list(v)), (1.0,)),
+            t_grid_ms=field("T_grid_ms", lambda v: tuple(_t(t) for t in _list(v)), (math.inf,)),
+            protocol_time_ms=field("protocol_time_ms", float, 1.0),
+            qubit_times_ms=field(
+                "qubit_times_ms",
+                lambda v: tuple(sorted((int(k), float(t)) for k, t in (v or {}).items())),
+                (),
+            ),
+            plan=field("plan", lambda v: None if v is None else ResolutionPlan.from_json(v), None),
+            seed=field("seed", int, 0),
         )
 
     def to_json(self) -> dict:
@@ -116,7 +131,6 @@ class ExperimentConfig:
             "qubit_times_ms": {str(k): v for k, v in self.qubit_times_ms},
             "plan": self.plan.to_json() if self.plan else None,
             "seed": self.seed,
-            "workers": self.workers,
         }
 
 
@@ -128,44 +142,39 @@ class SweepRow:
     fidelity: float
 
 
-def _state_and_plan(config: ExperimentConfig) -> tuple[GtlState, ResolutionPlan]:
+def _compile(config: ExperimentConfig) -> CompiledPlan:
     state = build_gtl(GtlParams.specialized(config.kappa_b_hat, config.n_o))
     plan = config.plan or default_resolution_plan(state, config.target)
-    return state, plan
+    return compile_plan(state.graph, plan)
 
 
-def _grid_point(args: tuple[ExperimentConfig, float, float]) -> list[SweepRow]:
-    config, p, t = args
-    state, plan = _state_and_plan(config)
+def _grid_point(
+    config: ExperimentConfig, compiled: CompiledPlan, p: float, t: float
+) -> list[SweepRow]:
     ns = standard_noise(
-        state.graph,
+        compiled.start,
         p,
         config.protocol_time_ms,
         t,
         qubit_times_ms=dict(config.qubit_times_ms) or None,
     )
-    final = propagate(ns, plan)
-    fids = component_fidelities(final)
+    fids = component_fidelities(compiled.apply(ns))
     return [SweepRow(p=p, t_ms=t, resource_id=rid, fidelity=f) for rid, f in sorted(fids.items())]
 
 
-def _worker_count(config: ExperimentConfig) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return max(1, config.workers or 1)
-
-
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
-    """Fidelity of every extracted resource at every (p, T) grid point."""
-    tasks = [(config, p, t) for p in config.p_grid for t in config.t_grid_ms]
-    workers = _worker_count(config)
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            chunks = pool.map(_grid_point, tasks)
-    else:
-        chunks = [_grid_point(task) for task in tasks]
-    return [row for chunk in chunks for row in chunk]
+    """Fidelity of every extracted resource at every (p, T) grid point.
+
+    The plan is compiled once; each grid point only builds its noise maps,
+    maps them through the compiled images and scores the components.
+    """
+    compiled = _compile(config)
+    return [
+        row
+        for p in config.p_grid
+        for t in config.t_grid_ms
+        for row in _grid_point(config, compiled, p, t)
+    ]
 
 
 def _format_float(x: float) -> str:
@@ -183,11 +192,6 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _worst_fidelity(config: ExperimentConfig, p: float, t: float) -> float:
-    rows = _grid_point((config, p, t))
-    return min(row.fidelity for row in rows)
-
-
 def find_threshold(
     config: ExperimentConfig, level: float = 0.5
 ) -> tuple[list[tuple[float, float]], list[str]]:
@@ -197,20 +201,27 @@ def find_threshold(
     grid extremes until the T interval is below 1e-7 relative width and the
     fidelity sits within 1e-6 of the level.  Rows where the level is
     unreachable (or already exceeded at the smallest T, so no crossing exists
-    in range) are omitted and noted in the diagnostics list.
+    in range) are omitted and noted in the diagnostics list.  The plan is
+    compiled once and reused for every p and every probe.
     """
     t_lo, t_hi = min(config.t_grid_ms), max(config.t_grid_ms)
     if math.isinf(t_hi):
         raise ValueError("threshold search needs a finite T grid")
-    diagnostics: list[str] = []
+    compiled = _compile(config)
+
+    def worst_fidelity(p: float, t: float) -> float:
+        return min(row.fidelity for row in _grid_point(config, compiled, p, t))
+
+    # The grid values double as the bracket ends: sorted, they run from t_lo to t_hi.
+    bracket_ends: list[tuple[float, float]] = []
     for p in config.p_grid:
-        worst = [_worst_fidelity(config, p, t) for t in sorted(config.t_grid_ms)]
+        worst = [worst_fidelity(p, t) for t in sorted(config.t_grid_ms)]
         if any(b < a - 1e-12 for a, b in zip(worst, worst[1:])):
             raise ValueError(f"worst-resource fidelity is not monotone in T at p={p}")
+        bracket_ends.append((worst[0], worst[-1]))
+    diagnostics: list[str] = []
     rows: list[tuple[float, float]] = []
-    for p in config.p_grid:
-        f_lo = _worst_fidelity(config, p, t_lo)
-        f_hi = _worst_fidelity(config, p, t_hi)
+    for p, (f_lo, f_hi) in zip(config.p_grid, bracket_ends):
         if f_hi < level:
             diagnostics.append(f"p={p}: level {level} unreachable (max fidelity {f_hi:.6f})")
             continue
@@ -221,7 +232,7 @@ def find_threshold(
         f_mid = f_hi
         for _ in range(200):
             mid = math.sqrt(lo * hi)
-            f_mid = _worst_fidelity(config, p, mid)
+            f_mid = worst_fidelity(p, mid)
             if f_mid >= level:
                 hi = mid
             else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -350,23 +351,33 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
+@contextmanager
+def json_field(source: str, name: str) -> Iterator[None]:
+    """Re-raise a malformed value of one JSON field as a ValueError naming it."""
+    try:
+        yield
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{source} field {name!r}: {exc}") from None
+
+
 def graph_from_json(data: dict) -> Graph:
-    labels = data.get("labels") or {}
-    if labels:
-        live = sorted(int(k) for k in labels)
-    else:
-        live = list(range(int(data["n"])))
-    if len(live) != int(data["n"]):
+    with json_field("graph JSON", "n"):
+        n = int(data["n"])
+    with json_field("graph JSON", "labels"):
+        live = sorted(int(k) for k in data.get("labels") or {}) or list(range(n))
+    if len(live) != n:
         raise ValueError("graph JSON: n does not match the labeled vertex count")
     g = Graph()
     top = max(live, default=-1)
     for _ in range(top + 1):
         g.add_vertex()
+    live_set = set(live)
     for v in range(top + 1):
-        if v not in set(live):
+        if v not in live_set:
             g.delete_vertex(v)
-    for u, v in data.get("edges", []):
-        g.add_edge(int(u), int(v))
+    with json_field("graph JSON", "edges"):
+        for u, v in data.get("edges", []):
+            g.add_edge(int(u), int(v))
     return g
 
 

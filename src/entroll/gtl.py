@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .graphstate import Graph, graph_from_json, graph_to_json
+from .graphstate import Graph, graph_from_json, graph_to_json, json_field
 
 __all__ = [
     "GtlParams",
@@ -337,12 +337,15 @@ def gtl_to_json(state: GtlState) -> dict:
 
 def gtl_from_json(data: dict) -> GtlState:
     graph = graph_from_json(data)
-    orch = tuple(int(o) for o in data["orch"])
-    peers = frozenset(int(c) for c in data["peers"])
+    with json_field("GTL JSON", "orch"):
+        orch = tuple(int(o) for o in data["orch"])
+    with json_field("GTL JSON", "peers"):
+        peers = frozenset(int(c) for c in data["peers"])
     params = None
     if "params" in data:
-        p = data["params"]
-        params = GtlParams(int(p["kappa_b_hat"]), int(p["kappa_c"]), int(p["n_o"]))
+        with json_field("GTL JSON", "params"):
+            p = data["params"]
+            params = GtlParams(int(p["kappa_b_hat"]), int(p["kappa_c"]), int(p["n_o"]))
     orch_set = set(orch)
     bridges: dict[tuple[int, int], tuple[int, ...]] = {}
     for i in range(len(orch) - 1):

@@ -13,11 +13,14 @@ bookkeeping over GF(2) supports:
   Z_b0 -> Z on the post-measurement neighborhood of ``b0``.
 
 Images extend multiplicatively (XOR of supports) to arbitrary strings; global
-signs cancel because every branch enters as a conjugation.  Fidelities of the
-extracted resources come from an XOR convolution of the per-map branch
-distributions restricted to one connected component: on a connected graph
-state only the empty Z string has nonzero overlap, so the fidelity is the
-probability mass of the all-zero restriction.
+signs cancel because every branch enters as a conjugation.  The images do not
+depend on the noise parameters, so :func:`compile_plan` composes them once per
+plan and :meth:`CompiledPlan.apply` maps every branch in one pass.
+
+Fidelities of the extracted resources come from an XOR convolution of the
+per-map branch distributions restricted to one connected component: on a
+connected graph state only the empty Z string has nonzero overlap, so the
+fidelity is the probability mass of the all-zero restriction.
 """
 
 from __future__ import annotations
@@ -26,16 +29,18 @@ import json
 import math
 from dataclasses import dataclass
 
-from .graphstate import Graph, measure_pauli
+from .graphstate import Graph, _bits, measure_pauli
 from .gtl import GtlState
 from .rolling import STOP_AFTER_ISOLATION, ResolutionPlan
 
 __all__ = [
     "CanonicalForm",
+    "CompiledPlan",
     "NoiseMap",
     "NoiseState",
     "ZOperator",
     "closed_form_maps",
+    "compile_plan",
     "component_fidelities",
     "dephasing_map",
     "dephasing_probability",
@@ -269,6 +274,80 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
         for v in plan.isolation:
             ns = propagate_measurement(ns, v, "Z")
     return ns
+
+
+@dataclass(frozen=True)
+class CompiledPlan:
+    """A resolution plan reduced to the GF(2) images of single-qubit Z operators.
+
+    ``images[v]`` is the bitmask of the support that Z_v on ``start`` carries
+    after every step of the plan, and ``graph`` is the final graph.  Neither
+    depends on the noise parameters, so one compilation serves every (p, T)
+    point.  ``steps`` keeps each step's images as :func:`propagate_measurement`
+    builds them, for the rare map that the composite images cannot reproduce
+    bit for bit (see :meth:`apply`).
+    """
+
+    start: Graph
+    graph: Graph
+    images: dict[int, int]
+    steps: tuple[dict[int, frozenset[int]], ...]
+
+    def apply(self, ns: NoiseState) -> NoiseState:
+        """Same maps as ``propagate(ns, plan)``, bit for bit, in one pass per map."""
+        if ns.graph != self.start:
+            raise ValueError("noise state is not on the graph the plan was compiled for")
+        return NoiseState(graph=self.graph.copy(), maps=tuple(self._apply(m) for m in ns.maps))
+
+    def _apply(self, m: NoiseMap) -> NoiseMap:
+        # Stepwise propagation adds branch weights as branches meet, step by
+        # step.  Two weights sum the same in any order; when three or more
+        # branches of one map meet, the grouping depends on the steps at which
+        # they met, so such a map is replayed step by step instead.
+        groups: dict[int, list[float]] = {}
+        for prob, op in m.branches:
+            key = 0
+            for v in op.support:
+                key ^= self.images.get(v, 1 << v)
+            groups.setdefault(key, []).append(prob)
+        if any(len(probs) > 2 for probs in groups.values()):
+            for images in self.steps:
+                m = _apply_images(m, images)
+            return m
+        return NoiseMap.from_weights(
+            m.origin, {frozenset(_bits(key)): sum(probs) for key, probs in groups.items()}
+        )
+
+
+def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
+    """Compile a plan on graph ``g`` for :meth:`CompiledPlan.apply`.
+
+    Raises the same errors as :func:`propagate` on a plan that cannot run.
+    """
+    measurements = [(o, "X", b0) for o, b0 in plan.steps]
+    if plan.stop_stage == STOP_AFTER_ISOLATION:
+        measurements += [(v, "Z", None) for v in plan.isolation]
+    start = g.copy()
+    images = {v: 1 << v for v in g.vertices()}
+    steps: list[dict[int, frozenset[int]]] = []
+    for a, basis, b0 in measurements:
+        if basis == "Z":
+            step = {a: 0}
+            g, _ = measure_pauli(g, a, "Z")
+        else:
+            if not g.neighbor_mask(a):
+                raise ValueError(f"noise propagation through X on isolated vertex {a} is undefined")
+            if b0 not in g.neighbors(a):
+                raise ValueError(f"X measurement of {a} needs a support among its neighbors")
+            step = {a: (1 << b0) | (g.neighbor_mask(b0) & ~(1 << a))}
+            g, _ = measure_pauli(g, a, "X", b0)
+            step[b0] = g.neighbor_mask(b0)
+        for v, image in images.items():
+            for u, u_image in step.items():
+                if image >> u & 1:
+                    images[v] ^= (1 << u) ^ u_image
+        steps.append({u: frozenset(_bits(u_image)) for u, u_image in step.items()})
+    return CompiledPlan(start=start, graph=g, images=images, steps=tuple(steps))
 
 
 def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[NoiseMap]:

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from entroll import cli
 from entroll.experiments import (
     ExperimentConfig,
     find_threshold,
@@ -17,6 +20,10 @@ from entroll.gtl import GtlParams, build_gtl, gtl_to_json
 from entroll.noise import propagate, standard_noise, component_fidelities
 from entroll.oracle import crosscheck
 from entroll.rolling import default_resolution_plan
+
+# The CLI runs in a child process; point it at this checkout's package.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 class TestConfig:
@@ -38,6 +45,30 @@ class TestConfig:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kappa_b_hat=2, n_o=2, p_grid=(1.5,))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p_grid", 0.9),
+            ("p_grid", "0.9"),
+            ("T_grid_ms", [None]),
+            ("qubit_times_ms", [1, 2]),
+            ("plan", 5),
+            ("n_o", None),
+        ],
+    )
+    def test_malformed_field_is_named(self, field, value):
+        data = {"kappa_b_hat": 2, "n_o": 2, field: value}
+        with pytest.raises(ValueError, match=f"config field '{field}'"):
+            ExperimentConfig.from_json(data)
+
+    def test_missing_required_field_is_named(self):
+        with pytest.raises(ValueError, match="config field 'n_o' is required"):
+            ExperimentConfig.from_json({"kappa_b_hat": 2})
+
+    def test_workers_key_is_ignored(self):
+        config = ExperimentConfig.from_json({"kappa_b_hat": 2, "n_o": 2, "workers": 4})
+        assert config == ExperimentConfig(kappa_b_hat=2, n_o=2)
 
 
 class TestSweep:
@@ -99,13 +130,6 @@ class TestSweep:
         csv_a = sweep_to_csv(run_sweep(config))
         csv_b = sweep_to_csv(run_sweep(config))
         assert csv_a.encode() == csv_b.encode()
-
-    def test_parallel_matches_serial(self):
-        serial = ExperimentConfig(kappa_b_hat=2, n_o=2, p_grid=(0.8, 1.0), t_grid_ms=(1.0, 10.0))
-        parallel = ExperimentConfig(
-            kappa_b_hat=2, n_o=2, p_grid=(0.8, 1.0), t_grid_ms=(1.0, 10.0), workers=2
-        )
-        assert sweep_to_csv(run_sweep(serial)) == sweep_to_csv(run_sweep(parallel))
 
     def test_staggered_qubit_times(self):
         uniform = ExperimentConfig(kappa_b_hat=2, n_o=2, p_grid=(1.0,), t_grid_ms=(5.0,))
@@ -195,6 +219,7 @@ class TestCli:
             [sys.executable, "-m", "entroll.cli", *args],
             capture_output=True,
             text=True,
+            env=CLI_ENV,
         )
         assert proc.returncode == expect, proc.stderr
         return proc
@@ -258,6 +283,33 @@ class TestCli:
     def test_missing_file_exit_code(self):
         proc = self.run_cli("inspect", "no-such-state.json", expect=1)
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, data, field",
+        [
+            ("sweep", {"kappa_b_hat": 2, "n_o": 2, "p_grid": 0.9}, "p_grid"),
+            ("threshold", {"kappa_b_hat": 2, "n_o": 2, "T_grid_ms": {"a": 1}}, "T_grid_ms"),
+            ("inspect", {"n": 3, "edges": 5, "orch": [0], "peers": [1, 2]}, "edges"),
+            ("resolve", {"n": 2, "labels": 7, "orch": [0], "peers": [1]}, "labels"),
+            ("inspect", {"n": 3, "edges": [[0, 1], [0, 2]], "orch": 5, "peers": [1, 2]}, "orch"),
+        ],
+    )
+    def test_malformed_json_is_one_error_line(self, tmp_path, capsys, command, data, field):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        args = ["--config", str(path)] if command in ("sweep", "threshold") else [str(path)]
+        assert cli.main([command, *args]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert repr(field) in err
+
+    def test_non_object_config_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert cli.main(["sweep", "--config", str(path), "--kappa-b", "2"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_verify_failure_exit_code(self, tmp_path):
         state = build_gtl(GtlParams(2, 4, 2))

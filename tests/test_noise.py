@@ -11,6 +11,7 @@ from entroll.noise import (
     NoiseState,
     ZOperator,
     closed_form_maps,
+    compile_plan,
     component_fidelities,
     dephasing_map,
     dephasing_probability,
@@ -33,6 +34,7 @@ from entroll.rolling import (
     ResolutionPlan,
     bridge_pick_plans,
     default_resolution_plan,
+    plan_proximity_reduction,
 )
 
 from conftest import random_graph
@@ -471,3 +473,84 @@ class TestFidelity:
         ns = standard_noise(state.graph, 0.9)
         with pytest.raises(ValueError):
             fidelity(ns, frozenset({2}))
+
+
+def assert_compiled_equals_stepwise(g, plan, states, score=True):
+    """Compiled maps equal stepwise propagation exactly: branch order, weights, fidelities."""
+    compiled = compile_plan(g, plan)
+    for ns in states:
+        stepwise = propagate(ns, plan)
+        fast = compiled.apply(ns)
+        assert fast.graph == stepwise.graph
+        assert [m.origin for m in fast.maps] == [m.origin for m in stepwise.maps]
+        assert [m.branches for m in fast.maps] == [m.branches for m in stepwise.maps]
+        assert [m.weights() for m in fast.maps] == [m.weights() for m in stepwise.maps]
+        if score:
+            assert component_fidelities(fast) == component_fidelities(stepwise)
+
+
+def _raised(fn) -> str:
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+class TestCompiledPlan:
+    # The benchmark's rungs, plus the n_o = 1 case whose plan trims leaves only.
+    @pytest.mark.parametrize(
+        "kb, n_o, target",
+        [(2, 10, "bell"), (3, 20, "bell"), (4, 20, "bell"), (2, 40, "bell"),
+         (8, 3, "ghz"), (10, 2, "ghz"), (3, 1, "bell")],
+    )
+    def test_resolution_plans(self, kb, n_o, target):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        g, plan = state.graph, default_resolution_plan(state, target)
+        staggered = {v: 0.5 * (v % 3) for v in g.vertices()}
+        states = [standard_noise(g, p, 1.0, t) for p in (0.0, 0.86, 1.0) for t in (2.0, math.inf)]
+        states.append(standard_noise(g, 0.86, 1.0, 2.0, qubit_times_ms=staggered))
+        assert_compiled_equals_stepwise(g, plan, states)
+
+    @pytest.mark.parametrize("kb, n_o", [(2, 2), (3, 2), (2, 3)])
+    def test_rolling_only_plans(self, kb, n_o):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        peers = sorted(state.peers)
+        plans = bridge_pick_plans(state, limit=3)
+        plans += [plan_proximity_reduction(state, peers[0], peers[-1])]
+        plans += [plan_proximity_reduction(state, peers[-1], peers[1])]
+        states = [standard_noise(state.graph, p, 1.0, 5.0) for p in (0.0, 0.86, 1.0)]
+        for plan in plans:
+            assert_compiled_equals_stepwise(state.graph, plan, states)
+
+    def test_maps_merging_three_branches_over_several_steps(self):
+        # Z-measuring every vertex left after rolling collapses each map onto
+        # the identity, some in two stages: the merged weight then depends on
+        # the steps at which the branches met.
+        state = build_gtl(GtlParams.specialized(2, 3))
+        rolling = bridge_pick_plans(state, limit=1)[0]
+        measured = {o for o, _ in rolling.steps}
+        rest = tuple(v for v in state.graph.vertices() if v not in measured)
+        for isolation in (rest, rest[::-1], rest[1::2] + rest[::2]):
+            plan = ResolutionPlan(steps=rolling.steps, isolation=isolation)
+            states = [standard_noise(state.graph, p, 1.0, 3.0) for p in (0.123456, 0.7, 0.86)]
+            assert_compiled_equals_stepwise(state.graph, plan, states, score=False)
+
+    def test_error_parity_with_stepwise(self):
+        state = build_gtl(GtlParams.specialized(2, 2))
+        o = state.orch[0]
+        far = next(v for v in state.graph.vertices() if v != o and v not in state.graph.neighbors(o))
+        isolated = Graph.from_edges(3, [(1, 2)])
+        cases = [
+            (state.graph, ResolutionPlan(steps=((o, far),))),
+            (isolated, ResolutionPlan(steps=((0, 1),))),
+            (state.graph, ResolutionPlan(steps=(), isolation=(o, o))),
+        ]
+        for g, plan in cases:
+            message = _raised(lambda: compile_plan(g, plan))
+            assert message == _raised(lambda: propagate(standard_noise(g, 0.9), plan))
+
+    def test_rejects_noise_on_another_graph(self):
+        state = build_gtl(GtlParams.specialized(2, 2))
+        compiled = compile_plan(state.graph, default_resolution_plan(state, "bell"))
+        other = build_gtl(GtlParams.specialized(2, 3)).graph
+        with pytest.raises(ValueError, match="compiled for"):
+            compiled.apply(standard_noise(other, 0.9))
