@@ -32,6 +32,7 @@ from .noise import (
     ZOperator,
     closed_form_maps,
     compile_plan,
+    compiled_fidelities,
     component_fidelities,
     dephasing_map,
     depolarizing_map,
@@ -72,6 +73,7 @@ __all__ = [
     "centralized_resolution",
     "closed_form_maps",
     "compile_plan",
+    "compiled_fidelities",
     "component_fidelities",
     "default_resolution_plan",
     "dephasing_map",

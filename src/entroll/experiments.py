@@ -1,9 +1,10 @@
 """Experiment harness: fidelity sweeps, threshold curves, verification runs.
 
 A sweep or threshold search builds its resource and plan once and compiles
-the plan into GF(2) images of single-qubit Z operators (see
-:func:`entroll.noise.compile_plan`); every (p, T) point then only builds its
-noise maps, maps them through the images and scores the components.  Rows are
+the plan into per-component branch tables (see
+:func:`entroll.noise.compile_plan`); every (p, T) point and bisection probe
+then scores the components straight from those tables with
+:func:`entroll.noise.compiled_fidelities`, building no noise maps.  Rows are
 emitted in grid order, and output is byte-stable for a fixed configuration.
 """
 
@@ -21,11 +22,12 @@ from .noise import (
     NoiseState,
     closed_form_maps,
     compile_plan,
-    component_fidelities,
+    compiled_fidelities,
     depolarizing_map,
     propagate,
-    standard_noise,
 )
+# Unused here, but bench/tracing.py wraps these two at this module's names.
+from .noise import component_fidelities, standard_noise  # noqa: F401
 from .rolling import (
     ResolutionPlan,
     bridge_pick_plans,
@@ -150,30 +152,24 @@ def _compile(config: ExperimentConfig) -> CompiledPlan:
 
 def _grid_point(
     config: ExperimentConfig, compiled: CompiledPlan, p: float, t: float
-) -> list[SweepRow]:
-    ns = standard_noise(
-        compiled.start,
-        p,
-        config.protocol_time_ms,
-        t,
-        qubit_times_ms=dict(config.qubit_times_ms) or None,
+) -> dict[str, float]:
+    return compiled_fidelities(
+        compiled, p, config.protocol_time_ms, t, dict(config.qubit_times_ms) or None
     )
-    fids = component_fidelities(compiled.apply(ns))
-    return [SweepRow(p=p, t_ms=t, resource_id=rid, fidelity=f) for rid, f in sorted(fids.items())]
 
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Fidelity of every extracted resource at every (p, T) grid point.
 
-    The plan is compiled once; each grid point only builds its noise maps,
-    maps them through the compiled images and scores the components.
+    The plan is compiled once; each grid point is scored from the compiled
+    tables.
     """
     compiled = _compile(config)
     return [
-        row
+        SweepRow(p=p, t_ms=t, resource_id=rid, fidelity=f)
         for p in config.p_grid
         for t in config.t_grid_ms
-        for row in _grid_point(config, compiled, p, t)
+        for rid, f in sorted(_grid_point(config, compiled, p, t).items())
     ]
 
 
@@ -210,7 +206,7 @@ def find_threshold(
     compiled = _compile(config)
 
     def worst_fidelity(p: float, t: float) -> float:
-        return min(row.fidelity for row in _grid_point(config, compiled, p, t))
+        return min(_grid_point(config, compiled, p, t).values())
 
     # The grid values double as the bracket ends: sorted, they run from t_lo to t_hi.
     bracket_ends: list[tuple[float, float]] = []

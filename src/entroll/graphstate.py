@@ -356,6 +356,8 @@ def json_field(source: str, name: str) -> Iterator[None]:
     """Re-raise a malformed value of one JSON field as a ValueError naming it."""
     try:
         yield
+    except KeyError as exc:
+        raise ValueError(f"{source} field {name!r}: missing key {exc}") from None
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"{source} field {name!r}: {exc}") from None
 

@@ -335,6 +335,22 @@ def gtl_to_json(state: GtlState) -> dict:
     return data
 
 
+def _check_params(claimed: GtlParams, inferred: GtlParams | None) -> None:
+    """Reject ``params`` that contradict what the graph shows.
+
+    Nothing is inferred from a graph that fails validation, and a single
+    orchestration qubit has no bridges to read kappa_b_hat from.
+    """
+    if inferred is None:
+        return
+    names = ("kappa_c", "n_o") if inferred.n_o == 1 else ("kappa_b_hat", "kappa_c", "n_o")
+    wrong = [n for n in names if getattr(claimed, n) != getattr(inferred, n)]
+    if wrong:
+        said = ", ".join(f"{n}={getattr(claimed, n)}" for n in wrong)
+        shown = ", ".join(f"{n}={getattr(inferred, n)}" for n in wrong)
+        raise ValueError(f"GTL JSON field 'params': {said} contradicts the graph, which has {shown}")
+
+
 def gtl_from_json(data: dict) -> GtlState:
     graph = graph_from_json(data)
     with json_field("GTL JSON", "orch"):
@@ -346,6 +362,8 @@ def gtl_from_json(data: dict) -> GtlState:
         with json_field("GTL JSON", "params"):
             p = data["params"]
             params = GtlParams(int(p["kappa_b_hat"]), int(p["kappa_c"]), int(p["n_o"]))
+    if params is not None:
+        _check_params(params, validate_gtl(graph, orch, peers).params)
     orch_set = set(orch)
     bridges: dict[tuple[int, int], tuple[int, ...]] = {}
     for i in range(len(orch) - 1):

@@ -13,14 +13,21 @@ bookkeeping over GF(2) supports:
   Z_b0 -> Z on the post-measurement neighborhood of ``b0``.
 
 Images extend multiplicatively (XOR of supports) to arbitrary strings; global
-signs cancel because every branch enters as a conjugation.  The images do not
-depend on the noise parameters, so :func:`compile_plan` composes them once per
-plan and :meth:`CompiledPlan.apply` maps every branch in one pass.
+signs cancel because every branch enters as a conjugation.
 
 Fidelities of the extracted resources come from an XOR convolution of the
 per-map branch distributions restricted to one connected component: on a
 connected graph state only the empty Z string has nonzero overlap, so the
-fidelity is the probability mass of the all-zero restriction.
+fidelity is the probability mass of the all-zero restriction.  Only the maps
+whose supports touch a component change its law, so each component is scored
+over those maps alone, on bitmask supports.
+
+:func:`propagate` followed by :func:`component_fidelities` is the stepwise
+reference.  The images do not depend on the noise parameters, so
+:func:`compile_plan` composes them once per plan and tabulates, for every
+component of the final graph, the merged branches of the standard-noise maps
+that touch it; :func:`compiled_fidelities` then scores a (p, T) point from
+those tables with the same convolution, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .graphstate import Graph, _bits, measure_pauli
+from .graphstate import Graph, _bits, json_field, measure_pauli
 from .gtl import GtlState
 from .rolling import STOP_AFTER_ISOLATION, ResolutionPlan
 
@@ -41,6 +48,7 @@ __all__ = [
     "ZOperator",
     "closed_form_maps",
     "compile_plan",
+    "compiled_fidelities",
     "component_fidelities",
     "dephasing_map",
     "dephasing_probability",
@@ -74,6 +82,13 @@ class ZOperator:
 
 def _branch_key(support: frozenset[int]) -> tuple[int, ...]:
     return tuple(sorted(support))
+
+
+def _mask(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 @dataclass(frozen=True)
@@ -123,11 +138,17 @@ class NoiseMap:
 
     @classmethod
     def from_json(cls, data: dict) -> NoiseMap:
-        weights: dict[frozenset[int], float] = {}
-        for b in data["branches"]:
-            s = frozenset(int(v) for v in b["support"])
-            weights[s] = weights.get(s, 0.0) + float(b["p"])
-        return cls.from_weights(int(data["origin"]), weights)
+        """Parse a map object; a malformed field raises a ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"noise map must be a JSON object, got {type(data).__name__}")
+        with json_field("noise map", "origin"):
+            origin = int(data["origin"])
+        with json_field("noise map", "branches"):
+            weights: dict[frozenset[int], float] = {}
+            for b in data["branches"]:
+                s = frozenset(int(v) for v in b["support"])
+                weights[s] = weights.get(s, 0.0) + float(b["p"])
+            return cls.from_weights(origin, weights)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -276,60 +297,64 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
     return ns
 
 
+# One map's branches on one component, in branch order: the map's weight
+# source (None for a depolarizing map, the origin qubit for a dephasing map)
+# and (support restricted to the component, weight index) per branch.
+_Term = tuple[int | None, list[tuple[int, int]]]
+
+# Weight index of two merged branches of a depolarizing map: the identity with
+# another branch gives (p + w) + w, two others give w + w.  These are the
+# weights an isolated vertex's map starts with (see CanonicalForm.realize).
+_MERGED = {(0, 1): 2, (1, 1): 3}
+
+
 @dataclass(frozen=True)
 class CompiledPlan:
-    """A resolution plan reduced to the GF(2) images of single-qubit Z operators.
+    """A resolution plan reduced to the branch tables that score a (p, T) point.
 
-    ``images[v]`` is the bitmask of the support that Z_v on ``start`` carries
-    after every step of the plan, and ``graph`` is the final graph.  Neither
-    depends on the noise parameters, so one compilation serves every (p, T)
-    point.  ``steps`` keeps each step's images as :func:`propagate_measurement`
-    builds them, for the rare map that the composite images cannot reproduce
-    bit for bit (see :meth:`apply`).
+    ``graph`` is the final graph.  ``components`` pairs the resource key of
+    every multi-qubit component of ``graph`` with its terms: for each map of
+    :func:`standard_noise` whose propagated supports touch the component, in
+    map order, the map's merged branches restricted to the component.  A
+    branch names its weight by index into the table
+    :func:`compiled_fidelities` builds at each point, so the tables do not
+    depend on the noise parameters.
     """
 
-    start: Graph
     graph: Graph
-    images: dict[int, int]
-    steps: tuple[dict[int, frozenset[int]], ...]
+    components: tuple[tuple[str, tuple[_Term, ...]], ...]
 
-    def apply(self, ns: NoiseState) -> NoiseState:
-        """Same maps as ``propagate(ns, plan)``, bit for bit, in one pass per map."""
-        if ns.graph != self.start:
-            raise ValueError("noise state is not on the graph the plan was compiled for")
-        return NoiseState(graph=self.graph.copy(), maps=tuple(self._apply(m) for m in ns.maps))
 
-    def _apply(self, m: NoiseMap) -> NoiseMap:
-        # Stepwise propagation adds branch weights as branches meet, step by
-        # step.  Two weights sum the same in any order; when three or more
-        # branches of one map meet, the grouping depends on the steps at which
-        # they met, so such a map is replayed step by step instead.
-        groups: dict[int, list[float]] = {}
-        for prob, op in m.branches:
-            key = 0
-            for v in op.support:
-                key ^= self.images.get(v, 1 << v)
-            groups.setdefault(key, []).append(prob)
-        if any(len(probs) > 2 for probs in groups.values()):
-            for images in self.steps:
-                m = _apply_images(m, images)
-            return m
-        return NoiseMap.from_weights(
-            m.origin, {frozenset(_bits(key)): sum(probs) for key, probs in groups.items()}
-        )
+_SET_FIRST = str.maketrans("01", "10")
+
+
+def _support_order(mask: int) -> str:
+    """Sort key that orders bitmask supports as ``_branch_key`` orders vertex sets.
+
+    The bits read lowest first, with a set bit before a clear one, so the
+    first differing vertex decides and a prefix sorts first.
+    """
+    return bin(mask)[:1:-1].translate(_SET_FIRST) if mask else ""
+
+
+def _merge(branches: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    """Merge branches with equal supports, sorted as NoiseMap.from_weights sorts them."""
+    merged: dict[int, int] = {}
+    for support, index in branches:
+        merged[support] = _MERGED[merged[support], index] if support in merged else index
+    return sorted(merged.items(), key=lambda branch: _support_order(branch[0]))
 
 
 def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
-    """Compile a plan on graph ``g`` for :meth:`CompiledPlan.apply`.
+    """Compile a plan on graph ``g`` for :func:`compiled_fidelities`.
 
     Raises the same errors as :func:`propagate` on a plan that cannot run.
     """
     measurements = [(o, "X", b0) for o, b0 in plan.steps]
     if plan.stop_stage == STOP_AFTER_ISOLATION:
         measurements += [(v, "Z", None) for v in plan.isolation]
-    start = g.copy()
+    start = g
     images = {v: 1 << v for v in g.vertices()}
-    steps: list[dict[int, frozenset[int]]] = []
     for a, basis, b0 in measurements:
         if basis == "Z":
             step = {a: 0}
@@ -342,12 +367,73 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
             step = {a: (1 << b0) | (g.neighbor_mask(b0) & ~(1 << a))}
             g, _ = measure_pauli(g, a, "X", b0)
             step[b0] = g.neighbor_mask(b0)
+        measured = _mask(step)
         for v, image in images.items():
-            for u, u_image in step.items():
-                if image >> u & 1:
-                    images[v] ^= (1 << u) ^ u_image
-        steps.append({u: frozenset(_bits(u_image)) for u, u_image in step.items()})
-    return CompiledPlan(start=start, graph=g, images=images, steps=tuple(steps))
+            if image & measured:
+                for u, u_image in step.items():
+                    if image >> u & 1:
+                        images[v] ^= (1 << u) ^ u_image
+
+    # The maps of standard_noise, in its order, as merged (final support,
+    # weight index) branches.  Supports map linearly, so the four branches of
+    # a depolarizing map (the span of Z_v and Z on its neighborhood) merge at
+    # most in pairs, unless all four land on the identity.  Such a map
+    # changes no component's law and is left out; it is the only kind whose
+    # merged weight depends on the steps at which its branches met.
+    maps: list[tuple[int | None, list[tuple[int, int]]]] = []
+    for v in start.vertices():
+        image, around = images[v], 0
+        for u in _bits(start.neighbor_mask(v)):
+            around ^= images[u]
+        if start.neighbor_mask(v):
+            depolarizing = ((0, 0), (around, 1), (image, 1), (image ^ around, 1))
+        else:  # realize() has already merged an isolated vertex's branches
+            depolarizing = ((0, 2), (image, 3))
+        if image or around:
+            maps.append((None, _merge(depolarizing)))
+        if image:
+            maps.append((v, [(0, 0), (image, 1)]))
+    return CompiledPlan(graph=g, components=_component_terms(g, maps))
+
+
+def compiled_fidelities(
+    compiled: CompiledPlan,
+    p: float,
+    t_ms: float = 1.0,
+    big_t_ms: float = math.inf,
+    qubit_times_ms: dict[int, float] | None = None,
+) -> dict[str, float]:
+    """Fidelity of every extracted resource at one (p, T) point.
+
+    Equal, bit for bit, to ``component_fidelities(propagate(standard_noise(g,
+    p, t_ms, big_t_ms, qubit_times_ms), plan))`` for the graph and plan
+    ``compiled`` was compiled from: the weights come from the same
+    expressions, and every sum runs in the same order.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
+    w = (1.0 - p) / 4.0
+
+    def dephasing(q: float) -> tuple[float, ...] | None:
+        return (1.0 - q, q) if q != 0.0 else None
+
+    # A zero weight drops its branch (NoiseMap.from_weights), which leaves
+    # only the identity branch of the map: the map then changes no law.
+    tables: dict[int | None, tuple[float, ...] | None] = {
+        None: (p + w, w, (p + w) + w, w + w) if w != 0.0 else None
+    }
+    for v, wait in (qubit_times_ms or {}).items():
+        tables[v] = dephasing(dephasing_probability(wait, big_t_ms))
+    uniform = dephasing(dephasing_probability(t_ms, big_t_ms))
+    out: dict[str, float] = {}
+    for key, terms in compiled.components:
+        law = _xor_convolve(
+            [(support, table[index]) for support, index in branches]
+            for source, branches in terms
+            if (table := tables.get(source, uniform)) is not None
+        )
+        out[key] = law.get(0, 0.0)
+    return out
 
 
 def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[NoiseMap]:
@@ -431,6 +517,53 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
     return maps
 
 
+def _component_terms(graph: Graph, maps) -> tuple[tuple[str, tuple], ...]:
+    """Pair every multi-qubit component of ``graph`` with the maps that touch it.
+
+    ``maps`` yields (tag, branches) with branches as (support mask, value)
+    pairs; each component gets, in map order, the tag and the branches with
+    their supports restricted to it.  A map that touches no component would
+    only add the identity to its law.
+    """
+    components = [c for c in graph.components() if len(c) >= 2]
+    masks = [_mask(comp) for comp in components]
+    terms: list[list] = [[] for _ in components]
+    for tag, branches in maps:
+        union = 0
+        for support, _ in branches:
+            union |= support
+        for mask, component_terms in zip(masks, terms):
+            if union & mask:
+                component_terms.append((tag, [(s & mask, x) for s, x in branches]))
+    return tuple(
+        ("-".join(str(v) for v in sorted(comp)), tuple(t)) for comp, t in zip(components, terms)
+    )
+
+
+def _xor_convolve(maps) -> dict[int, float]:
+    """Law of the XOR of one independent draw per map, over bitmask supports.
+
+    Each map comes as its (restricted support, probability) branches in
+    branch order.  Equal supports are summed in that order, and a map whose
+    branches all restrict to the identity is skipped.
+    """
+    dist: dict[int, float] = {0: 1.0}
+    for branches in maps:
+        marginal: dict[int, float] = {}
+        for key, prob in branches:
+            marginal[key] = marginal.get(key, 0.0) + prob
+        if len(marginal) == 1 and 0 in marginal:
+            continue
+        nxt: dict[int, float] = {}
+        pairs = tuple(marginal.items())  # a tuple iterates faster than a dict view
+        for s0, p0 in dist.items():
+            for s1, p1 in pairs:
+                key = s0 ^ s1
+                nxt[key] = nxt.get(key, 0.0) + p0 * p1
+        dist = nxt
+    return dist
+
+
 def restrict_to_targets(
     maps: tuple[NoiseMap, ...] | list[NoiseMap],
     targets: frozenset[int],
@@ -446,21 +579,11 @@ def restrict_to_targets(
     targets = frozenset(targets)
     if targets not in graph.components():
         raise ValueError(f"targets {sorted(targets)} are not a full connected component")
-    dist: dict[frozenset[int], float] = {frozenset(): 1.0}
-    for m in maps:
-        marginal: dict[frozenset[int], float] = {}
-        for prob, op in m.branches:
-            key = op.support & targets
-            marginal[key] = marginal.get(key, 0.0) + prob
-        if len(marginal) == 1 and frozenset() in marginal:
-            continue
-        nxt: dict[frozenset[int], float] = {}
-        for s0, p0 in dist.items():
-            for s1, p1 in marginal.items():
-                key = s0 ^ s1
-                nxt[key] = nxt.get(key, 0.0) + p0 * p1
-        dist = nxt
-    return dist
+    mask = _mask(targets)
+    law = _xor_convolve(
+        [(_mask(op.support) & mask, prob) for prob, op in m.branches] for m in maps
+    )
+    return {frozenset(_bits(support)): prob for support, prob in law.items()}
 
 
 def fidelity(ns: NoiseState, targets: frozenset[int]) -> float:
@@ -479,10 +602,8 @@ def fidelity(ns: NoiseState, targets: frozenset[int]) -> float:
 
 def component_fidelities(ns: NoiseState) -> dict[str, float]:
     """Fidelity of every multi-qubit component, keyed by its sorted vertex ids."""
-    out: dict[str, float] = {}
-    for comp in ns.graph.components():
-        if len(comp) < 2:
-            continue
-        key = "-".join(str(v) for v in sorted(comp))
-        out[key] = fidelity(ns, comp)
-    return out
+    maps = ((None, [(_mask(op.support), prob) for prob, op in m.branches]) for m in ns.maps)
+    return {
+        key: _xor_convolve(branches for _, branches in terms).get(0, 0.0)
+        for key, terms in _component_terms(ns.graph, maps)
+    }

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graphstate import Graph, MeasurementRecord, gf2_rank, measure_pauli
+from .graphstate import Graph, MeasurementRecord, gf2_rank, json_field, measure_pauli
 from .gtl import GtlState
 
 __all__ = [
@@ -60,9 +60,16 @@ class ResolutionPlan:
 
     @classmethod
     def from_json(cls, data: dict) -> ResolutionPlan:
+        """Parse a plan object; a malformed field raises a ValueError naming it."""
+        if not isinstance(data, dict):
+            raise ValueError(f"plan must be a JSON object, got {type(data).__name__}")
+        with json_field("plan", "steps"):
+            steps = tuple((int(o), int(b)) for o, b in data["steps"])
+        with json_field("plan", "isolation"):
+            isolation = tuple(int(v) for v in data.get("isolation", []))
         return cls(
-            steps=tuple((int(o), int(b)) for o, b in data["steps"]),
-            isolation=tuple(int(v) for v in data.get("isolation", [])),
+            steps=steps,
+            isolation=isolation,
             stop_stage=data.get("stop_stage", STOP_AFTER_ISOLATION),
         )
 

@@ -174,6 +174,29 @@ class TestThreshold:
         worst = min(component_fidelities(ns).values())
         assert worst == pytest.approx(0.8, abs=1e-4)
 
+    def test_rows_equal_a_stepwise_bisection(self):
+        config = ExperimentConfig(kappa_b_hat=2, n_o=10, p_grid=(0.9, 0.95), t_grid_ms=(1.0, 1000.0))
+        state = build_gtl(GtlParams.specialized(2, 10))
+        plan = default_resolution_plan(state, "bell")
+
+        def worst(p, t):
+            ns = propagate(standard_noise(state.graph, p, 1.0, t), plan)
+            return min(component_fidelities(ns).values())
+
+        # find_threshold's bisection, with every probe propagated step by step.
+        expected = []
+        for p in config.p_grid:
+            assert worst(p, 1.0) < 0.5 <= worst(p, 1000.0)
+            lo, hi = 1.0, 1000.0
+            for _ in range(200):
+                mid = math.sqrt(lo * hi)
+                f_mid = worst(p, mid)
+                lo, hi = (lo, mid) if f_mid >= 0.5 else (mid, hi)
+                if (hi - lo) / hi < 1e-7 and abs(f_mid - 0.5) < 1e-6:
+                    break
+            expected.append((p, hi))
+        assert find_threshold(config, level=0.5) == (expected, [])
+
     def test_unreachable_level_is_diagnosed(self):
         config = ExperimentConfig(kappa_b_hat=2, n_o=4, p_grid=(0.7,), t_grid_ms=(1.0, 2.0))
         rows, diagnostics = find_threshold(config, level=0.99)
@@ -303,6 +326,25 @@ class TestCli:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert repr(field) in err
+
+    def test_malformed_plan_is_one_error_line(self, tmp_path, capsys):
+        state_file, plan_file = tmp_path / "state.json", tmp_path / "plan.json"
+        state_file.write_text(json.dumps(gtl_to_json(build_gtl(GtlParams.specialized(2, 2)))))
+        plan_file.write_text(json.dumps({"steps": 5}))
+        assert cli.main(["resolve", str(state_file), "--plan", str(plan_file)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "'steps'" in err
+
+    def test_contradictory_params_is_one_error_line(self, tmp_path, capsys):
+        data = gtl_to_json(build_gtl(GtlParams.specialized(2, 2)))
+        data["params"]["n_o"] = 5
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["resolve", str(path), "--p", "0.9"]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "'params'" in err
 
     def test_non_object_config_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "config.json"

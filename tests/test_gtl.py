@@ -245,3 +245,31 @@ def test_state_json_round_trip():
     assert back.bridges == state.bridges
     assert back.leaves == state.leaves
     assert back.params == state.params
+
+
+@pytest.mark.parametrize(
+    "params, claim",
+    [
+        (GtlParams(2, 4, 2), {"n_o": 5}),
+        (GtlParams(2, 4, 3), {"kappa_b_hat": 1}),
+        (GtlParams(2, 5, 3), {"kappa_c": 6}),
+        (GtlParams(1, 2, 1), {"kappa_b_hat": 2, "kappa_c": 4}),
+    ],
+)
+def test_contradictory_params_rejected(params, claim):
+    data = json.loads(json.dumps(gtl_to_json(build_gtl(params))))
+    data["params"].update(claim)
+    with pytest.raises(ValueError, match="GTL JSON field 'params'"):
+        gtl_from_json(data)
+
+
+def test_params_checked_only_where_inferable():
+    # One orchestration qubit has no bridges, so kappa_b_hat is taken on trust.
+    data = json.loads(json.dumps(gtl_to_json(build_gtl(GtlParams(2, 5, 1)))))
+    data["params"]["kappa_b_hat"] = 1
+    assert gtl_from_json(data).params == GtlParams(1, 5, 1)
+    # A graph that fails validation shows nothing to compare against.
+    data = json.loads(json.dumps(gtl_to_json(build_gtl(GtlParams(2, 4, 2)))))
+    data["edges"] = data["edges"][1:]
+    data["params"]["n_o"] = 5
+    assert gtl_from_json(data).params == GtlParams(2, 4, 5)

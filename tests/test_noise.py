@@ -12,6 +12,7 @@ from entroll.noise import (
     ZOperator,
     closed_form_maps,
     compile_plan,
+    compiled_fidelities,
     component_fidelities,
     dephasing_map,
     dephasing_probability,
@@ -62,6 +63,20 @@ class TestNoiseMap:
         import json
 
         assert NoiseMap.from_json(json.loads(m.dumps())) == m
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"branches": [{"p": 1.0, "support": []}]}, "origin"),
+            ({"origin": 0, "branches": 5}, "branches"),
+            ({"origin": 0, "branches": [{"p": 1.0}]}, "branches"),
+            ({"origin": 0, "branches": [{"p": "x", "support": []}]}, "branches"),
+            ({"origin": 0, "branches": [{"p": 0.5, "support": [0]}]}, "branches"),
+        ],
+    )
+    def test_malformed_json_field_is_named(self, data, field):
+        with pytest.raises(ValueError, match=f"noise map field '{field}'"):
+            NoiseMap.from_json(data)
 
     def test_zoperator_algebra(self):
         a = ZOperator(frozenset({1, 2}))
@@ -475,18 +490,30 @@ class TestFidelity:
             fidelity(ns, frozenset({2}))
 
 
-def assert_compiled_equals_stepwise(g, plan, states, score=True):
-    """Compiled maps equal stepwise propagation exactly: branch order, weights, fidelities."""
+def assert_compiled_equals_stepwise(g, plan, points):
+    """The compiled plan scores every (p, T, qubit times) point exactly as stepwise propagation.
+
+    Its tables also list, per component, the stepwise maps that touch it, in
+    order, each with the same branch supports in the same order.
+    """
     compiled = compile_plan(g, plan)
-    for ns in states:
-        stepwise = propagate(ns, plan)
-        fast = compiled.apply(ns)
-        assert fast.graph == stepwise.graph
-        assert [m.origin for m in fast.maps] == [m.origin for m in stepwise.maps]
-        assert [m.branches for m in fast.maps] == [m.branches for m in stepwise.maps]
-        assert [m.weights() for m in fast.maps] == [m.weights() for m in stepwise.maps]
-        if score:
-            assert component_fidelities(fast) == component_fidelities(stepwise)
+    maps = propagate(standard_noise(g, 0.5, 1.0, 2.0), plan).maps  # no weight is zero here
+    for key, terms in compiled.components:
+        comp = frozenset(int(v) for v in key.split("-"))
+        expected = [
+            (None if i % 2 == 0 else m.origin, [sorted(op.support & comp) for _, op in m.branches])
+            for i, m in enumerate(maps)
+            if any(op.support & comp for _, op in m.branches)
+        ]
+        assert [
+            (source, [sorted(v for v in comp if s >> v & 1) for s, _ in branches])
+            for source, branches in terms
+        ] == expected
+    for p, big_t, times in points:
+        stepwise = propagate(standard_noise(g, p, 1.0, big_t, qubit_times_ms=times), plan)
+        assert compiled.graph == stepwise.graph
+        fast = compiled_fidelities(compiled, p, 1.0, big_t, times)
+        assert list(fast.items()) == list(component_fidelities(stepwise).items())
 
 
 def _raised(fn) -> str:
@@ -505,10 +532,11 @@ class TestCompiledPlan:
     def test_resolution_plans(self, kb, n_o, target):
         state = build_gtl(GtlParams.specialized(kb, n_o))
         g, plan = state.graph, default_resolution_plan(state, target)
+        # Every third qubit waits 0 ms: its dephasing weight q is 0 and the branch is dropped.
         staggered = {v: 0.5 * (v % 3) for v in g.vertices()}
-        states = [standard_noise(g, p, 1.0, t) for p in (0.0, 0.86, 1.0) for t in (2.0, math.inf)]
-        states.append(standard_noise(g, 0.86, 1.0, 2.0, qubit_times_ms=staggered))
-        assert_compiled_equals_stepwise(g, plan, states)
+        points = [(p, t, None) for p in (0.0, 0.86, 1.0) for t in (2.0, math.inf)]
+        points += [(0.86, 2.0, staggered), (1.0, 2.0, staggered)]
+        assert_compiled_equals_stepwise(g, plan, points)
 
     @pytest.mark.parametrize("kb, n_o", [(2, 2), (3, 2), (2, 3)])
     def test_rolling_only_plans(self, kb, n_o):
@@ -517,22 +545,32 @@ class TestCompiledPlan:
         plans = bridge_pick_plans(state, limit=3)
         plans += [plan_proximity_reduction(state, peers[0], peers[-1])]
         plans += [plan_proximity_reduction(state, peers[-1], peers[1])]
-        states = [standard_noise(state.graph, p, 1.0, 5.0) for p in (0.0, 0.86, 1.0)]
+        points = [(p, 5.0, None) for p in (0.0, 0.86, 1.0)]
         for plan in plans:
-            assert_compiled_equals_stepwise(state.graph, plan, states)
+            assert_compiled_equals_stepwise(state.graph, plan, points)
 
     def test_maps_merging_three_branches_over_several_steps(self):
-        # Z-measuring every vertex left after rolling collapses each map onto
-        # the identity, some in two stages: the merged weight then depends on
-        # the steps at which the branches met.
+        # After rolling (2, 3), vertices 3 and 7 each lead a star whose
+        # removal leaves two pairs standing.  Z-measuring such a vertex and
+        # its whole neighborhood folds all four branches of some depolarizing
+        # maps onto the identity over several steps, where the merged weight
+        # depends on the steps at which the branches met.
         state = build_gtl(GtlParams.specialized(2, 3))
         rolling = bridge_pick_plans(state, limit=1)[0]
-        measured = {o for o, _ in rolling.steps}
-        rest = tuple(v for v in state.graph.vertices() if v not in measured)
-        for isolation in (rest, rest[::-1], rest[1::2] + rest[::2]):
-            plan = ResolutionPlan(steps=rolling.steps, isolation=isolation)
-            states = [standard_noise(state.graph, p, 1.0, 3.0) for p in (0.123456, 0.7, 0.86)]
-            assert_compiled_equals_stepwise(state.graph, plan, states, score=False)
+        rolled = propagate(standard_noise(state.graph, 0.9), rolling).graph
+        points = [(p, 3.0, None) for p in (0.123456, 0.7, 0.86)]
+        for v in (3, 7):
+            closed = (v, *sorted(rolled.neighbors(v)))
+            for isolation in (closed, closed[::-1]):
+                plan = ResolutionPlan(steps=rolling.steps, isolation=isolation)
+                assert_compiled_equals_stepwise(state.graph, plan, points)
+                stepwise = propagate(standard_noise(state.graph, 0.7, 1.0, 3.0), plan)
+                assert len(component_fidelities(stepwise)) == 2
+                folded = [
+                    m for m in stepwise.maps[::2]
+                    if state.graph.neighbors(m.origin) and m.weights().keys() == {frozenset()}
+                ]
+                assert folded
 
     def test_error_parity_with_stepwise(self):
         state = build_gtl(GtlParams.specialized(2, 2))
@@ -548,9 +586,12 @@ class TestCompiledPlan:
             message = _raised(lambda: compile_plan(g, plan))
             assert message == _raised(lambda: propagate(standard_noise(g, 0.9), plan))
 
-    def test_rejects_noise_on_another_graph(self):
+    @pytest.mark.parametrize(
+        "p, t_ms, big_t_ms, times",
+        [(1.5, 1.0, 5.0, None), (0.9, -1.0, 5.0, None), (0.9, 1.0, 0.0, None), (0.9, 1.0, 5.0, {3: -2.0})],
+    )
+    def test_point_errors_match_standard_noise(self, p, t_ms, big_t_ms, times):
         state = build_gtl(GtlParams.specialized(2, 2))
         compiled = compile_plan(state.graph, default_resolution_plan(state, "bell"))
-        other = build_gtl(GtlParams.specialized(2, 3)).graph
-        with pytest.raises(ValueError, match="compiled for"):
-            compiled.apply(standard_noise(other, 0.9))
+        message = _raised(lambda: compiled_fidelities(compiled, p, t_ms, big_t_ms, times))
+        assert message == _raised(lambda: standard_noise(state.graph, p, t_ms, big_t_ms, times))

@@ -312,6 +312,20 @@ class TestPlans:
         back = ResolutionPlan.from_json(json.loads(plan.dumps()))
         assert back == plan
 
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"steps": 5}, "steps"),
+            ({"steps": [[0, 1, 2]]}, "steps"),
+            ({}, "steps"),
+            ({"steps": [], "isolation": None}, "isolation"),
+            ({"steps": [], "isolation": ["a"]}, "isolation"),
+        ],
+    )
+    def test_malformed_json_field_is_named(self, data, field):
+        with pytest.raises(ValueError, match=f"plan field '{field}'"):
+            ResolutionPlan.from_json(data)
+
     def test_duplicate_step_rejected(self):
         with pytest.raises(ValueError):
             ResolutionPlan(steps=((0, 2), (0, 3)))
