@@ -29,6 +29,7 @@ from .gtl import (
     structure_profile,
     validate_gtl,
 )
+from .oracle import MAX_CROSSCHECK_QUBITS
 from .rolling import (
     ResolutionPlan,
     default_resolution_plan,
@@ -231,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--state", default=None, help="optional GTL state JSON to validate first")
     p_verify.add_argument("--max-kappa-b", type=int, default=4)
     p_verify.add_argument("--max-n-o", type=int, default=6)
-    p_verify.add_argument("--max-qubits", type=int, default=10)
+    p_verify.add_argument("--max-qubits", type=int, default=MAX_CROSSCHECK_QUBITS,
+                          help="skip oracle crosschecks on larger resources")
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)

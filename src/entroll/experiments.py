@@ -350,7 +350,7 @@ def verify(
     scope: str = "all",
     max_kappa_b: int = 4,
     max_n_o: int = 6,
-    max_qubits: int = 10,
+    max_qubits: int = oracle.MAX_CROSSCHECK_QUBITS,
     trials: int = 200,
     seed: int = 0,
     state: GtlState | None = None,

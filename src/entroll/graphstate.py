@@ -21,6 +21,7 @@ __all__ = [
     "Graph",
     "MeasurementRecord",
     "PauliString",
+    "component_key",
     "gf2_rank",
     "graph_from_json",
     "graph_to_json",
@@ -184,6 +185,11 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(vertices={list(self.vertices())}, edges={self.edges()})"
+
+
+def component_key(component: Iterable[int]) -> str:
+    """Resource key of a component: its sorted vertex ids joined by '-'."""
+    return "-".join(str(v) for v in sorted(component))
 
 
 @dataclass(frozen=True)

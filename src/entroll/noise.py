@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .graphstate import Graph, _bits, json_field, measure_pauli
+from .graphstate import Graph, _bits, component_key, json_field, measure_pauli
 from .gtl import GtlState
 from .rolling import STOP_AFTER_ISOLATION, ResolutionPlan
 
@@ -312,16 +312,18 @@ _MERGED = {(0, 1): 2, (1, 1): 3}
 class CompiledPlan:
     """A resolution plan reduced to the branch tables that score a (p, T) point.
 
-    ``graph`` is the final graph.  ``components`` pairs the resource key of
-    every multi-qubit component of ``graph`` with its terms: for each map of
-    :func:`standard_noise` whose propagated supports touch the component, in
-    map order, the map's merged branches restricted to the component.  A
-    branch names its weight by index into the table
-    :func:`compiled_fidelities` builds at each point, so the tables do not
-    depend on the noise parameters.
+    ``graph`` is the final graph and ``qubits`` the live vertices of the
+    start graph, the qubits :func:`standard_noise` puts maps on.
+    ``components`` pairs the resource key of every multi-qubit component of
+    ``graph`` with its terms: for each map of :func:`standard_noise` whose
+    propagated supports touch the component, in map order, the map's merged
+    branches restricted to the component.  A branch names its weight by index
+    into the table :func:`compiled_fidelities` builds at each point, so the
+    tables do not depend on the noise parameters.
     """
 
     graph: Graph
+    qubits: frozenset[int]
     components: tuple[tuple[str, tuple[_Term, ...]], ...]
 
 
@@ -393,7 +395,9 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
             maps.append((None, _merge(depolarizing)))
         if image:
             maps.append((v, [(0, 0), (image, 1)]))
-    return CompiledPlan(graph=g, components=_component_terms(g, maps))
+    return CompiledPlan(
+        graph=g, qubits=frozenset(start.vertices()), components=_component_terms(g, maps)
+    )
 
 
 def compiled_fidelities(
@@ -423,7 +427,8 @@ def compiled_fidelities(
         None: (p + w, w, (p + w) + w, w + w) if w != 0.0 else None
     }
     for v, wait in (qubit_times_ms or {}).items():
-        tables[v] = dephasing(dephasing_probability(wait, big_t_ms))
+        if v in compiled.qubits:  # standard_noise reads no wait for a vertex off the graph
+            tables[v] = dephasing(dephasing_probability(wait, big_t_ms))
     uniform = dephasing(dephasing_probability(t_ms, big_t_ms))
     out: dict[str, float] = {}
     for key, terms in compiled.components:
@@ -535,9 +540,7 @@ def _component_terms(graph: Graph, maps) -> tuple[tuple[str, tuple], ...]:
         for mask, component_terms in zip(masks, terms):
             if union & mask:
                 component_terms.append((tag, [(s & mask, x) for s, x in branches]))
-    return tuple(
-        ("-".join(str(v) for v in sorted(comp)), tuple(t)) for comp, t in zip(components, terms)
-    )
+    return tuple((component_key(comp), tuple(t)) for comp, t in zip(components, terms))
 
 
 def _xor_convolve(maps) -> dict[int, float]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphstate import Graph, MeasurementRecord, PauliString, measure_pauli
+from .graphstate import Graph, MeasurementRecord, PauliString, component_key, measure_pauli
 from .gtl import GtlState
 from .noise import NoiseMap, NoiseState, component_fidelities, propagate, standard_noise
 from .rolling import STOP_AFTER_ISOLATION, ResolutionPlan
@@ -22,6 +22,7 @@ __all__ = [
     "CORRECTION_UNITARIES",
     "CrosscheckReport",
     "DenseState",
+    "MAX_CROSSCHECK_QUBITS",
     "ZeroProbabilityError",
     "apply_channel",
     "crosscheck",
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 MAX_DENSE_QUBITS = 12
+
+#: Largest resource :func:`crosscheck` (and so ``verify``) replays as a density matrix.
+MAX_CROSSCHECK_QUBITS = 10
 
 _Z = np.diag([1.0, -1.0]).astype(complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -156,19 +160,28 @@ def dense_graph_state(g: Graph, mode: str = "vector") -> DenseState:
     raise ValueError(f"unknown dense mode {mode!r}")
 
 
-def apply_channel(state: DenseState, noise_map: NoiseMap) -> DenseState:
-    """Apply a Z-type mixture to a density-mode state; trace is preserved."""
+def apply_channel(state: DenseState, *noise_maps: NoiseMap) -> DenseState:
+    """Apply Z-type mixtures to a density-mode state; trace is preserved.
+
+    A mixture sum_b p_b Z_b rho Z_b multiplies rho_ij by g(i ^ j), where
+    g(x) = sum_b p_b (-1)^{|s_b & x|}: Z_b gives the ket index i the sign
+    (-1)^{|s_b & i|} and the bra index j the sign (-1)^{|s_b & j|}.  These
+    channels commute, so the maps compose into one factor f = prod_m g_m over
+    the 2^n indices, and the whole layer is one elementwise product.  Support
+    qubits absent from the state are ignored.
+    """
     if state.mode != "density":
         raise ValueError("channels act on density-mode states")
-    out = np.zeros_like(state.data)
-    for prob, op in noise_map.branches:
-        live = op.support & set(state.qubits)
-        if live:
-            signs = state.z_signs(frozenset(live))
-            out += prob * (np.outer(signs, signs) * state.data)
-        else:
-            out += prob * state.data
-    return DenseState("density", state.qubits, out)
+    live = set(state.qubits)
+    factor = np.ones(2 ** state.n)
+    for noise_map in noise_maps:
+        g = np.zeros_like(factor)
+        for prob, op in noise_map.branches:
+            g += prob * state.z_signs(op.support & live)
+        factor *= g
+    # The narrowest index type keeps the 4^n XOR table small and its gather fast.
+    idx = np.arange(factor.size, dtype=np.min_scalar_type(factor.size - 1))
+    return DenseState("density", state.qubits, state.data * factor[idx[:, None] ^ idx])
 
 
 def _apply_unitary(data: np.ndarray, n: int, pos: int, u: np.ndarray, mode: str) -> np.ndarray:
@@ -345,8 +358,8 @@ def crosscheck(
     trajectories describe the same state.
     """
     g = state.graph
-    if g.n > 10:
-        raise ValueError("crosscheck is limited to 10 qubits")
+    if g.n > MAX_CROSSCHECK_QUBITS:
+        raise ValueError(f"crosscheck is limited to {MAX_CROSSCHECK_QUBITS} qubits, got {g.n}")
     if initial_maps is None:
         ns0 = standard_noise(g, p, t_ms, big_t_ms)
     else:
@@ -354,9 +367,7 @@ def crosscheck(
     ns = propagate(ns0, plan)
     symbolic_fids = component_fidelities(ns)
 
-    dense = dense_graph_state(g, mode="density")
-    for m in ns0.maps:
-        dense = apply_channel(dense, m)
+    dense = apply_channel(dense_graph_state(g, mode="density"), *ns0.maps)
     sim = g.copy()
     for o, b0 in plan.steps:
         sim, rec = measure_pauli(sim, o, "X", b0)
@@ -370,11 +381,10 @@ def crosscheck(
     for comp in sim.components():
         if len(comp) < 2:
             continue
-        key = "-".join(str(v) for v in sorted(comp))
         entries.append(
             CrosscheckEntry(
                 component=tuple(sorted(comp)),
-                fidelity_symbolic=symbolic_fids[key],
+                fidelity_symbolic=symbolic_fids[component_key(comp)],
                 fidelity_dense=dense_component_fidelity(dense, sim, comp),
             )
         )

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from entroll.experiments import (
 )
 from entroll.gtl import GtlParams, build_gtl, gtl_to_json
 from entroll.noise import propagate, standard_noise, component_fidelities
-from entroll.oracle import crosscheck
+from entroll.oracle import MAX_CROSSCHECK_QUBITS, crosscheck
 from entroll.rolling import default_resolution_plan
 
 # The CLI runs in a child process; point it at this checkout's package.
@@ -234,6 +235,10 @@ class TestVerify:
     def test_unknown_scope(self):
         with pytest.raises(ValueError):
             verify(scope="everything")
+
+    def test_default_bound_is_the_crosscheck_bound(self):
+        assert inspect.signature(verify).parameters["max_qubits"].default == MAX_CROSSCHECK_QUBITS
+        assert cli.build_parser().parse_args(["verify"]).max_qubits == MAX_CROSSCHECK_QUBITS
 
 
 class TestCli:

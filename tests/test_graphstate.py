@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from entroll.graphstate import (
     Graph,
     PauliString,
+    component_key,
     gf2_rank,
     graph_from_json,
     graph_to_json,
@@ -58,6 +59,10 @@ class TestGraph:
     def test_components(self):
         g = Graph.from_edges(5, [(0, 1), (2, 3)])
         assert g.components() == (frozenset({0, 1}), frozenset({2, 3}), frozenset({4}))
+
+    def test_component_key_sorts_ids_numerically(self):
+        assert component_key(frozenset({10, 2, 3})) == "2-3-10"
+        assert component_key([7]) == "7"
 
     def test_json_round_trip(self, rng):
         g = random_graph(7, rng)

@@ -588,10 +588,19 @@ class TestCompiledPlan:
 
     @pytest.mark.parametrize(
         "p, t_ms, big_t_ms, times",
-        [(1.5, 1.0, 5.0, None), (0.9, -1.0, 5.0, None), (0.9, 1.0, 0.0, None), (0.9, 1.0, 5.0, {3: -2.0})],
+        [(1.5, 1.0, 5.0, None), (0.9, -1.0, 5.0, None), (0.9, 1.0, 0.0, None), (0.9, 1.0, 5.0, {3: -2.0}),
+         (0.9, 1.0, 5.0, {999: 1.0, 3: -2.0})],
     )
     def test_point_errors_match_standard_noise(self, p, t_ms, big_t_ms, times):
         state = build_gtl(GtlParams.specialized(2, 2))
         compiled = compile_plan(state.graph, default_resolution_plan(state, "bell"))
         message = _raised(lambda: compiled_fidelities(compiled, p, t_ms, big_t_ms, times))
         assert message == _raised(lambda: standard_noise(state.graph, p, t_ms, big_t_ms, times))
+
+    @pytest.mark.parametrize("times", [{999: -1.0}, {3: 2.0, 999: -1.0}, {-4: -1.0, 0: 0.5}])
+    def test_off_graph_waits_are_ignored(self, times):
+        # standard_noise reads a wait only for a vertex of the graph, so an
+        # entry for any other id, even a negative wait, changes nothing.
+        state = build_gtl(GtlParams.specialized(2, 2))
+        plan = default_resolution_plan(state, "bell")
+        assert_compiled_equals_stepwise(state.graph, plan, [(0.9, 5.0, times), (1.0, math.inf, times)])

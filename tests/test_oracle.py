@@ -8,6 +8,8 @@ from entroll.graphstate import Graph, measure_pauli, stabilizer_generators
 from entroll.gtl import GtlParams, build_gtl
 from entroll.noise import NoiseMap, depolarizing_map, dephasing_map
 from entroll.oracle import (
+    MAX_CROSSCHECK_QUBITS,
+    DenseState,
     ZeroProbabilityError,
     apply_channel,
     crosscheck,
@@ -64,7 +66,53 @@ class TestDenseGraphState:
             s.validate()
 
 
+def kraus_sum(state, noise_map):
+    """sum_b p_b Z_b rho Z_b, each Z string as its explicit +-1 diagonal."""
+    idx = np.arange(2 ** state.n)
+    out = np.zeros_like(state.data)
+    for prob, op in noise_map.branches:
+        signs = np.ones(2 ** state.n)
+        for k, v in enumerate(state.qubits):
+            if v in op.support:
+                signs = signs * (1 - 2 * ((idx >> (state.n - 1 - k)) & 1))
+        out += prob * (signs[:, None] * state.data * signs[None, :])
+    return DenseState("density", state.qubits, out)
+
+
+def random_maps(g, rng):
+    """Depolarizing and dephasing maps on every vertex, plus one that names an absent qubit."""
+    maps = []
+    for v in g.vertices():
+        maps.append(depolarizing_map(g, v, rng.random()))
+        maps.append(dephasing_map(v, rng.random(), rng.uniform(0.5, 5.0)))
+    absent = max(g.vertices()) + 3
+    weights = [rng.random() for _ in range(3)]
+    supports = [frozenset(), frozenset({absent}), frozenset({g.vertices()[0], absent})]
+    maps.append(NoiseMap.from_weights(absent, {s: w / sum(weights) for s, w in zip(supports, weights)}))
+    rng.shuffle(maps)
+    return maps
+
+
 class TestApplyChannel:
+    def test_no_maps_keeps_data(self):
+        s = dense_graph_state(path_graph(3), mode="density")
+        assert np.array_equal(apply_channel(s).data, s.data)
+
+    def test_one_call_equals_folded_single_calls(self, rng):
+        for n in range(1, 10):
+            g = random_graph(n, rng)
+            if n in (4, 7):
+                g = Graph.from_edges(n + 1, g.edges())  # vertex n is isolated
+            s = dense_graph_state(g, mode="density")
+            maps = random_maps(g, rng)
+            folded = kraus = s
+            for m in maps:
+                folded = apply_channel(folded, m)
+                kraus = kraus_sum(kraus, m)
+            out = apply_channel(s, *maps)
+            assert np.max(np.abs(out.data - folded.data)) < 1e-13
+            assert np.max(np.abs(out.data - kraus.data)) < 1e-13
+
     def test_identity_map_keeps_state(self):
         s = dense_graph_state(path_graph(2), mode="density")
         m = NoiseMap.from_weights(0, {frozenset(): 1.0})
@@ -244,9 +292,21 @@ class TestCrosscheck:
                 assert any(len(e.component) == 3 for e in report.entries)
 
     def test_size_cap(self):
-        state = build_gtl(GtlParams.specialized(3, 2))  # 11 qubits
-        with pytest.raises(ValueError):
-            crosscheck(state, default_resolution_plan(state, "bell"))
+        for kb, n_o in ((3, 2), (5, 1)):  # 11 qubits each
+            state = build_gtl(GtlParams.specialized(kb, n_o))
+            assert state.graph.n == MAX_CROSSCHECK_QUBITS + 1
+            with pytest.raises(ValueError, match=f"limited to {MAX_CROSSCHECK_QUBITS} qubits, got 11"):
+                crosscheck(state, default_resolution_plan(state, "bell"))
+
+    @pytest.mark.parametrize("target", ["bell", "ghz"])
+    def test_nine_qubit_resource(self, target):
+        state = build_gtl(GtlParams.specialized(4, 1))
+        plan = default_resolution_plan(state, target)
+        for p in (0.86, 1.0):
+            for big_t in (2.0, math.inf):
+                report = crosscheck(state, plan, p=p, t_ms=1.0, big_t_ms=big_t)
+                assert report.entries, "no multi-qubit components"
+                assert report.ok, f"p={p} T={big_t}: {report.max_delta}"
 
 
 def test_fidelity_invariant_under_corrections_on_non_targets(rng):
