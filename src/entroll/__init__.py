@@ -40,6 +40,7 @@ from .noise import (
     propagate,
     propagate_measurement,
     restrict_to_targets,
+    score_points,
     standard_noise,
 )
 from .rolling import (
@@ -92,6 +93,7 @@ __all__ = [
     "restrict_to_targets",
     "rolling_step",
     "schmidt_upper_bound",
+    "score_points",
     "stabilizer_generators",
     "standard_noise",
     "structure_profile",

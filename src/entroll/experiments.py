@@ -2,10 +2,11 @@
 
 A sweep or threshold search builds its resource and plan once and compiles
 the plan into per-component branch tables (see
-:func:`entroll.noise.compile_plan`); every (p, T) point and bisection probe
-then scores the components straight from those tables with
-:func:`entroll.noise.compiled_fidelities`, building no noise maps.  Rows are
-emitted in grid order, and output is byte-stable for a fixed configuration.
+:func:`entroll.noise.compile_plan`).  Points are then scored in batches with
+:func:`entroll.noise.score_points`, building no noise maps: a sweep scores
+its whole grid in one call, and a threshold search scores, each round, every
+bisection probe the next few rounds can reach.  Rows are emitted in grid
+order, and output is byte-stable for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .noise import (
     NoiseState,
     closed_form_maps,
     compile_plan,
-    compiled_fidelities,
     depolarizing_map,
     propagate,
+    score_points,
 )
 # Unused here, but bench/tracing.py wraps these two at this module's names.
 from .noise import component_fidelities, standard_noise  # noqa: F401
@@ -48,6 +49,11 @@ __all__ = [
 ]
 
 _REQUIRED = object()
+
+# A threshold search scores, per round and per p, the midpoints of every
+# bracket its next PROBE_TREE_DEPTH bisection probes can reach (a tree of
+# 2**PROBE_TREE_DEPTH - 1 points), then walks the tree probe by probe.
+PROBE_TREE_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -75,11 +81,11 @@ class ExperimentConfig:
         for t in self.t_grid_ms:
             if not t > 0:
                 raise ValueError(f"dephasing time {t} must be positive")
-        if self.protocol_time_ms < 0:
-            raise ValueError("protocol time must be nonnegative")
+        if not self.protocol_time_ms >= 0:
+            raise ValueError(f"protocol time must be nonnegative, got {self.protocol_time_ms}")
         for _, t in self.qubit_times_ms:
-            if t < 0:
-                raise ValueError("per-qubit memory times must be nonnegative")
+            if not t >= 0:
+                raise ValueError(f"per-qubit memory times must be nonnegative, got {t}")
         GtlParams.specialized(self.kappa_b_hat, self.n_o)
 
     @classmethod
@@ -150,26 +156,26 @@ def _compile(config: ExperimentConfig) -> CompiledPlan:
     return compile_plan(state.graph, plan)
 
 
-def _grid_point(
-    config: ExperimentConfig, compiled: CompiledPlan, p: float, t: float
-) -> dict[str, float]:
-    return compiled_fidelities(
-        compiled, p, config.protocol_time_ms, t, dict(config.qubit_times_ms) or None
-    )
+def _score(config: ExperimentConfig, compiled: CompiledPlan, points) -> list[list[float]]:
+    """Fidelities at (p, T) points, one row per point, in ``compiled.components`` order."""
+    times = dict(config.qubit_times_ms) or None
+    return score_points(
+        compiled, [(p, config.protocol_time_ms, t, times) for p, t in points]
+    ).tolist()
 
 
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Fidelity of every extracted resource at every (p, T) grid point.
 
-    The plan is compiled once; each grid point is scored from the compiled
-    tables.
+    The plan is compiled once, and the whole grid is scored in one batch.
     """
     compiled = _compile(config)
+    points = [(p, t) for p in config.p_grid for t in config.t_grid_ms]
+    keys = [key for key, _ in compiled.components]
     return [
         SweepRow(p=p, t_ms=t, resource_id=rid, fidelity=f)
-        for p in config.p_grid
-        for t in config.t_grid_ms
-        for rid, f in sorted(_grid_point(config, compiled, p, t).items())
+        for (p, t), row in zip(points, _score(config, compiled, points))
+        for rid, f in sorted(zip(keys, row))
     ]
 
 
@@ -188,6 +194,48 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _probe_tree(lo: float, hi: float, depth: int) -> list[float]:
+    """Midpoints of every bracket the next ``depth`` probes can reach, in heap order.
+
+    Node i's probe keeps the lower half (child 2i + 1) when the level is
+    reached there, else the upper half (child 2i + 2).  Each midpoint is
+    computed from its bracket exactly as a probe-by-probe bisection would.
+    """
+    brackets = [(lo, hi)]
+    mids: list[float] = []
+    for i in range(2**depth - 1):
+        lo, hi = brackets[i]
+        mid = math.sqrt(lo * hi)
+        mids.append(mid)
+        brackets += [(lo, mid), (mid, hi)]
+    return mids
+
+
+@dataclass
+class _Bisection:
+    """One p's geometric bisection: its bracket and the probes it has left."""
+
+    p: float
+    lo: float
+    hi: float
+    left: int = 200
+
+    def walk(self, tree: list[float], scores: list[float], level: float) -> bool:
+        """Take a probe tree's probes in turn; True once the search stops."""
+        node = 0
+        while node < len(tree):
+            mid, f_mid = tree[node], scores[node]
+            if f_mid >= level:
+                self.hi, node = mid, 2 * node + 1
+            else:
+                self.lo, node = mid, 2 * node + 2
+            self.left -= 1
+            converged = (self.hi - self.lo) / self.hi < 1e-7 and abs(f_mid - level) < 1e-6
+            if converged or self.left == 0:
+                return True
+        return False
+
+
 def find_threshold(
     config: ExperimentConfig, level: float = 0.5
 ) -> tuple[list[tuple[float, float]], list[str]]:
@@ -195,48 +243,50 @@ def find_threshold(
 
     For each p on the grid the crossing is bisected geometrically between the
     grid extremes until the T interval is below 1e-7 relative width and the
-    fidelity sits within 1e-6 of the level.  Rows where the level is
-    unreachable (or already exceeded at the smallest T, so no crossing exists
-    in range) are omitted and noted in the diagnostics list.  The plan is
-    compiled once and reused for every p and every probe.
+    fidelity sits within 1e-6 of the level, or for at most 200 probes.  Rows
+    where the level is unreachable (or already exceeded at the smallest T, so
+    no crossing exists in range) are omitted and noted in the diagnostics
+    list.  The plan is compiled once.  Each round scores, in one batch, a
+    tree of probes ahead for every p still searching (see PROBE_TREE_DEPTH)
+    and walks each tree probe by probe, so the probes and rows are those of a
+    plain bisection.
     """
+    if math.isnan(level):
+        raise ValueError("threshold level must be a number, got nan")
     t_lo, t_hi = min(config.t_grid_ms), max(config.t_grid_ms)
     if math.isinf(t_hi):
         raise ValueError("threshold search needs a finite T grid")
     compiled = _compile(config)
 
-    def worst_fidelity(p: float, t: float) -> float:
-        return min(_grid_point(config, compiled, p, t).values())
+    def worst(points: list[tuple[float, float]]) -> list[float]:
+        return [min(row) for row in _score(config, compiled, points)]
 
     # The grid values double as the bracket ends: sorted, they run from t_lo to t_hi.
-    bracket_ends: list[tuple[float, float]] = []
-    for p in config.p_grid:
-        worst = [worst_fidelity(p, t) for t in sorted(config.t_grid_ms)]
-        if any(b < a - 1e-12 for a, b in zip(worst, worst[1:])):
-            raise ValueError(f"worst-resource fidelity is not monotone in T at p={p}")
-        bracket_ends.append((worst[0], worst[-1]))
+    grid = sorted(config.t_grid_ms)
+    curves = worst([(p, t) for p in config.p_grid for t in grid])
     diagnostics: list[str] = []
-    rows: list[tuple[float, float]] = []
-    for p, (f_lo, f_hi) in zip(config.p_grid, bracket_ends):
-        if f_hi < level:
-            diagnostics.append(f"p={p}: level {level} unreachable (max fidelity {f_hi:.6f})")
-            continue
-        if f_lo >= level:
-            diagnostics.append(f"p={p}: already above level at T={t_lo} (fidelity {f_lo:.6f})")
-            continue
-        lo, hi = t_lo, t_hi
-        f_mid = f_hi
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            f_mid = worst_fidelity(p, mid)
-            if f_mid >= level:
-                hi = mid
-            else:
-                lo = mid
-            if (hi - lo) / hi < 1e-7 and abs(f_mid - level) < 1e-6:
-                break
-        rows.append((p, hi))
-    return rows, diagnostics
+    searches: list[_Bisection] = []
+    for i, p in enumerate(config.p_grid):
+        curve = curves[i * len(grid) : (i + 1) * len(grid)]
+        if any(b < a - 1e-12 for a, b in zip(curve, curve[1:])):
+            raise ValueError(f"worst-resource fidelity is not monotone in T at p={p}")
+        if curve[-1] < level:
+            diagnostics.append(f"p={p}: level {level} unreachable (max fidelity {curve[-1]:.6f})")
+        elif curve[0] >= level:
+            diagnostics.append(f"p={p}: already above level at T={t_lo} (fidelity {curve[0]:.6f})")
+        else:
+            searches.append(_Bisection(p, t_lo, t_hi))
+    active = searches
+    while active:
+        trees = [_probe_tree(s.lo, s.hi, min(PROBE_TREE_DEPTH, s.left)) for s in active]
+        scores = worst([(s.p, mid) for s, tree in zip(active, trees) for mid in tree])
+        searching, start = [], 0
+        for search, tree in zip(active, trees):
+            if not search.walk(tree, scores[start : start + len(tree)], level):
+                searching.append(search)
+            start += len(tree)
+        active = searching
+    return [(s.p, s.hi) for s in searches], diagnostics
 
 
 def threshold_to_dat(rows: list[tuple[float, float]]) -> str:

@@ -22,19 +22,42 @@ fidelity is the probability mass of the all-zero restriction.  Only the maps
 whose supports touch a component change its law, so each component is scored
 over those maps alone, on bitmask supports.
 
-:func:`propagate` followed by :func:`component_fidelities` is the stepwise
-reference.  The images do not depend on the noise parameters, so
-:func:`compile_plan` composes them once per plan and tabulates, for every
-component of the final graph, the merged branches of the standard-noise maps
-that touch it; :func:`compiled_fidelities` then scores a (p, T) point from
-those tables with the same convolution, bit for bit.
+:func:`propagate` followed by :func:`component_fidelities` (both on
+``_xor_convolve``) is the stepwise reference.  The images do not depend on
+the noise parameters, so :func:`compile_plan` composes them once per plan and
+tabulates, for every component of the final graph, the merged branches of the
+standard-noise maps that touch it.  :func:`score_points` scores any batch of
+(p, T) points from those tables; :func:`compiled_fidelities` is its one-point
+call.
+
+To score a batch, each component's convolution is run once over keys instead
+of probabilities and recorded as a program of numpy steps: the keys each step
+inserts, in the reference's insertion order, and for each key the (earlier
+key, marginal slot) products it sums.  One numpy step applies one term of
+every component to every point.  The scores equal the reference bit for bit:
+
+* each point's weights are computed in Python floats with the reference's
+  expressions (``math.exp`` through :func:`dephasing_probability`);
+* numpy only multiplies and adds, element by element, one point per column;
+  no ``sum``, ``add.reduce``, ``einsum`` or ``matmul``, which may reorder a
+  sum;
+* every sum runs in the reference's order: a marginal adds its branches in
+  branch order, and a key adds its products in the order the reference
+  visits them, which follows each source key's insertion position in the
+  running law.  Padding multiplies by an exact 1.0 or adds an exact 0.0,
+  which changes no value here, as every value is finite and nonnegative;
+* which maps a point's zero weights drop (all depolarizing maps at p = 1, a
+  dephasing map at q = 0) changes the insertion order, so each such drop
+  pattern gets its own program, built on first use and cached on the plan.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .graphstate import Graph, _bits, component_key, json_field, measure_pauli
 from .gtl import GtlState
@@ -57,6 +80,7 @@ __all__ = [
     "propagate",
     "propagate_measurement",
     "restrict_to_targets",
+    "score_points",
     "standard_noise",
 ]
 
@@ -210,8 +234,8 @@ def depolarizing_map(g: Graph, a: int, p: float) -> NoiseMap:
 
 def dephasing_probability(t_ms: float, big_t_ms: float) -> float:
     """Phase-flip probability after waiting t with memory constant T."""
-    if t_ms < 0:
-        raise ValueError(f"negative wait time {t_ms}")
+    if not t_ms >= 0:  # also rejects nan
+        raise ValueError(f"wait time must be nonnegative, got {t_ms}")
     if not big_t_ms > 0:
         raise ValueError(f"dephasing time must be positive, got {big_t_ms}")
     if math.isinf(big_t_ms):
@@ -300,17 +324,75 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
 # One map's branches on one component, in branch order: the map's weight
 # source (None for a depolarizing map, the origin qubit for a dephasing map)
 # and (support restricted to the component, weight index) per branch.
-_Term = tuple[int | None, list[tuple[int, int]]]
+_Term = tuple[int | None, tuple[tuple[int, int], ...]]
 
 # Weight index of two merged branches of a depolarizing map: the identity with
 # another branch gives (p + w) + w, two others give w + w.  These are the
 # weights an isolated vertex's map starts with (see CanonicalForm.realize).
 _MERGED = {(0, 1): 2, (1, 1): 3}
 
+# Rows of a point's weight column (see _point_weights): padding rows holding
+# 0.0 and 1.0, then the four depolarizing weights, then (1 - q, q) for each
+# dephasing source in CompiledPlan.dephasing order.
+_ZERO, _ONE, _DEPOLARIZING, _DEPHASING = 0, 1, 2, 6
+
+# Marginal codes in a transition template: 0 multiplies by 0.0 (padding), 1
+# by 1.0 (a component whose terms have all been applied keeps its law), and
+# 2 + s by slot s of the term's marginal.
+_CODE_ZERO, _CODE_ONE, _CODE_SLOT = 0, 1, 2
+
+# Largest contributions x state rows x points one pass of a program holds;
+# bigger batches are scored a slice of points at a time (same arithmetic).
+_PASS_CELLS = 1 << 21
+
+
+@dataclass(frozen=True)
+class _Program:
+    """The XOR convolutions of every component for one drop pattern, as numpy steps.
+
+    The state holds each component's law as rows (one per key, in the
+    reference's insertion order) by points; ``start`` and ``read`` are the
+    rows of key 0 before the first step and after the last.  Marginal row i
+    is ``weights[branch_rows[i, 0]] + weights[branch_rows[i, 1]] + ...``.
+    Step ``(src, code)``, flat (contributions, rows) tables, makes next state
+    row r as ``state[src[r]] * marginal[code[r]] + state[src[rows + r]] *
+    marginal[code[rows + r]] + ...``.  Every sum runs left to right.
+    ``cells`` is the largest step's contributions x rows.
+    """
+
+    rows: int
+    cells: int
+    start: np.ndarray
+    branch_rows: np.ndarray
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    read: np.ndarray
+
+    def run(self, weights: np.ndarray) -> np.ndarray:
+        """Fidelities, components by points, from a weight table of rows by points."""
+        width = max(1, _PASS_CELLS // max(1, self.cells))
+        if weights.shape[1] > width:
+            return np.concatenate(
+                [self.run(weights[:, i : i + width]) for i in range(0, weights.shape[1], width)],
+                axis=1,
+            )
+        marginal = weights.take(self.branch_rows[:, 0], axis=0)
+        for column in self.branch_rows.T[1:]:
+            marginal += weights.take(column, axis=0)
+        state = np.zeros((self.rows, weights.shape[1]))
+        state[self.start] = 1.0
+        for src, code in self.steps:
+            terms = state.take(src, axis=0)
+            terms *= marginal.take(code, axis=0)
+            terms = terms.reshape(-1, self.rows, weights.shape[1])
+            state = terms[0]
+            for term in terms[1:]:
+                state += term
+        return state[self.read]
+
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """A resolution plan reduced to the branch tables that score a (p, T) point.
+    """A resolution plan reduced to the branch tables that score (p, T) points.
 
     ``graph`` is the final graph and ``qubits`` the live vertices of the
     start graph, the qubits :func:`standard_noise` puts maps on.
@@ -318,13 +400,16 @@ class CompiledPlan:
     ``graph`` with its terms: for each map of :func:`standard_noise` whose
     propagated supports touch the component, in map order, the map's merged
     branches restricted to the component.  A branch names its weight by index
-    into the table :func:`compiled_fidelities` builds at each point, so the
-    tables do not depend on the noise parameters.
+    into its map's weights, so the tables do not depend on the noise
+    parameters.  ``dephasing`` lists the origins of the dephasing terms.
+    ``programs`` caches one compiled convolution per drop pattern.
     """
 
     graph: Graph
     qubits: frozenset[int]
     components: tuple[tuple[str, tuple[_Term, ...]], ...]
+    dephasing: tuple[int, ...]
+    programs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 _SET_FIRST = str.maketrans("01", "10")
@@ -348,33 +433,34 @@ def _merge(branches: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
 
 
 def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
-    """Compile a plan on graph ``g`` for :func:`compiled_fidelities`.
+    """Compile a plan on graph ``g`` for :func:`compiled_fidelities` and :func:`score_points`.
 
     Raises the same errors as :func:`propagate` on a plan that cannot run.
     """
-    measurements = [(o, "X", b0) for o, b0 in plan.steps]
-    if plan.stop_stage == STOP_AFTER_ISOLATION:
-        measurements += [(v, "Z", None) for v in plan.isolation]
     start = g
     images = {v: 1 << v for v in g.vertices()}
-    for a, basis, b0 in measurements:
-        if basis == "Z":
-            step = {a: 0}
-            g, _ = measure_pauli(g, a, "Z")
-        else:
-            if not g.neighbor_mask(a):
-                raise ValueError(f"noise propagation through X on isolated vertex {a} is undefined")
-            if b0 not in g.neighbors(a):
-                raise ValueError(f"X measurement of {a} needs a support among its neighbors")
-            step = {a: (1 << b0) | (g.neighbor_mask(b0) & ~(1 << a))}
-            g, _ = measure_pauli(g, a, "X", b0)
-            step[b0] = g.neighbor_mask(b0)
+    for a, b0 in plan.steps:
+        if not g.neighbor_mask(a):
+            raise ValueError(f"noise propagation through X on isolated vertex {a} is undefined")
+        if b0 not in g.neighbors(a):
+            raise ValueError(f"X measurement of {a} needs a support among its neighbors")
+        step = {a: (1 << b0) | (g.neighbor_mask(b0) & ~(1 << a))}
+        g, _ = measure_pauli(g, a, "X", b0)
+        step[b0] = g.neighbor_mask(b0)
         measured = _mask(step)
         for v, image in images.items():
             if image & measured:
                 for u, u_image in step.items():
                     if image >> u & 1:
                         images[v] ^= (1 << u) ^ u_image
+    if plan.stop_stage == STOP_AFTER_ISOLATION and plan.isolation:
+        # Z measurements commute: each deletes its vertex (raising as
+        # measure_pauli does for a dead one) and drops it from every image.
+        g = g.copy()
+        for v in plan.isolation:
+            g.delete_vertex(v)
+        kept = ~_mask(plan.isolation)
+        images = {v: image & kept for v, image in images.items()}
 
     # The maps of standard_noise, in its order, as merged (final support,
     # weight index) branches.  Supports map linearly, so the four branches of
@@ -395,9 +481,79 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
             maps.append((None, _merge(depolarizing)))
         if image:
             maps.append((v, [(0, 0), (image, 1)]))
+    components = _component_terms(g, maps)
+    dephasing = sorted({source for _, terms in components for source, _ in terms} - {None})
     return CompiledPlan(
-        graph=g, qubits=frozenset(start.vertices()), components=_component_terms(g, maps)
+        graph=g,
+        qubits=frozenset(start.vertices()),
+        components=components,
+        dephasing=tuple(dephasing),
     )
+
+
+def _point_weights(
+    compiled: CompiledPlan,
+    p: float,
+    t_ms: float = 1.0,
+    big_t_ms: float = math.inf,
+    qubit_times_ms: dict[int, float] | None = None,
+) -> tuple[list[float], tuple[bool, frozenset[int]]]:
+    """Weight column of one point, and its drop pattern.
+
+    The weights come from the expressions :func:`standard_noise` uses, in
+    Python floats.  A zero weight drops its branch (NoiseMap.from_weights),
+    which leaves only a map's identity branch: the map then changes no law.
+    The pattern names the maps dropped so: all depolarizing maps (w = 0),
+    and the dephasing sources with q = 0.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
+    w = (1.0 - p) / 4.0
+    # standard_noise reads a wait only for a vertex of the graph, and the
+    # uniform wait only for a vertex without its own.
+    waits = {v: t for v, t in (qubit_times_ms or {}).items() if v in compiled.qubits}
+    try:
+        q = {t: dephasing_probability(t, big_t_ms) for t in waits.values()}
+        if len(waits) < len(compiled.qubits):
+            uniform = dephasing_probability(t_ms, big_t_ms)
+    except ValueError:
+        for v in sorted(compiled.qubits):  # raise for the first vertex, as standard_noise does
+            dephasing_probability(waits.get(v, t_ms), big_t_ms)
+        raise
+    column = [0.0, 1.0, p + w, w, (p + w) + w, w + w]
+    if waits:
+        qs = [q[waits[v]] if v in waits else uniform for v in compiled.dephasing]
+        zero = frozenset(v for v, x in zip(compiled.dephasing, qs) if x == 0.0)
+        for x in qs:
+            column += (1.0 - x, x)
+    else:
+        column += [1.0 - uniform, uniform] * len(compiled.dephasing)
+        zero = frozenset(compiled.dephasing) if uniform == 0.0 else frozenset()
+    return column, (w == 0.0, zero)
+
+
+def score_points(compiled: CompiledPlan, points) -> np.ndarray:
+    """Fidelity of every extracted resource at many points, in one pass per drop pattern.
+
+    Each point is ``(p, t_ms, big_t_ms, qubit_times_ms)``, the arguments of
+    :func:`compiled_fidelities`.  Row i of the result holds point i's
+    fidelities in ``compiled.components`` order, each equal, bit for bit, to
+    the stepwise reference (see the module docstring).
+    """
+    columns: list[list[float]] = []
+    groups: dict[tuple[bool, frozenset[int]], list[int]] = {}
+    for i, point in enumerate(points):
+        column, pattern = _point_weights(compiled, *point)
+        columns.append(column)
+        groups.setdefault(pattern, []).append(i)
+    out = np.empty((len(columns), len(compiled.components)))
+    for pattern, indices in groups.items():
+        program = compiled.programs.get(pattern)
+        if program is None:
+            program = compiled.programs[pattern] = _build_program(compiled, *pattern)
+        weights = np.array([columns[i] for i in indices]).T
+        out[indices] = program.run(weights).T
+    return out
 
 
 def compiled_fidelities(
@@ -411,34 +567,193 @@ def compiled_fidelities(
 
     Equal, bit for bit, to ``component_fidelities(propagate(standard_noise(g,
     p, t_ms, big_t_ms, qubit_times_ms), plan))`` for the graph and plan
-    ``compiled`` was compiled from: the weights come from the same
-    expressions, and every sum runs in the same order.
+    ``compiled`` was compiled from.  One point of :func:`score_points`.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
-    w = (1.0 - p) / 4.0
+    row = score_points(compiled, [(p, t_ms, big_t_ms, qubit_times_ms)])[0]
+    return dict(zip((key for key, _ in compiled.components), row.tolist()))
 
-    def dephasing(q: float) -> tuple[float, ...] | None:
-        return (1.0 - q, q) if q != 0.0 else None
 
-    # A zero weight drops its branch (NoiseMap.from_weights), which leaves
-    # only the identity branch of the map: the map then changes no law.
-    tables: dict[int | None, tuple[float, ...] | None] = {
-        None: (p + w, w, (p + w) + w, w + w) if w != 0.0 else None
-    }
-    for v, wait in (qubit_times_ms or {}).items():
-        if v in compiled.qubits:  # standard_noise reads no wait for a vertex off the graph
-            tables[v] = dephasing(dephasing_probability(wait, big_t_ms))
-    uniform = dephasing(dephasing_probability(t_ms, big_t_ms))
-    out: dict[str, float] = {}
+def _signature(branches, local_bit: dict[int, int]):
+    """A term's marginal keys on component-local bits, in insertion order, and
+    the weight indices each key sums, in branch order (as _xor_convolve merges).
+
+    ``local_bit`` maps each vertex bit of the component to its local bit.
+    """
+    marginal: dict[int, list[int]] = {}
+    for support, index in branches:
+        local = 0
+        while support:
+            low = support & -support
+            local |= local_bit[low]
+            support ^= low
+        marginal.setdefault(local, []).append(index)
+    return tuple(marginal), tuple(tuple(indices) for indices in marginal.values())
+
+
+def _transition(keys: np.ndarray, marginal: tuple[int, ...]):
+    """One step of _xor_convolve run on keys: the next keys and what sums into each.
+
+    The reference visits the pairs (key, marginal key) key-major and inserts
+    each XOR at its first visit, so the next keys are the distinct XORs in
+    order of first visit, and each adds its products in visiting order.
+    Returns the next keys and a (contributions, next keys) table pair: the
+    position of each product's key and its marginal code (_CODE_ZERO pads).
+    """
+    width = len(marginal)
+    pairs = (keys[:, None] ^ np.array(marginal, dtype=np.intp)).ravel()
+    # Equal XORs together, each in visiting order; numpy radix-sorts 16-bit keys.
+    sortable = pairs.astype(np.uint16) if int(pairs.max()) < 1 << 16 else pairs
+    visits = np.argsort(sortable, kind="stable")
+    ordered = pairs[visits]
+    first = np.empty(len(pairs), dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    group = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    rank = np.arange(len(pairs)) - starts[group]
+    inserts = np.zeros(len(pairs), dtype=bool)  # the visits that insert a key
+    inserts[visits[starts]] = True
+    position = (np.cumsum(inserts) - 1)[visits[starts]]
+    at = rank * len(starts) + position[group]
+    src = np.zeros((int(rank.max()) + 1, len(starts)), dtype=np.int32)
+    code = np.full(src.shape, _CODE_ZERO, dtype=np.int32)
+    src.ravel()[at] = visits // width
+    code.ravel()[at] = _CODE_SLOT + visits % width
+    return pairs[inserts], (src, code)
+
+
+def _build_program(
+    compiled: CompiledPlan, drop_depolarizing: bool, zero: frozenset[int]
+) -> _Program:
+    """Run every component's convolution once over keys, and stack the steps.
+
+    Signatures and transitions are memoized on component-local bits, so the
+    components of a ladder share them.
+    """
+    base = {v: _DEPHASING + 2 * j for j, v in enumerate(compiled.dephasing) if v not in zero}
+    if not drop_depolarizing:
+        base[None] = _DEPOLARIZING
+    states = [np.zeros(1, dtype=np.intp)]
+    state_ids = {states[0].tobytes(): 0}
+    # Restricted branches -> signature id (-1 for the identity alone).  Two
+    # components' restricted supports differ unless both are the identity.
+    signature_ids: dict = {}
+    interned: dict = {}
+    signatures: list = []  # (marginal keys, weight indices per key)
+    transitions: dict = {}  # (state, signature id) -> (next state, template)
+    templates: list = []
+    used_templates: list[int] = []
+    used_signatures: list[int] = []
+    used_rows: list[int] = []
+    counts: list[int] = []
+    finals: list[int] = []
     for key, terms in compiled.components:
-        law = _xor_convolve(
-            [(support, table[index]) for support, index in branches]
-            for source, branches in terms
-            if (table := tables.get(source, uniform)) is not None
-        )
-        out[key] = law.get(0, 0.0)
-    return out
+        local_bit = {1 << int(v): 1 << i for i, v in enumerate(key.split("-"))}
+        state, before = 0, len(used_rows)
+        for source, branches in terms:
+            row = base.get(source)
+            if row is None:
+                continue
+            sid = signature_ids.get(branches)
+            if sid is None:
+                signature = _signature(branches, local_bit)
+                # _xor_convolve skips a map that only adds the identity.
+                sid = interned.setdefault(signature, len(signatures)) if signature[0] != (0,) else -1
+                if sid == len(signatures):
+                    signatures.append(signature)
+                signature_ids[branches] = sid
+            if sid < 0:
+                continue
+            step = transitions.get((state, sid))
+            if step is None:
+                keys, table = _transition(states[state], signatures[sid][0])
+                following = state_ids.setdefault(keys.tobytes(), len(states))
+                if following == len(states):
+                    states.append(keys)
+                step = transitions[state, sid] = (following, len(templates) + 1)
+                templates.append(table)
+            state = step[0]
+            used_templates.append(step[1])
+            used_signatures.append(sid)
+            used_rows.append(row)
+        counts.append(len(used_rows) - before)
+        finals.append(state)
+    return _stack(
+        states, templates, signatures, used_templates, used_signatures, used_rows, counts, finals
+    )
+
+
+def _stack(
+    states, templates, signatures, used_templates, used_signatures, used_rows, counts, finals
+) -> _Program:
+    """Lay the memoized transitions out as one table pair per step, all components side by side.
+
+    Every component gets as many state rows as the largest law has keys, so
+    a step's tables are its components' templates, copied block by block.
+    The tables use the narrowest unsigned type that holds their entries: a
+    wide star's tables hold as many entries as one point's convolution has
+    products, and their size sets the scoring's peak memory.
+    """
+    width = max(len(keys) for keys in states)
+    rows = len(counts) * width
+    n_terms, n_steps = len(used_rows), max(counts, default=0)
+    codes = _CODE_SLOT + max([0] + [len(keys) for keys, _ in signatures])
+    index = np.min_scalar_type(max(rows, (n_terms + 1) * codes))
+    offsets = np.arange(len(counts), dtype=index) * width
+
+    # Template 0 keeps a finished component's law: each row times 1.0.
+    depth = max([1] + [src.shape[0] for src, _ in templates])
+    src_table = np.zeros((len(templates) + 1, depth, width), dtype=index)
+    code_table = np.full(src_table.shape, _CODE_ZERO, dtype=index)
+    src_table[0, 0] = np.arange(width)
+    code_table[0, 0] = _CODE_ONE
+    for t, (src, code) in enumerate(templates, start=1):
+        src_table[t, : src.shape[0], : src.shape[1]] = src
+        code_table[t, : code.shape[0], : code.shape[1]] = code
+    depths = np.array([1] + [src.shape[0] for src, _ in templates])
+
+    # One block of marginal rows per term, and a last one for template 0:
+    # 0.0, 1.0, then the term's slots.
+    per_slot = max([1] + [len(ix) for _, slots in signatures for ix in slots])
+    signature_table = np.full((len(signatures) + 1, codes, per_slot), -1, dtype=np.intp)
+    for i, (_, slots) in enumerate(signatures):
+        for j, indices in enumerate(slots, start=_CODE_SLOT):
+            signature_table[i, j, : len(indices)] = indices
+    weights = signature_table[np.array(used_signatures + [len(signatures)], dtype=np.intp)]
+    base = np.array(used_rows + [0], dtype=np.intp)[:, None, None]
+    branch_rows = np.where(weights >= 0, base + weights, _ZERO)
+    branch_rows[:, _CODE_ONE, 0] = _ONE
+
+    counts = np.array(counts, dtype=np.intp)
+    comp = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(n_terms) - np.repeat(np.cumsum(counts) - counts, counts)
+    template = np.zeros((n_steps, len(counts)), dtype=np.intp)
+    template[step, comp] = used_templates
+    block = np.full((n_steps, len(counts)), n_terms, dtype=index)
+    block[step, comp] = np.arange(n_terms)
+    block *= index.type(codes)
+
+    # Steps of equal depth (contributions per key) are laid out together.
+    step_depths = depths[template].max(axis=1, initial=1).tolist()
+    steps: list = [None] * n_steps
+    for d in set(step_depths):
+        ks = [k for k, depth_k in enumerate(step_depths) if depth_k == d]
+        src = np.empty((len(ks), d, len(counts), width), dtype=index)
+        code = np.empty_like(src)
+        for j in range(d):
+            np.add(src_table[template[ks], j], offsets[:, None], out=src[:, j])
+            np.add(code_table[template[ks], j], block[ks][:, :, None], out=code[:, j])
+        for i, k in enumerate(ks):
+            steps[k] = (src[i].ravel(), code[i].ravel())
+    zero_at = np.array([states[s].tolist().index(0) for s in finals], dtype=np.intp)
+    return _Program(
+        rows=rows,
+        cells=rows * depth,
+        start=offsets.astype(np.intp),
+        branch_rows=branch_rows.reshape(-1, per_slot),
+        steps=tuple(steps),
+        read=offsets + zero_at,
+    )
 
 
 def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[NoiseMap]:
@@ -532,14 +847,21 @@ def _component_terms(graph: Graph, maps) -> tuple[tuple[str, tuple], ...]:
     """
     components = [c for c in graph.components() if len(c) >= 2]
     masks = [_mask(comp) for comp in components]
+    owner = {1 << v: i for i, comp in enumerate(components) for v in comp}
     terms: list[list] = [[] for _ in components]
     for tag, branches in maps:
-        union = 0
+        rest = 0
         for support, _ in branches:
-            union |= support
-        for mask, component_terms in zip(masks, terms):
-            if union & mask:
-                component_terms.append((tag, [(s & mask, x) for s, x in branches]))
+            rest |= support
+        while rest:  # one pass per touched component, from its lowest touched vertex
+            low = rest & -rest
+            i = owner.get(low)
+            if i is None:
+                rest ^= low
+                continue
+            mask = masks[i]
+            rest &= ~mask
+            terms[i].append((tag, tuple([(s & mask, x) for s, x in branches])))
     return tuple((component_key(comp), tuple(t)) for comp, t in zip(components, terms))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from entroll import cli
+from entroll import cli, experiments
 from entroll.experiments import (
     ExperimentConfig,
     find_threshold,
@@ -62,6 +62,14 @@ class TestConfig:
         data = {"kappa_b_hat": 2, "n_o": 2, field: value}
         with pytest.raises(ValueError, match=f"config field '{field}'"):
             ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("protocol_time_ms", math.nan), ("protocol_time_ms", -1.0), ("qubit_times_ms", ((3, math.nan),))],
+    )
+    def test_rejects_nan_or_negative_times(self, field, value):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ExperimentConfig(kappa_b_hat=2, n_o=2, **{field: value})
 
     def test_missing_required_field_is_named(self):
         with pytest.raises(ValueError, match="config field 'n_o' is required"):
@@ -175,28 +183,76 @@ class TestThreshold:
         worst = min(component_fidelities(ns).values())
         assert worst == pytest.approx(0.8, abs=1e-4)
 
-    def test_rows_equal_a_stepwise_bisection(self):
-        config = ExperimentConfig(kappa_b_hat=2, n_o=10, p_grid=(0.9, 0.95), t_grid_ms=(1.0, 1000.0))
-        state = build_gtl(GtlParams.specialized(2, 10))
+    @pytest.mark.parametrize(
+        "kb, n_o, p_grid, t_grid",
+        [
+            (2, 10, (0.9, 0.95), (1.0, 1000.0)),
+            # p = 0.5 never reaches the level; p = 1.0 drops every depolarizing branch.
+            (3, 6, (0.5, 0.92, 1.0), (1.0, 1000.0)),
+            # p = 1.0 is already above the level at T = 5.
+            (3, 6, (1.0, 0.9), (5.0, 1000.0)),
+        ],
+    )
+    def test_rows_equal_a_stepwise_bisection(self, kb, n_o, p_grid, t_grid):
+        config = ExperimentConfig(kappa_b_hat=kb, n_o=n_o, p_grid=p_grid, t_grid_ms=t_grid)
+        state = build_gtl(GtlParams.specialized(kb, n_o))
         plan = default_resolution_plan(state, "bell")
 
         def worst(p, t):
             ns = propagate(standard_noise(state.graph, p, 1.0, t), plan)
             return min(component_fidelities(ns).values())
 
-        # find_threshold's bisection, with every probe propagated step by step.
-        expected = []
-        for p in config.p_grid:
-            assert worst(p, 1.0) < 0.5 <= worst(p, 1000.0)
-            lo, hi = 1.0, 1000.0
+        # find_threshold's bisection, probe by probe, with every probe propagated step by step.
+        t_lo, t_hi = min(t_grid), max(t_grid)
+        rows, diagnostics = [], []
+        for p in p_grid:
+            f_lo, f_hi = worst(p, t_lo), worst(p, t_hi)
+            if f_hi < 0.5:
+                diagnostics.append(f"p={p}: level 0.5 unreachable (max fidelity {f_hi:.6f})")
+                continue
+            if f_lo >= 0.5:
+                diagnostics.append(f"p={p}: already above level at T={t_lo} (fidelity {f_lo:.6f})")
+                continue
+            lo, hi = t_lo, t_hi
             for _ in range(200):
                 mid = math.sqrt(lo * hi)
                 f_mid = worst(p, mid)
                 lo, hi = (lo, mid) if f_mid >= 0.5 else (mid, hi)
                 if (hi - lo) / hi < 1e-7 and abs(f_mid - 0.5) < 1e-6:
                     break
-            expected.append((p, hi))
-        assert find_threshold(config, level=0.5) == (expected, [])
+            rows.append((p, hi))
+        assert rows and len(rows) + len(diagnostics) == len(p_grid)
+        assert find_threshold(config, level=0.5) == (rows, diagnostics)
+
+    def test_probe_cap_matches_plain_bisection(self, monkeypatch):
+        # A worst fidelity that jumps across the level never comes within
+        # 1e-6 of it, so each search runs its 200 probes; the probe trees
+        # must stop exactly where a probe-by-probe search stops.
+        def step(t):
+            return 1.0 if t >= 7.0 else 0.25 * t / 7.0
+
+        scored = []
+
+        def fake_score(config, compiled, points):
+            scored.extend(points)
+            return [[step(t), 2.0] for _, t in points]
+
+        monkeypatch.setattr(experiments, "_score", fake_score)
+        config = ExperimentConfig(kappa_b_hat=2, n_o=2, p_grid=(0.9, 0.95), t_grid_ms=(1.0, 100.0))
+        lo, hi = 1.0, 100.0
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if step(mid) >= 0.5 else (mid, hi)
+        assert find_threshold(config, level=0.5) == ([(0.9, hi), (0.95, hi)], [])
+        probes = len(scored) - 4  # after the four grid points of the monotonicity check
+        depth = experiments.PROBE_TREE_DEPTH
+        rounds = -(-200 // depth)
+        assert probes <= 2 * rounds * (2**depth - 1)
+
+    def test_nan_level_is_rejected(self):
+        config = ExperimentConfig(kappa_b_hat=2, n_o=2, p_grid=(0.9,), t_grid_ms=(1.0, 100.0))
+        with pytest.raises(ValueError, match="nan"):
+            find_threshold(config, level=math.nan)
 
     def test_unreachable_level_is_diagnosed(self):
         config = ExperimentConfig(kappa_b_hat=2, n_o=4, p_grid=(0.7,), t_grid_ms=(1.0, 2.0))
@@ -331,6 +387,30 @@ class TestCli:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert repr(field) in err
+
+    @pytest.mark.parametrize(
+        "args, config",
+        [
+            (["threshold", "--kappa-b", "2", "--n-o", "3", "--p-grid", "0.9", "--t-grid", "1,100",
+              "--level", "nan"], None),
+            (["sweep"], {"kappa_b_hat": 2, "n_o": 2, "protocol_time_ms": "nan"}),
+            (["sweep"], {"kappa_b_hat": 2, "n_o": 2, "qubit_times_ms": {"3": "nan"}}),
+            (["resolve", "STATE", "--p", "0.9", "--protocol-time", "nan"], None),
+        ],
+    )
+    def test_nan_is_one_error_line(self, tmp_path, capsys, args, config):
+        state_file = tmp_path / "state.json"
+        state_file.write_text(json.dumps(gtl_to_json(build_gtl(GtlParams.specialized(2, 2)))))
+        args = [str(state_file) if a == "STATE" else a for a in args]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            args += ["--config", str(path)]
+        out = tmp_path / "out.txt"
+        assert cli.main([*args, "-o", str(out)]) == cli.EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "nan" in err
 
     def test_malformed_plan_is_one_error_line(self, tmp_path, capsys):
         state_file, plan_file = tmp_path / "state.json", tmp_path / "plan.json"

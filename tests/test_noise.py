@@ -21,8 +21,10 @@ from entroll.noise import (
     propagate,
     propagate_measurement,
     restrict_to_targets,
+    score_points,
     standard_noise,
 )
+from entroll import noise
 from entroll.oracle import (
     apply_channel,
     dense_component_fidelity,
@@ -129,6 +131,11 @@ class TestDephasing:
     def test_invalid_memory_time(self):
         with pytest.raises(ValueError):
             dephasing_map(0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("t_ms, big_t_ms", [(math.nan, 5.0), (-1.0, 5.0), (1.0, math.nan)])
+    def test_invalid_wait_or_memory_time_raises(self, t_ms, big_t_ms):
+        with pytest.raises(ValueError):
+            dephasing_probability(t_ms, big_t_ms)
 
 
 class TestTableOneRows:
@@ -493,8 +500,10 @@ class TestFidelity:
 def assert_compiled_equals_stepwise(g, plan, points):
     """The compiled plan scores every (p, T, qubit times) point exactly as stepwise propagation.
 
-    Its tables also list, per component, the stepwise maps that touch it, in
-    order, each with the same branch supports in the same order.
+    Each point is scored alone, and all of them in one batch, whatever
+    branches their zero weights drop.  The tables also list, per component,
+    the stepwise maps that touch it, in order, each with the same branch
+    supports in the same order.
     """
     compiled = compile_plan(g, plan)
     maps = propagate(standard_noise(g, 0.5, 1.0, 2.0), plan).maps  # no weight is zero here
@@ -509,11 +518,15 @@ def assert_compiled_equals_stepwise(g, plan, points):
             (source, [sorted(v for v in comp if s >> v & 1) for s, _ in branches])
             for source, branches in terms
         ] == expected
-    for p, big_t, times in points:
+    batch = score_points(compiled, [(p, 1.0, big_t, times) for p, big_t, times in points])
+    assert batch.shape == (len(points), len(compiled.components))
+    keys = [key for key, _ in compiled.components]
+    for (p, big_t, times), row in zip(points, batch.tolist()):
         stepwise = propagate(standard_noise(g, p, 1.0, big_t, qubit_times_ms=times), plan)
         assert compiled.graph == stepwise.graph
-        fast = compiled_fidelities(compiled, p, 1.0, big_t, times)
-        assert list(fast.items()) == list(component_fidelities(stepwise).items())
+        expected = list(component_fidelities(stepwise).items())
+        assert list(compiled_fidelities(compiled, p, 1.0, big_t, times).items()) == expected
+        assert list(zip(keys, row)) == expected
 
 
 def _raised(fn) -> str:
@@ -589,7 +602,11 @@ class TestCompiledPlan:
     @pytest.mark.parametrize(
         "p, t_ms, big_t_ms, times",
         [(1.5, 1.0, 5.0, None), (0.9, -1.0, 5.0, None), (0.9, 1.0, 0.0, None), (0.9, 1.0, 5.0, {3: -2.0}),
-         (0.9, 1.0, 5.0, {999: 1.0, 3: -2.0})],
+         (0.9, 1.0, 5.0, {999: 1.0, 3: -2.0}),
+         # standard_noise raises for the first vertex whose wait or T is bad.
+         (0.9, 1.0, 0.0, {3: -2.0}), (0.9, 1.0, 5.0, {5: -1.0, 3: -2.0}),
+         (math.nan, 1.0, 5.0, None), (0.9, math.nan, 5.0, None), (0.9, 1.0, math.nan, None),
+         (0.9, 1.0, 5.0, {3: math.nan})],
     )
     def test_point_errors_match_standard_noise(self, p, t_ms, big_t_ms, times):
         state = build_gtl(GtlParams.specialized(2, 2))
@@ -604,3 +621,37 @@ class TestCompiledPlan:
         state = build_gtl(GtlParams.specialized(2, 2))
         plan = default_resolution_plan(state, "bell")
         assert_compiled_equals_stepwise(state.graph, plan, [(0.9, 5.0, times), (1.0, math.inf, times)])
+
+    def test_uniform_wait_unread_when_every_vertex_has_its_own(self):
+        # standard_noise reads t_ms only for a vertex without its own wait, so
+        # an invalid uniform wait is never evaluated here.
+        state = build_gtl(GtlParams.specialized(2, 2))
+        g, plan = state.graph, default_resolution_plan(state, "bell")
+        times = {v: 0.5 * (v % 3) for v in g.vertices()}
+        compiled = compile_plan(g, plan)
+        for t_ms in (-1.0, math.nan):
+            expected = component_fidelities(propagate(standard_noise(g, 0.9, t_ms, 5.0, times), plan))
+            assert compiled_fidelities(compiled, 0.9, t_ms, 5.0, times) == expected
+        partial = {v: 1.0 for v in g.vertices()[1:]}
+        message = _raised(lambda: compiled_fidelities(compiled, 0.9, -1.0, 5.0, partial))
+        assert message == _raised(lambda: standard_noise(g, 0.9, -1.0, 5.0, partial))
+
+    def test_batches_sliced_and_empty(self, monkeypatch):
+        state = build_gtl(GtlParams.specialized(8, 3))
+        compiled = compile_plan(state.graph, default_resolution_plan(state, "ghz"))
+        points = [(p, 1.0, t, None) for p in (0.86, 0.9, 1.0) for t in (2.0, 7.3, math.inf)]
+        whole = score_points(compiled, points)
+        # A pass holds one point at a time, so every batch is scored in slices.
+        monkeypatch.setattr(noise, "_PASS_CELLS", 1)
+        assert score_points(compiled, points).tolist() == whole.tolist()
+        assert score_points(compiled, []).shape == (0, len(compiled.components))
+
+    def test_plan_extracting_no_resource(self):
+        state = build_gtl(GtlParams.specialized(2, 2))
+        rolling = bridge_pick_plans(state, limit=1)[0]
+        rolled = propagate(standard_noise(state.graph, 0.9), rolling).graph
+        plan = ResolutionPlan(steps=rolling.steps, isolation=rolled.vertices()[1:])
+        compiled = compile_plan(state.graph, plan)
+        assert compiled.components == ()
+        assert score_points(compiled, [(0.9, 1.0, 5.0, None), (1.0, 1.0, math.inf, None)]).shape == (2, 0)
+        assert_compiled_equals_stepwise(state.graph, plan, [(0.9, 5.0, None)])
