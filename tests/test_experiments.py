@@ -183,17 +183,18 @@ class TestThreshold:
         worst = min(component_fidelities(ns).values())
         assert worst == pytest.approx(0.8, abs=1e-4)
 
-    @pytest.mark.parametrize(
-        "kb, n_o, p_grid, t_grid",
-        [
+    def test_rows_equal_a_stepwise_bisection(self):
+        for kb, n_o, p_grid, t_grid in [
             (2, 10, (0.9, 0.95), (1.0, 1000.0)),
             # p = 0.5 never reaches the level; p = 1.0 drops every depolarizing branch.
             (3, 6, (0.5, 0.92, 1.0), (1.0, 1000.0)),
             # p = 1.0 is already above the level at T = 5.
             (3, 6, (1.0, 0.9), (5.0, 1000.0)),
-        ],
-    )
-    def test_rows_equal_a_stepwise_bisection(self, kb, n_o, p_grid, t_grid):
+        ]:
+            self._assert_rows_equal_a_stepwise_bisection(kb, n_o, p_grid, t_grid)
+
+    @staticmethod
+    def _assert_rows_equal_a_stepwise_bisection(kb, n_o, p_grid, t_grid):
         config = ExperimentConfig(kappa_b_hat=kb, n_o=n_o, p_grid=p_grid, t_grid_ms=t_grid)
         state = build_gtl(GtlParams.specialized(kb, n_o))
         plan = default_resolution_plan(state, "bell")
