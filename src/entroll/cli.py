@@ -7,9 +7,11 @@ success, 1 on configuration errors, 2 on verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .experiments import (
@@ -78,11 +80,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         },
     }
     if validation.params is not None:
-        report["params"] = {
-            "kappa_b_hat": validation.params.kappa_b_hat,
-            "kappa_c": validation.params.kappa_c,
-            "n_o": validation.params.n_o,
-        }
+        report["params"] = asdict(validation.params)
     _write(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -182,7 +180,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="entroll",
         description="Entanglement Rolling resource simulator and noise analyzer",
@@ -242,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:

@@ -33,6 +33,7 @@ from .rolling import (
     ResolutionPlan,
     bridge_pick_plans,
     default_resolution_plan,
+    resolve,
     rolling_step,
     schmidt_upper_bound,
 )
@@ -152,7 +153,11 @@ class SweepRow:
 
 def _compile(config: ExperimentConfig) -> CompiledPlan:
     state = build_gtl(GtlParams.specialized(config.kappa_b_hat, config.n_o))
-    plan = config.plan or default_resolution_plan(state, config.target)
+    if config.plan is None:
+        plan = default_resolution_plan(state, config.target)
+    else:  # reject, with the same error, a plan that `entroll resolve` rejects
+        plan = config.plan
+        resolve(state, plan)
     return compile_plan(state.graph, plan)
 
 

@@ -10,7 +10,6 @@ dense oracle ever turns them into matrices.
 
 from __future__ import annotations
 
-import json
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -388,10 +387,3 @@ def graph_from_json(data: dict) -> Graph:
             g.add_edge(int(u), int(v))
     return g
 
-
-def graph_dumps(g: Graph) -> str:
-    return json.dumps(graph_to_json(g), sort_keys=True)
-
-
-def graph_loads(text: str) -> Graph:
-    return graph_from_json(json.loads(text))

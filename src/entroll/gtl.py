@@ -10,8 +10,7 @@ kappa_c = 2 * kappa_b_hat it collapses to two parameters.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .graphstate import Graph, graph_from_json, graph_to_json, json_field
 
@@ -254,6 +253,19 @@ def structure_profile(state: GtlState, v: int) -> PeerProfile | OrchestrationPro
     return PeerProfile(rank=rank, is_bridge=rank > 1)
 
 
+def _bridge_sides(graph: Graph, orch: tuple[int, ...], o: int) -> tuple[frozenset[int], frozenset[int]]:
+    """Current neighbors ``o`` shares with the previous and the next live orchestration qubit."""
+    idx = orch.index(o)
+    nbrs = graph.neighbors(o)
+
+    def shared(j: int) -> frozenset[int]:
+        if 0 <= j < len(orch) and graph.is_live(orch[j]):
+            return nbrs & graph.neighbors(orch[j])
+        return frozenset()
+
+    return shared(idx - 1), shared(idx + 1)
+
+
 def bridge_neighborhoods(state: GtlState, o_i: int) -> tuple[frozenset[int], frozenset[int]]:
     """Left and right bridge neighborhoods of an orchestration qubit.
 
@@ -263,16 +275,27 @@ def bridge_neighborhoods(state: GtlState, o_i: int) -> tuple[frozenset[int], fro
     """
     if o_i not in state.orch:
         raise ValueError(f"{o_i} is not an orchestration qubit")
-    g = state.graph
-    idx = state.orch.index(o_i)
-    nbrs = g.neighbors(o_i)
+    return _bridge_sides(state.graph, state.orch, o_i)
 
-    def shared(j: int) -> frozenset[int]:
-        if 0 <= j < len(state.orch) and g.is_live(state.orch[j]):
-            return nbrs & g.neighbors(state.orch[j])
-        return frozenset()
 
-    return shared(idx - 1), shared(idx + 1)
+def _bfs_predecessors(graph: Graph, src: int, dst: int) -> dict[int, list[int]]:
+    """Shortest-path predecessors from ``src`` of every vertex up to the layer
+    that reaches ``dst``, in breadth-first order."""
+    dist = {src: 0}
+    preds: dict[int, list[int]] = {src: []}
+    layer = [src]
+    while layer and dst not in dist:
+        nxt = []
+        for u in layer:
+            for w in sorted(graph.neighbors(u)):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    preds[w] = [u]
+                    nxt.append(w)
+                elif dist[w] == dist[u] + 1:
+                    preds[w].append(u)
+        layer = nxt
+    return preds
 
 
 def peer_proximity(state: GtlState, c_i: int, c_j: int) -> int:
@@ -290,28 +313,18 @@ def peer_proximity(state: GtlState, c_i: int, c_j: int) -> int:
     orch_set = frozenset(o for o in state.orch if g.is_live(o))
     bridges = _bridge_set(g, orch_set, frozenset(v for v in state.peers if g.is_live(v)))
 
-    dist = {c_i: 0}
-    layer = [c_i]
-    while layer and c_j not in dist:
-        nxt = []
-        for u in layer:
-            for w in sorted(g.neighbors(u)):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        layer = nxt
-    if c_j not in dist:
+    preds = _bfs_predecessors(g, c_i, c_j)
+    if c_j not in preds:
         raise ValueError(f"peers {c_i} and {c_j} are disconnected")
 
     lo = {c_i: 0}
     hi = {c_i: 0}
-    for v in sorted(dist, key=dist.get):
+    for v, before in preds.items():
         if v == c_i:
             continue
-        preds = [u for u in g.neighbors(v) if dist.get(u) == dist[v] - 1]
         own = 1 if (v in bridges and v != c_j) else 0
-        lo[v] = min(lo[u] for u in preds) + own
-        hi[v] = max(hi[u] for u in preds) + own
+        lo[v] = min(lo[u] for u in before) + own
+        hi[v] = max(hi[u] for u in before) + own
     if lo[c_j] != hi[c_j]:
         raise AssertionError(
             f"shortest paths {c_i}->{c_j} disagree on bridge count ({lo[c_j]} vs {hi[c_j]})"
@@ -327,11 +340,7 @@ def gtl_to_json(state: GtlState) -> dict:
     data["orch"] = list(state.orch)
     data["peers"] = sorted(state.peers)
     if state.params is not None:
-        data["params"] = {
-            "kappa_b_hat": state.params.kappa_b_hat,
-            "kappa_c": state.params.kappa_c,
-            "n_o": state.params.n_o,
-        }
+        data["params"] = asdict(state.params)
     return data
 
 
@@ -375,10 +384,3 @@ def gtl_from_json(data: dict) -> GtlState:
     }
     return GtlState(graph=graph, orch=orch, peers=peers, bridges=bridges, leaves=leaves, params=params)
 
-
-def gtl_dumps(state: GtlState) -> str:
-    return json.dumps(gtl_to_json(state), sort_keys=True)
-
-
-def gtl_loads(text: str) -> GtlState:
-    return gtl_from_json(json.loads(text))

@@ -15,6 +15,11 @@ bookkeeping over GF(2) supports:
 Images extend multiplicatively (XOR of supports) to arbitrary strings; global
 signs cancel because every branch enters as a conjugation.
 
+Inside this module a support is an int bitmask (bit v for vertex v), and
+branches sort by :func:`_support_order`.  Vertex frozensets appear only at the
+public surfaces: ``ZOperator.support``, ``NoiseMap.from_weights`` and
+``weights()``, the JSON form and ``CanonicalForm.realize``.
+
 Fidelities of the extracted resources come from an XOR convolution of the
 per-map branch distributions restricted to one connected component: on a
 connected graph state only the empty Z string has nonzero overlap, so the
@@ -61,7 +66,7 @@ import numpy as np
 
 from .graphstate import Graph, _bits, component_key, json_field, measure_pauli
 from .gtl import GtlState
-from .rolling import STOP_AFTER_ISOLATION, ResolutionPlan
+from .rolling import STOP_AFTER_ISOLATION, ResolutionPlan, _roll
 
 __all__ = [
     "CanonicalForm",
@@ -89,23 +94,20 @@ _PROB_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ZOperator:
-    """Pauli string of Z factors only, identified by its support set."""
+    """Pauli string of Z factors only, identified by its support bitmask."""
 
-    support: frozenset[int]
+    mask: int
+
+    @property
+    def support(self) -> frozenset[int]:
+        return frozenset(_bits(self.mask))
 
     @property
     def is_identity(self) -> bool:
-        return not self.support
+        return not self.mask
 
     def __mul__(self, other: ZOperator) -> ZOperator:
-        return ZOperator(self.support ^ other.support)
-
-    def restricted(self, targets: frozenset[int]) -> ZOperator:
-        return ZOperator(self.support & targets)
-
-
-def _branch_key(support: frozenset[int]) -> tuple[int, ...]:
-    return tuple(sorted(support))
+        return ZOperator(self.mask ^ other.mask)
 
 
 def _mask(vertices) -> int:
@@ -113,6 +115,18 @@ def _mask(vertices) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+_SET_FIRST = str.maketrans("01", "10")
+
+
+def _support_order(mask: int) -> str:
+    """Sort key that orders bitmask supports as sorted vertex tuples order.
+
+    The bits read lowest first, with a set bit before a clear one, so the
+    first differing vertex decides and a prefix sorts first.
+    """
+    return bin(mask)[:1:-1].translate(_SET_FIRST) if mask else ""
 
 
 @dataclass(frozen=True)
@@ -132,22 +146,23 @@ class NoiseMap:
         for prob, op in self.branches:
             if prob < -_PROB_TOL:
                 raise ValueError(f"negative branch probability {prob}")
-            if op.support in seen:
+            if op.mask in seen:
                 raise ValueError("duplicate branch support; use from_weights to merge")
-            seen.add(op.support)
+            seen.add(op.mask)
             total += prob
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"branch probabilities sum to {total}, expected 1")
 
     @classmethod
-    def from_weights(cls, origin: int, weights: dict[frozenset[int], float]) -> NoiseMap:
-        merged = {s: p for s, p in weights.items() if p != 0.0}
-        if not merged:
-            merged = {frozenset(): 1.0}
-        branches = tuple(
-            (merged[s], ZOperator(s)) for s in sorted(merged, key=_branch_key)
-        )
+    def _from_masks(cls, origin: int, weights: dict[int, float]) -> NoiseMap:
+        """The map of merged bitmask-keyed weights: zero weights dropped, supports sorted."""
+        merged = {s: p for s, p in weights.items() if p != 0.0} or {0: 1.0}
+        branches = tuple((merged[s], ZOperator(s)) for s in sorted(merged, key=_support_order))
         return cls(origin=origin, branches=branches)
+
+    @classmethod
+    def from_weights(cls, origin: int, weights: dict[frozenset[int], float]) -> NoiseMap:
+        return cls._from_masks(origin, {_mask(s): p for s, p in weights.items()})
 
     def weights(self) -> dict[frozenset[int], float]:
         return {op.support: prob for prob, op in self.branches}
@@ -171,6 +186,8 @@ class NoiseMap:
             weights: dict[frozenset[int], float] = {}
             for b in data["branches"]:
                 s = frozenset(int(v) for v in b["support"])
+                if min(s, default=0) < 0:
+                    raise ValueError(f"support {sorted(s)} has a negative vertex id")
                 weights[s] = weights.get(s, 0.0) + float(b["p"])
             return cls.from_weights(origin, weights)
 
@@ -199,16 +216,12 @@ class CanonicalForm:
         )
 
     def realize(self, neighborhood: frozenset[int]) -> NoiseMap:
-        out: dict[frozenset[int], float] = {}
-        base = frozenset({self.origin})
+        out: dict[int, float] = {}
+        around = _mask(neighborhood)
         for (alpha, beta), weight in self.weights:
-            support = frozenset()
-            if alpha:
-                support ^= base
-            if beta:
-                support ^= neighborhood
+            support = (alpha << self.origin) ^ (around if beta else 0)
             out[support] = out.get(support, 0.0) + weight
-        return NoiseMap.from_weights(self.origin, out)
+        return NoiseMap._from_masks(self.origin, out)
 
 
 @dataclass(frozen=True)
@@ -246,7 +259,7 @@ def dephasing_probability(t_ms: float, big_t_ms: float) -> float:
 def dephasing_map(a: int, t_ms: float, big_t_ms: float) -> NoiseMap:
     """Memory dephasing on one qubit: Z with probability q(t), else identity."""
     q = dephasing_probability(t_ms, big_t_ms)
-    return NoiseMap.from_weights(a, {frozenset(): 1.0 - q, frozenset({a}): q})
+    return NoiseMap._from_masks(a, {0: 1.0 - q, 1 << a: q})
 
 
 def standard_noise(
@@ -269,18 +282,40 @@ def standard_noise(
     return NoiseState(graph=g.copy(), maps=tuple(maps))
 
 
-def _apply_images(m: NoiseMap, images: dict[int, frozenset[int]]) -> NoiseMap:
-    out: dict[frozenset[int], float] = {}
+def _image(mask: int, images: dict[int, int]) -> int:
+    """A support's image under one measurement.
+
+    Each measured vertex in the support as it was before the measurement is
+    replaced by its image; the images are not applied one after another.
+    """
+    out = mask
+    for v, image in images.items():
+        if mask >> v & 1:
+            out ^= (1 << v) ^ image
+    return out
+
+
+def _apply_images(m: NoiseMap, images: dict[int, int]) -> NoiseMap:
+    measured = _mask(images)
+    out: dict[int, float] = {}
     for prob, op in m.branches:
-        support = set(op.support)
-        for v in op.support:
-            img = images.get(v)
-            if img is not None:
-                support.symmetric_difference_update({v})
-                support.symmetric_difference_update(img)
-        key = frozenset(support)
+        key = _image(op.mask, images) if op.mask & measured else op.mask
         out[key] = out.get(key, 0.0) + prob
-    return NoiseMap.from_weights(m.origin, out)
+    return NoiseMap._from_masks(m.origin, out)
+
+
+def _measure_x(g: Graph, a: int, b0: int | None) -> tuple[Graph, dict[int, int]]:
+    """X-measure ``a`` with support ``b0``: the new graph and the images of Z_a and Z_b0.
+
+    Z_a goes to Z on ``{b0}`` and the old neighborhood of ``b0`` without
+    ``a``, and Z_b0 to Z on the new neighborhood of ``b0``.
+    """
+    if not g.neighbor_mask(a):
+        raise ValueError(f"noise propagation through X on isolated vertex {a} is undefined")
+    if b0 is None or b0 not in g.neighbors(a):
+        raise ValueError(f"X measurement of {a} needs a support among its neighbors")
+    g2, _ = measure_pauli(g, a, "X", b0)
+    return g2, {a: (1 << b0) | (g.neighbor_mask(b0) & ~(1 << a)), b0: g2.neighbor_mask(b0)}
 
 
 def propagate_measurement(
@@ -289,22 +324,11 @@ def propagate_measurement(
     """Advance the graph by one Pauli measurement and update every map."""
     g = ns.graph
     basis = basis.upper()
-    images: dict[int, frozenset[int]]
-    if basis == "Z":
-        images = {a: frozenset()}
-        g2, _ = measure_pauli(g, a, "Z")
-    elif basis == "Y":
-        images = {a: g.neighbors(a)}
-        g2, _ = measure_pauli(g, a, "Y")
-    elif basis == "X":
-        if not g.neighbors(a):
-            raise ValueError(f"noise propagation through X on isolated vertex {a} is undefined")
-        b0 = support_choice
-        if b0 is None or b0 not in g.neighbors(a):
-            raise ValueError(f"X measurement of {a} needs a support among its neighbors")
-        images = {a: frozenset({b0}) | (g.neighbors(b0) - {a})}
-        g2, _ = measure_pauli(g, a, "X", b0)
-        images[b0] = g2.neighbors(b0)
+    if basis == "X":
+        g2, images = _measure_x(g, a, support_choice)
+    elif basis in ("Y", "Z"):
+        g2, _ = measure_pauli(g, a, basis)
+        images = {a: g.neighbor_mask(a) if basis == "Y" else 0}
     else:
         raise ValueError(f"unsupported measurement basis {basis!r}")
     maps = tuple(_apply_images(m, images) for m in ns.maps)
@@ -412,18 +436,6 @@ class CompiledPlan:
     programs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-_SET_FIRST = str.maketrans("01", "10")
-
-
-def _support_order(mask: int) -> str:
-    """Sort key that orders bitmask supports as ``_branch_key`` orders vertex sets.
-
-    The bits read lowest first, with a set bit before a clear one, so the
-    first differing vertex decides and a prefix sorts first.
-    """
-    return bin(mask)[:1:-1].translate(_SET_FIRST) if mask else ""
-
-
 def _merge(branches: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """Merge branches with equal supports, sorted as NoiseMap.from_weights sorts them."""
     merged: dict[int, int] = {}
@@ -440,19 +452,11 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     start = g
     images = {v: 1 << v for v in g.vertices()}
     for a, b0 in plan.steps:
-        if not g.neighbor_mask(a):
-            raise ValueError(f"noise propagation through X on isolated vertex {a} is undefined")
-        if b0 not in g.neighbors(a):
-            raise ValueError(f"X measurement of {a} needs a support among its neighbors")
-        step = {a: (1 << b0) | (g.neighbor_mask(b0) & ~(1 << a))}
-        g, _ = measure_pauli(g, a, "X", b0)
-        step[b0] = g.neighbor_mask(b0)
-        measured = _mask(step)
+        g, step = _measure_x(g, a, b0)
+        measured = (1 << a) | (1 << b0)
         for v, image in images.items():
             if image & measured:
-                for u, u_image in step.items():
-                    if image >> u & 1:
-                        images[v] ^= (1 << u) ^ u_image
+                images[v] = _image(image, step)
     if plan.stop_stage == STOP_AFTER_ISOLATION and plan.isolation:
         # Z measurements commute: each deletes its vertex (raising as
         # measure_pauli does for a dead one) and drops it from every image.
@@ -783,27 +787,19 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
     else:
         raise ValueError("plan must roll the full chain in linear or reversed order")
 
-    # Dry-run to resolve per-step support sides against the evolving graph.
-    g = state.graph.copy()
-    supports: list[int] = []
-    nonsupport: list[frozenset[int]] = []
-    gamma_final: frozenset[int] = frozenset()
-    for i, ((o, b0), expect_o) in enumerate(zip(plan.steps, orch)):
-        assert o == expect_o
-        nbrs = g.neighbors(o)
-        if i + 1 < len(orch):
-            side = nbrs & g.neighbors(orch[i + 1])
-        else:
-            side = frozenset(v for v in nbrs if g.neighbors(v) == {o})
+    def planned(i: int, side: frozenset[int]) -> int:
+        b0 = plan.steps[i][1]
         if b0 not in side:
             raise ValueError(
                 f"support {b0} for step {i} is not on the current bridge side; "
                 "closed forms only cover canonical rolling sequences"
             )
-        supports.append(b0)
-        nonsupport.append(side - {b0})
-        gamma_final = nbrs - side
-        g, _ = measure_pauli(g, o, "X", b0)
+        return b0
+
+    trace = list(_roll(state.graph, orch, planned))
+    supports = [t.support for t in trace]
+    nonsupport = [t.nonsupport for t in trace]
+    gamma_final = trace[-1].rolled
 
     support_index = {b0: m for m, b0 in enumerate(supports)}
     nonsupport_index: dict[int, int] = {}
@@ -905,9 +901,7 @@ def restrict_to_targets(
     if targets not in graph.components():
         raise ValueError(f"targets {sorted(targets)} are not a full connected component")
     mask = _mask(targets)
-    law = _xor_convolve(
-        [(_mask(op.support) & mask, prob) for prob, op in m.branches] for m in maps
-    )
+    law = _xor_convolve([(op.mask & mask, prob) for prob, op in m.branches] for m in maps)
     return {frozenset(_bits(support)): prob for support, prob in law.items()}
 
 
@@ -927,7 +921,7 @@ def fidelity(ns: NoiseState, targets: frozenset[int]) -> float:
 
 def component_fidelities(ns: NoiseState) -> dict[str, float]:
     """Fidelity of every multi-qubit component, keyed by its sorted vertex ids."""
-    maps = ((None, [(_mask(op.support), prob) for prob, op in m.branches]) for m in ns.maps)
+    maps = ((None, [(op.mask, prob) for prob, op in m.branches]) for m in ns.maps)
     return {
         key: _xor_convolve(branches for _, branches in terms).get(0, 0.0)
         for key, terms in _component_terms(ns.graph, maps)

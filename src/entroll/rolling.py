@@ -6,15 +6,22 @@ old neighborhood, the rolled set (non-support-side neighbors) moves on to the
 next orchestration qubit, and the non-support bridges drop to degree one.
 Iterating over the whole chain and then Z-measuring a small peer set isolates
 disjoint Bell pairs or star (GHZ-class) resources.
+
+The default, bridge-pick and proximity plans and the closed-form noise maps
+all walk the chain on one stepper, :func:`_roll`.  Its side rule: a step's
+support side is what the measured qubit shares with the next one in the walk,
+or, at the last step, its still-untouched leaves.  Executing an arbitrary plan
+resolves sides by the more general :func:`_support_side`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphstate import Graph, MeasurementRecord, gf2_rank, json_field, measure_pauli
-from .gtl import GtlState
+from .gtl import GtlState, _bfs_predecessors, _bridge_sides
 
 __all__ = [
     "STOP_AFTER_ISOLATION",
@@ -103,7 +110,8 @@ class RollingOutcome:
     stars: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _classify(graph: Graph) -> tuple[tuple[frozenset[int], ...], tuple, tuple]:
+def _outcome(graph: Graph, records, rolled_set: frozenset[int]) -> RollingOutcome:
+    """The outcome of a run ending in ``graph``, with its pairs and stars found."""
     components = graph.components()
     pairs = []
     stars = []
@@ -116,7 +124,7 @@ def _classify(graph: Graph) -> tuple[tuple[frozenset[int], ...], tuple, tuple]:
                 graph.degree(v) == 1 for v in comp if v != centers[0]
             ):
                 stars.append((centers[0], tuple(sorted(comp - {centers[0]}))))
-    return components, tuple(pairs), tuple(stars)
+    return RollingOutcome(graph, tuple(records), rolled_set, components, tuple(pairs), tuple(stars))
 
 
 def _support_side(
@@ -127,26 +135,38 @@ def _support_side(
     carried: frozenset[int] = frozenset(),
 ) -> frozenset[int]:
     """Support-side set for a step, resolved against the evolving graph."""
-    nbrs = graph.neighbors(o_i)
-    idx = orch.index(o_i)
-
-    def shared(j: int) -> frozenset[int]:
-        if 0 <= j < len(orch) and graph.is_live(orch[j]):
-            return nbrs & graph.neighbors(orch[j])
-        return frozenset()
-
-    right = shared(idx + 1)
+    left, right = _bridge_sides(graph, orch, o_i)
     if b0 in right:
         return right
-    left = shared(idx - 1)
     if b0 in left:
         return left
+    nbrs = graph.neighbors(o_i)
     if b0 in carried:
         return carried & nbrs
     leaf_side = frozenset(v for v in nbrs if graph.neighbors(v) == {o_i})
     if b0 in leaf_side:
         return leaf_side
     return frozenset({b0})
+
+
+def _roll(graph: Graph, order, pick) -> Iterator[StepTrace]:
+    """X-measure ``order`` in turn, leaving ``graph`` as it is, and yield each step's trace.
+
+    A step's side is the current neighbors it shares with the next qubit in
+    ``order``; at the last step, the neighbors whose only neighbor it is.
+    ``pick(i, side)`` returns step i's support.
+    """
+    for i, o in enumerate(order):
+        nbrs = graph.neighbors(o)
+        if i + 1 < len(order):
+            side = nbrs & graph.neighbors(order[i + 1])
+        else:
+            side = frozenset(v for v in nbrs if graph.neighbors(v) == {o})
+        b0 = pick(i, side)
+        yield StepTrace(
+            measured=o, support=b0, side=side, rolled=nbrs - side, nonsupport=side - {b0}
+        )
+        graph, _ = measure_pauli(graph, o, "X", b0)
 
 
 def _execute(
@@ -190,56 +210,12 @@ def _execute(
 def resolve(state: GtlState, plan: ResolutionPlan) -> RollingOutcome:
     """Execute a resolution plan on a copy of the state's graph."""
     g, records, trace = _execute(state, plan)
-    components, pairs, stars = _classify(g)
-    rolled = trace[-1].rolled if trace else frozenset()
-    return RollingOutcome(
-        graph=g,
-        records=tuple(records),
-        rolled_set=rolled,
-        components=components,
-        pairs=pairs,
-        stars=stars,
-    )
+    return _outcome(g, records, trace[-1].rolled if trace else frozenset())
 
 
 def rolling_step(state: GtlState, o_i: int, b0: int) -> RollingOutcome:
     """Single rolling step on the given state."""
     return resolve(state, ResolutionPlan(steps=((o_i, b0),), stop_stage=STOP_AFTER_ROLLING))
-
-
-def _canonical_rolling(state: GtlState) -> tuple[list[tuple[int, int]], list[StepTrace]]:
-    """Dry-run the default support policy and return steps plus their traces.
-
-    Supports are the lowest-id current right bridge per step; at the chain end
-    the right set degenerates to the still-untouched leaves of the last
-    orchestration qubit (their pre-measurement neighborhood is exactly that
-    qubit, which is what keeps the closed-form noise maps exact).
-    """
-    g = state.graph.copy()
-    steps: list[tuple[int, int]] = []
-    trace: list[StepTrace] = []
-    orch = state.orch
-    for i, o in enumerate(orch):
-        nbrs = g.neighbors(o)
-        if i + 1 < len(orch):
-            side = nbrs & g.neighbors(orch[i + 1])
-        else:
-            side = frozenset(v for v in nbrs if g.neighbors(v) == {o})
-        if not side:
-            raise ValueError(f"no admissible support for {o}; not a rollable GTL state")
-        b0 = min(side)
-        steps.append((o, b0))
-        trace.append(
-            StepTrace(
-                measured=o,
-                support=b0,
-                side=side,
-                rolled=nbrs - side,
-                nonsupport=side - {b0},
-            )
-        )
-        g, _ = measure_pauli(g, o, "X", b0)
-    return steps, trace
 
 
 def _require_specialized(state: GtlState) -> None:
@@ -262,7 +238,13 @@ def default_resolution_plan(state: GtlState, target: str = "bell") -> Resolution
     _require_specialized(state)
     params = state.params
     assert params is not None
-    steps, trace = _canonical_rolling(state)
+
+    def lowest(i: int, side: frozenset[int]) -> int:
+        if not side:
+            raise ValueError(f"no admissible support for {state.orch[i]}; not a rollable GTL state")
+        return min(side)
+
+    trace = list(_roll(state.graph, state.orch, lowest))
     last = trace[-1]
     if params.n_o == 1:
         # No carried set exists; designate the highest-id leaves as the set to
@@ -278,7 +260,8 @@ def default_resolution_plan(state: GtlState, target: str = "bell") -> Resolution
     if target == "bell":
         for leaves in star_leaves:
             isolation.extend(sorted(leaves)[1:])
-    return ResolutionPlan(steps=tuple(steps), isolation=tuple(isolation))
+    steps = tuple((t.measured, t.support) for t in trace)
+    return ResolutionPlan(steps=steps, isolation=tuple(isolation))
 
 
 def bridge_pick_plans(state: GtlState, limit: int = 3) -> list[ResolutionPlan]:
@@ -294,18 +277,8 @@ def bridge_pick_plans(state: GtlState, limit: int = 3) -> list[ResolutionPlan]:
     plans: list[ResolutionPlan] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
     for pattern in patterns:
-        g = state.graph.copy()
-        steps: list[tuple[int, int]] = []
-        for i, o in enumerate(state.orch):
-            nbrs = g.neighbors(o)
-            if i + 1 < len(state.orch):
-                side = nbrs & g.neighbors(state.orch[i + 1])
-            else:
-                side = frozenset(v for v in nbrs if g.neighbors(v) == {o})
-            b0 = sorted(side)[pattern(i) % len(side)]
-            steps.append((o, b0))
-            g, _ = measure_pauli(g, o, "X", b0)
-        key = tuple(steps)
+        trace = _roll(state.graph, state.orch, lambda i, side: sorted(side)[pattern(i) % len(side)])
+        key = tuple((t.measured, t.support) for t in trace)
         if key not in seen:
             seen.add(key)
             plans.append(ResolutionPlan(steps=key, stop_stage=STOP_AFTER_ROLLING))
@@ -337,15 +310,7 @@ def centralized_resolution(state: GtlState, basis: str) -> RollingOutcome:
     for o in state.orch:
         g, rec = measure_pauli(g, o, basis)
         records.append(rec)
-    components, pairs, stars = _classify(g)
-    return RollingOutcome(
-        graph=g,
-        records=tuple(records),
-        rolled_set=frozenset(),
-        components=components,
-        pairs=pairs,
-        stars=stars,
-    )
+    return _outcome(g, records, frozenset())
 
 
 def schmidt_upper_bound(state: GtlState) -> int:
@@ -354,29 +319,6 @@ def schmidt_upper_bound(state: GtlState) -> int:
     if rank % 2:
         raise RuntimeError(f"adjacency rank {rank} is odd; symmetric zero-diagonal forms cannot be")
     return rank // 2
-
-
-def _shortest_path(graph: Graph, src: int, dst: int) -> list[int]:
-    """Lexicographically smallest shortest path from src to dst."""
-    dist = {src: 0}
-    layer = [src]
-    while layer and dst not in dist:
-        nxt = []
-        for u in layer:
-            for w in sorted(graph.neighbors(u)):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        layer = nxt
-    if dst not in dist:
-        raise ValueError(f"vertices {src} and {dst} are disconnected")
-    path = [dst]
-    while path[-1] != src:
-        v = path[-1]
-        preds = [u for u in graph.neighbors(v) if dist.get(u) == dist[v] - 1]
-        path.append(min(preds))
-    path.reverse()
-    return path
 
 
 def plan_proximity_reduction(state: GtlState, c_i: int, c_j: int) -> ResolutionPlan:
@@ -392,17 +334,18 @@ def plan_proximity_reduction(state: GtlState, c_i: int, c_j: int) -> ResolutionP
     for c in (c_i, c_j):
         if c not in state.peers:
             raise ValueError(f"{c} is not a peer qubit")
-    path = _shortest_path(state.graph, c_i, c_j)
+    preds = _bfs_predecessors(state.graph, c_i, c_j)
+    if c_j not in preds:
+        raise ValueError(f"vertices {c_i} and {c_j} are disconnected")
+    # The lexicographically smallest shortest path, walked back from c_j.
+    path = [c_j]
+    while path[-1] != c_i:
+        path.append(min(preds[path[-1]]))
     orch_set = set(state.orch)
-    orch_path = [v for v in path if v in orch_set]
-    g = state.graph.copy()
-    steps: list[tuple[int, int]] = []
-    for m, o in enumerate(orch_path):
-        if m + 1 < len(orch_path):
-            shared = g.neighbors(o) & g.neighbors(orch_path[m + 1])
-            b0 = min(shared)
-        else:
-            b0 = c_j
-        steps.append((o, b0))
-        g, _ = measure_pauli(g, o, "X", b0)
-    return ResolutionPlan(steps=tuple(steps), stop_stage=STOP_AFTER_ROLLING)
+    orch_path = [v for v in reversed(path) if v in orch_set]
+
+    def pick(m: int, side: frozenset[int]) -> int:
+        return min(side) if m + 1 < len(orch_path) else c_j
+
+    steps = tuple((t.measured, t.support) for t in _roll(state.graph, orch_path, pick))
+    return ResolutionPlan(steps=steps, stop_stage=STOP_AFTER_ROLLING)

@@ -422,6 +422,18 @@ class TestCli:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "'steps'" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "threshold"])
+    def test_config_plan_checked_as_resolve_checks_it(self, tmp_path, capsys, command):
+        # Step (2, 0) X-measures peer 2; `entroll resolve` rejects this plan.
+        plan = {"steps": [[2, 0]], "stop_stage": "after_rolling"}
+        config = {"kappa_b_hat": 2, "n_o": 2, "p_grid": [0.9], "T_grid_ms": [1.0, 10.0], "plan": plan}
+        path, out = tmp_path / "config.json", tmp_path / "out.txt"
+        path.write_text(json.dumps(config))
+        assert cli.main([command, "--config", str(path), "-o", str(out)]) == cli.EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err == "error: step measures 2, which is not an orchestration qubit\n"
+
     def test_contradictory_params_is_one_error_line(self, tmp_path, capsys):
         data = gtl_to_json(build_gtl(GtlParams.specialized(2, 2)))
         data["params"]["n_o"] = 5

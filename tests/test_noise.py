@@ -54,7 +54,7 @@ def single_branch(origin, support):
 class TestNoiseMap:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            NoiseMap(origin=0, branches=((0.5, ZOperator(frozenset())),))
+            NoiseMap(origin=0, branches=((0.5, ZOperator(0)),))
 
     def test_merging(self):
         m = NoiseMap.from_weights(0, {frozenset(): 0.25, frozenset({1}): 0.75})
@@ -74,6 +74,7 @@ class TestNoiseMap:
             ({"origin": 0, "branches": [{"p": 1.0}]}, "branches"),
             ({"origin": 0, "branches": [{"p": "x", "support": []}]}, "branches"),
             ({"origin": 0, "branches": [{"p": 0.5, "support": [0]}]}, "branches"),
+            ({"origin": 0, "branches": [{"p": 1.0, "support": [-1]}]}, "branches"),
         ],
     )
     def test_malformed_json_field_is_named(self, data, field):
@@ -81,8 +82,9 @@ class TestNoiseMap:
             NoiseMap.from_json(data)
 
     def test_zoperator_algebra(self):
-        a = ZOperator(frozenset({1, 2}))
-        b = ZOperator(frozenset({2, 3}))
+        a = ZOperator(0b0110)  # Z_1 Z_2
+        b = ZOperator(0b1100)  # Z_2 Z_3
+        assert (a * b).mask == 0b1010
         assert (a * b).support == frozenset({1, 3})
         assert (a * a).is_identity
 

@@ -357,3 +357,43 @@ class TestPlans:
         live = set(out.graph.vertices())
         assert {1, 2} <= live
         assert any(v in live for v in state.orch)
+
+    # Plans of the chain stepper on three instances, as literal steps: the
+    # default plans' steps and isolation targets, the bridge-pick plans, and
+    # proximity plans between the named peers.
+    @pytest.mark.parametrize(
+        "kb, n_o, steps, bell_isolation, ghz_isolation, picks, proximity",
+        [
+            (
+                2, 1, ((0, 1),), (3, 4), (3, 4),
+                [((0, 1),), ((0, 2),), ((0, 3),)],
+                {(1, 4): ((0, 4),), (4, 2): ((0, 2),)},
+            ),
+            (
+                2, 3, ((0, 3), (1, 7), (2, 9)), (5, 6), (5, 6),
+                [((0, 3), (1, 7), (2, 9)), ((0, 4), (1, 8), (2, 10)), ((0, 3), (1, 8), (2, 9))],
+                {
+                    (3, 10): ((1, 7), (2, 10)),
+                    (5, 10): ((0, 3), (1, 7), (2, 10)),
+                    (10, 4): ((2, 7), (1, 4)),
+                },
+            ),
+            (
+                3, 2, ((0, 2), (1, 8)), (5, 6, 7, 4, 10), (5, 6, 7),
+                [((0, 2), (1, 8)), ((0, 3), (1, 9)), ((0, 4), (1, 10))],
+                {(2, 10): ((1, 10),), (5, 10): ((0, 2), (1, 10)), (10, 3): ((1, 3),)},
+            ),
+        ],
+    )
+    def test_stepper_plans_are_pinned(
+        self, kb, n_o, steps, bell_isolation, ghz_isolation, picks, proximity
+    ):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        assert default_resolution_plan(state, "bell") == ResolutionPlan(steps, bell_isolation)
+        assert default_resolution_plan(state, "ghz") == ResolutionPlan(steps, ghz_isolation)
+        assert bridge_pick_plans(state, limit=3) == [
+            ResolutionPlan(s, stop_stage=STOP_AFTER_ROLLING) for s in picks
+        ]
+        for (c_i, c_j), expected in proximity.items():
+            plan = plan_proximity_reduction(state, c_i, c_j)
+            assert plan == ResolutionPlan(expected, stop_stage=STOP_AFTER_ROLLING)
