@@ -22,7 +22,8 @@ from .experiments import (
     threshold_to_dat,
     verify,
 )
-from .noise import component_fidelities, propagate, standard_noise
+from .graphstate import json_object
+from .noise import compile_plan, compiled_fidelities
 from .gtl import (
     GtlParams,
     build_gtl,
@@ -115,10 +116,8 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     }
     if args.p is not None:
         big_t = math.inf if args.dephasing_time is None else args.dephasing_time
-        ns = propagate(
-            standard_noise(state.graph, args.p, args.protocol_time, big_t), plan
-        )
-        report["fidelities"] = component_fidelities(ns)
+        compiled = compile_plan(state.graph, plan)
+        report["fidelities"] = compiled_fidelities(compiled, args.p, args.protocol_time, big_t)
     _write(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -127,8 +126,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
         data = _load_json(args.config)
-        if not isinstance(data, dict):
-            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        json_object("config", data)
     if args.kappa_b is not None:
         data["kappa_b_hat"] = args.kappa_b
     if args.n_o is not None:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import oracle
-from .graphstate import json_field
+from .graphstate import json_field, json_object
 from .gtl import GtlParams, GtlState, bridge_neighborhoods, build_gtl, validate_gtl
 from .noise import (
     CompiledPlan,
@@ -92,8 +92,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, data: dict) -> ExperimentConfig:
         """Parse a config object; a malformed field raises a ValueError naming it."""
-        if not isinstance(data, dict):
-            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        json_object("config", data)
 
         def _t(value: object) -> float:
             if isinstance(value, str) and value.lower() in ("inf", "infinity"):

@@ -6,6 +6,16 @@ Pauli measurements map graph states to graph states up to local corrections,
 so the whole simulator works at the level of the adjacency structure; the
 corrections are recorded as data (see :class:`MeasurementRecord`) and only the
 dense oracle ever turns them into matrices.
+
+Inside ``graphstate``, ``gtl``, ``rolling`` and ``noise`` a vertex set is an
+int bitmask: :func:`_mask` builds one, :func:`_bits` lists it in ascending
+order.  Frozensets appear only at the public names that return or accept
+them: ``Graph.neighbors``/``components``, ``PauliString``,
+``bridge_neighborhoods``, ``GtlState.peers``, ``RollingOutcome.rolled_set``/
+``components``, ``ZOperator.support``, ``NoiseMap.from_weights``/``weights()``
+and JSON, ``CanonicalForm.realize``, ``restrict_to_targets``/``fidelity`` and
+``CompiledPlan.qubits``.  A mask is built from an input id only once that id
+is shown live, so no bad id is ever shifted.
 """
 
 from __future__ import annotations
@@ -36,6 +46,14 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """Bitmask of nonnegative vertex ids."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 class Graph:
@@ -93,6 +111,14 @@ class Graph:
         if not self.is_live(v):
             raise ValueError(f"unknown or deleted vertex {v}")
 
+    def mask(self, vertices: Iterable[int]) -> int:
+        """Bitmask of ``vertices``, each of which must be live."""
+        out = 0
+        for v in vertices:
+            self._require_live(v)
+            out |= 1 << v
+        return out
+
     def neighbor_mask(self, v: int) -> int:
         self._require_live(v)
         return self._rows[v]
@@ -118,6 +144,10 @@ class Graph:
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components of the live graph, ordered by smallest member."""
+        return tuple(frozenset(_bits(comp)) for comp in self.component_masks())
+
+    def component_masks(self) -> tuple[int, ...]:
+        """Connected components as bitmasks, ordered by smallest member."""
         seen = 0
         out = []
         for v in _bits(self._live):
@@ -132,7 +162,7 @@ class Graph:
                 frontier = grown & ~comp
                 comp |= grown
             seen |= comp
-            out.append(frozenset(_bits(comp)))
+            out.append(comp)
         return tuple(out)
 
     # -- mutation ----------------------------------------------------------
@@ -261,11 +291,11 @@ def measure_pauli(
     basis = basis.upper()
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"unsupported measurement basis {basis!r}")
-    nbrs = g.neighbors(a)
+    nbrs = g.neighbor_mask(a)
     if basis == "X" and nbrs:
         if support_choice is None:
-            raise ValueError(f"X measurement of {a} needs a support choice among {sorted(nbrs)}")
-        if support_choice not in nbrs:
+            raise ValueError(f"X measurement of {a} needs a support choice among {list(_bits(nbrs))}")
+        if not (g.is_live(support_choice) and nbrs >> support_choice & 1):
             raise ValueError(f"support {support_choice} is not a neighbor of {a}")
     if basis != "X" and support_choice is not None:
         raise ValueError("support_choice is only meaningful for X measurements")
@@ -281,12 +311,12 @@ def measure_pauli(
         if outcome == 1:
             corrections = ()
         else:
-            corrections = tuple((b, "Z") for b in sorted(nbrs))
+            corrections = tuple((b, "Z") for b in _bits(nbrs))
     elif basis == "Y":
         h._local_complement(a)
         h.delete_vertex(a)
         tag = "SQRT_Z" if outcome == 1 else "SQRT_Z_DAG"
-        corrections = tuple((b, tag) for b in sorted(nbrs))
+        corrections = tuple((b, tag) for b in _bits(nbrs))
     elif not nbrs:
         # X on an isolated vertex: the qubit is a bare |+>, deterministic "+".
         h.delete_vertex(a)
@@ -295,17 +325,17 @@ def measure_pauli(
     else:
         b0 = support_choice
         assert b0 is not None
-        nb0 = g.neighbors(b0)
+        nb0 = g.neighbor_mask(b0)
         h._local_complement(b0)
         h._local_complement(a)
         h.delete_vertex(a)
         h._local_complement(b0)
         if outcome == 1:
-            zs = sorted(nbrs - nb0 - {b0})
-            corrections = ((b0, "SQRT_Y_DAG"), *((b, "Z") for b in zs))
+            zs = nbrs & ~nb0 & ~(1 << b0)
+            corrections = ((b0, "SQRT_Y_DAG"), *((b, "Z") for b in _bits(zs)))
         else:
-            zs = sorted(nb0 - nbrs - {a, b0})
-            corrections = ((b0, "SQRT_Y"), *((b, "Z") for b in zs))
+            zs = nb0 & ~nbrs & ~(1 << a) & ~(1 << b0)
+            corrections = ((b0, "SQRT_Y"), *((b, "Z") for b in _bits(zs)))
 
     record = MeasurementRecord(
         measured=a,
@@ -363,25 +393,29 @@ def json_field(source: str, name: str) -> Iterator[None]:
         yield
     except KeyError as exc:
         raise ValueError(f"{source} field {name!r}: missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{source} field {name!r}: {exc}") from None
 
 
+def json_object(source: str, data: object) -> None:
+    """Reject a parsed JSON value that is not an object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{source} must be a JSON object, got {type(data).__name__}")
+
+
 def graph_from_json(data: dict) -> Graph:
+    json_object("graph", data)
     with json_field("graph JSON", "n"):
         n = int(data["n"])
     with json_field("graph JSON", "labels"):
         live = sorted(int(k) for k in data.get("labels") or {}) or list(range(n))
+        if live and live[0] < 0:
+            raise ValueError(f"vertex id {live[0]} is negative")
     if len(live) != n:
         raise ValueError("graph JSON: n does not match the labeled vertex count")
-    g = Graph()
-    top = max(live, default=-1)
-    for _ in range(top + 1):
-        g.add_vertex()
-    live_set = set(live)
-    for v in range(top + 1):
-        if v not in live_set:
-            g.delete_vertex(v)
+    g = Graph.empty(max(live, default=-1) + 1)
+    for v in set(g.vertices()) - set(live):
+        g.delete_vertex(v)
     with json_field("graph JSON", "edges"):
         for u, v in data.get("edges", []):
             g.add_edge(int(u), int(v))

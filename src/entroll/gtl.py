@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .graphstate import Graph, graph_from_json, graph_to_json, json_field
+from .graphstate import Graph, _bits, _mask, graph_from_json, graph_to_json, json_field, json_object
 
 __all__ = [
     "GtlParams",
@@ -94,31 +94,35 @@ def build_gtl(params: GtlParams) -> GtlState:
     kb, kc, n_o = params.kappa_b_hat, params.kappa_c, params.n_o
     g = Graph()
     orch = tuple(g.add_vertex() for _ in range(n_o))
-    bridges: dict[tuple[int, int], tuple[int, ...]] = {}
-    leaves: dict[int, tuple[int, ...]] = {}
     for i, o in enumerate(orch):
         if i + 1 < n_o:
-            pair = []
             for _ in range(kb):
                 b = g.add_vertex()
                 g.add_edge(o, b)
                 g.add_edge(orch[i + 1], b)
-                pair.append(b)
-            bridges[(o, orch[i + 1])] = tuple(pair)
         if n_o == 1:
             n_leaf = kc
         elif i in (0, n_o - 1):
             n_leaf = kc - kb
         else:
             n_leaf = kc - 2 * kb
-        own = []
         for _ in range(n_leaf):
-            leaf = g.add_vertex()
-            g.add_edge(o, leaf)
-            own.append(leaf)
-        leaves[o] = tuple(own)
-    peers = frozenset(v for v in g.vertices() if v not in set(orch))
-    return GtlState(graph=g, orch=orch, peers=peers, bridges=bridges, leaves=leaves, params=params)
+            g.add_edge(o, g.add_vertex())
+    return _gtl_state(g, orch, frozenset(g.vertices()[n_o:]), params)
+
+
+def _gtl_state(graph: Graph, orch: tuple[int, ...], peers: frozenset[int], params) -> GtlState:
+    """The state, with its bridges and leaves read off the graph (orchestration qubits must be live)."""
+    orch_mask = graph.mask(orch)
+    bridges = {
+        (orch[i], orch[i + 1]): tuple(_bits(_bridge_sides(graph, orch, i)[1]))
+        for i in range(len(orch) - 1)
+    }
+    leaves = {
+        o: tuple(c for c in _bits(graph.neighbor_mask(o)) if _rank(graph, c, orch_mask) == 1)
+        for o in orch
+    }
+    return GtlState(graph=graph, orch=orch, peers=peers, bridges=bridges, leaves=leaves, params=params)
 
 
 @dataclass(frozen=True)
@@ -162,16 +166,18 @@ def validate_gtl(graph: Graph, orch: tuple[int, ...], peers: frozenset[int]) -> 
     if violations:
         return GtlValidation(None, tuple(violations))
 
+    # Every id is live now, so the two sides can be masks.
+    orch_mask, peer_mask = _mask(orch), _mask(peers)
     for u, v in graph.edges():
-        if u in orch_set and v in orch_set:
+        if (orch_mask >> u) & (orch_mask >> v) & 1:
             violations.append(Violation("two-colorable", f"edge ({u},{v}) inside the orchestration set"))
-        if u in peer_set and v in peer_set:
+        if (peer_mask >> u) & (peer_mask >> v) & 1:
             violations.append(Violation("two-colorable", f"edge ({u},{v}) inside the peer set"))
 
     # C1: constant peer degree.  The reference value is the maximum observed
     # degree, so that a locally damaged instance is flagged rather than
     # silently reinterpreted.
-    degrees = {o: len(graph.neighbors(o) & peer_set) for o in orch}
+    degrees = {o: (graph.neighbor_mask(o) & peer_mask).bit_count() for o in orch}
     kappa_c = max(degrees.values()) if degrees else 0
     for o, d in degrees.items():
         if d != kappa_c:
@@ -182,8 +188,8 @@ def validate_gtl(graph: Graph, orch: tuple[int, ...], peers: frozenset[int]) -> 
     pair_counts: dict[tuple[int, int], int] = {
         (orch[i], orch[i + 1]): 0 for i in range(len(orch) - 1)
     }
-    for c in sorted(peer_set):
-        touching = sorted(graph.neighbors(c) & orch_set, key=order.__getitem__)
+    for c in _bits(peer_mask):
+        touching = sorted(_bits(graph.neighbor_mask(c) & orch_mask), key=order.__getitem__)
         if len(touching) <= 1:
             continue
         if len(touching) != 2 or order[touching[1]] - order[touching[0]] != 1:
@@ -199,7 +205,7 @@ def validate_gtl(graph: Graph, orch: tuple[int, ...], peers: frozenset[int]) -> 
     kappa_b_hat: int | None = None
     if pair_counts:
         n_o = len(orch)
-        implied = n_o * kappa_c - len(peer_set)
+        implied = n_o * kappa_c - peer_mask.bit_count()
         if implied % (n_o - 1) == 0 and implied // (n_o - 1) >= 1:
             kappa_b_hat = implied // (n_o - 1)
         else:
@@ -234,36 +240,36 @@ class OrchestrationProfile:
     bridge_degree: int
 
 
-def _bridge_set(graph: Graph, orch_set: frozenset[int], peers: frozenset[int]) -> frozenset[int]:
-    return frozenset(c for c in peers if len(graph.neighbors(c) & orch_set) > 1)
+def _rank(graph: Graph, c: int, orch: int) -> int:
+    """Number of orchestration qubits in ``orch`` adjacent to ``c``: 1 for a leaf, more for a bridge."""
+    return (graph.neighbor_mask(c) & orch).bit_count()
 
 
 def structure_profile(state: GtlState, v: int) -> PeerProfile | OrchestrationProfile:
     """Bridge rank for a peer; peer and bridge degree for an orchestration qubit."""
-    state.graph._require_live(v)
-    orch_set = frozenset(state.orch)
-    if v in orch_set:
-        nbrs = state.graph.neighbors(v)
-        bridges = _bridge_set(state.graph, orch_set, state.peers)
+    g = state.graph
+    g._require_live(v)
+    orch = _mask(o for o in state.orch if g.is_live(o))
+    if v in state.orch:
+        nbrs = g.neighbor_mask(v) & g.mask(state.peers)
         return OrchestrationProfile(
-            peer_degree=len(nbrs & state.peers),
-            bridge_degree=len(nbrs & bridges),
+            peer_degree=nbrs.bit_count(),
+            bridge_degree=sum(_rank(g, c, orch) > 1 for c in _bits(nbrs)),
         )
-    rank = len(state.graph.neighbors(v) & orch_set)
+    rank = _rank(g, v, orch)
     return PeerProfile(rank=rank, is_bridge=rank > 1)
 
 
-def _bridge_sides(graph: Graph, orch: tuple[int, ...], o: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Current neighbors ``o`` shares with the previous and the next live orchestration qubit."""
-    idx = orch.index(o)
-    nbrs = graph.neighbors(o)
+def _bridge_sides(graph: Graph, orch: tuple[int, ...], i: int) -> tuple[int, int]:
+    """Current neighbors ``orch[i]`` shares with the previous and the next live orchestration qubit."""
+    nbrs = graph.neighbor_mask(orch[i])
 
-    def shared(j: int) -> frozenset[int]:
+    def shared(j: int) -> int:
         if 0 <= j < len(orch) and graph.is_live(orch[j]):
-            return nbrs & graph.neighbors(orch[j])
-        return frozenset()
+            return nbrs & graph.neighbor_mask(orch[j])
+        return 0
 
-    return shared(idx - 1), shared(idx + 1)
+    return shared(i - 1), shared(i + 1)
 
 
 def bridge_neighborhoods(state: GtlState, o_i: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -275,7 +281,8 @@ def bridge_neighborhoods(state: GtlState, o_i: int) -> tuple[frozenset[int], fro
     """
     if o_i not in state.orch:
         raise ValueError(f"{o_i} is not an orchestration qubit")
-    return _bridge_sides(state.graph, state.orch, o_i)
+    left, right = _bridge_sides(state.graph, state.orch, state.orch.index(o_i))
+    return frozenset(_bits(left)), frozenset(_bits(right))
 
 
 def _bfs_predecessors(graph: Graph, src: int, dst: int) -> dict[int, list[int]]:
@@ -287,7 +294,7 @@ def _bfs_predecessors(graph: Graph, src: int, dst: int) -> dict[int, list[int]]:
     while layer and dst not in dist:
         nxt = []
         for u in layer:
-            for w in sorted(graph.neighbors(u)):
+            for w in _bits(graph.neighbor_mask(u)):
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     preds[w] = [u]
@@ -310,9 +317,7 @@ def peer_proximity(state: GtlState, c_i: int, c_j: int) -> int:
         if c not in state.peers:
             raise ValueError(f"{c} is not a peer qubit")
     g = state.graph
-    orch_set = frozenset(o for o in state.orch if g.is_live(o))
-    bridges = _bridge_set(g, orch_set, frozenset(v for v in state.peers if g.is_live(v)))
-
+    orch = _mask(o for o in state.orch if g.is_live(o))
     preds = _bfs_predecessors(g, c_i, c_j)
     if c_j not in preds:
         raise ValueError(f"peers {c_i} and {c_j} are disconnected")
@@ -322,7 +327,7 @@ def peer_proximity(state: GtlState, c_i: int, c_j: int) -> int:
     for v, before in preds.items():
         if v == c_i:
             continue
-        own = 1 if (v in bridges and v != c_j) else 0
+        own = 1 if (v != c_j and v in state.peers and _rank(g, v, orch) > 1) else 0
         lo[v] = min(lo[u] for u in before) + own
         hi[v] = max(hi[u] for u in before) + own
     if lo[c_j] != hi[c_j]:
@@ -361,6 +366,7 @@ def _check_params(claimed: GtlParams, inferred: GtlParams | None) -> None:
 
 
 def gtl_from_json(data: dict) -> GtlState:
+    json_object("GTL state", data)
     graph = graph_from_json(data)
     with json_field("GTL JSON", "orch"):
         orch = tuple(int(o) for o in data["orch"])
@@ -373,14 +379,5 @@ def gtl_from_json(data: dict) -> GtlState:
             params = GtlParams(int(p["kappa_b_hat"]), int(p["kappa_c"]), int(p["n_o"]))
     if params is not None:
         _check_params(params, validate_gtl(graph, orch, peers).params)
-    orch_set = set(orch)
-    bridges: dict[tuple[int, int], tuple[int, ...]] = {}
-    for i in range(len(orch) - 1):
-        shared = graph.neighbors(orch[i]) & graph.neighbors(orch[i + 1])
-        bridges[(orch[i], orch[i + 1])] = tuple(sorted(shared))
-    leaves = {
-        o: tuple(sorted(c for c in graph.neighbors(o) if len(graph.neighbors(c) & orch_set) == 1))
-        for o in orch
-    }
-    return GtlState(graph=graph, orch=orch, peers=peers, bridges=bridges, leaves=leaves, params=params)
+    return _gtl_state(graph, orch, peers, params)
 

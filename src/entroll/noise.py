@@ -15,10 +15,8 @@ bookkeeping over GF(2) supports:
 Images extend multiplicatively (XOR of supports) to arbitrary strings; global
 signs cancel because every branch enters as a conjugation.
 
-Inside this module a support is an int bitmask (bit v for vertex v), and
-branches sort by :func:`_support_order`.  Vertex frozensets appear only at the
-public surfaces: ``ZOperator.support``, ``NoiseMap.from_weights`` and
-``weights()``, the JSON form and ``CanonicalForm.realize``.
+A support is a bitmask, as every vertex set inside the package is (see
+:mod:`entroll.graphstate`), and branches sort by :func:`_support_order`.
 
 Fidelities of the extracted resources come from an XOR convolution of the
 per-map branch distributions restricted to one connected component: on a
@@ -64,9 +62,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphstate import Graph, _bits, component_key, json_field, measure_pauli
+from .graphstate import Graph, _bits, _mask, component_key, json_field, json_object, measure_pauli
 from .gtl import GtlState
-from .rolling import STOP_AFTER_ISOLATION, ResolutionPlan, _roll
+from .rolling import ResolutionPlan, _require_specialized, _roll
 
 __all__ = [
     "CanonicalForm",
@@ -108,13 +106,6 @@ class ZOperator:
 
     def __mul__(self, other: ZOperator) -> ZOperator:
         return ZOperator(self.mask ^ other.mask)
-
-
-def _mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 _SET_FIRST = str.maketrans("01", "10")
@@ -171,15 +162,14 @@ class NoiseMap:
         return {
             "origin": self.origin,
             "branches": [
-                {"p": prob, "support": sorted(op.support)} for prob, op in self.branches
+                {"p": prob, "support": list(_bits(op.mask))} for prob, op in self.branches
             ],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> NoiseMap:
         """Parse a map object; a malformed field raises a ValueError naming it."""
-        if not isinstance(data, dict):
-            raise ValueError(f"noise map must be a JSON object, got {type(data).__name__}")
+        json_object("noise map", data)
         with json_field("noise map", "origin"):
             origin = int(data["origin"])
         with json_field("noise map", "branches"):
@@ -216,8 +206,10 @@ class CanonicalForm:
         )
 
     def realize(self, neighborhood: frozenset[int]) -> NoiseMap:
+        return self._realize(_mask(neighborhood))
+
+    def _realize(self, around: int) -> NoiseMap:
         out: dict[int, float] = {}
-        around = _mask(neighborhood)
         for (alpha, beta), weight in self.weights:
             support = (alpha << self.origin) ^ (around if beta else 0)
             out[support] = out.get(support, 0.0) + weight
@@ -242,7 +234,7 @@ def depolarizing_map(g: Graph, a: int, p: float) -> NoiseMap:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
     g._require_live(a)
-    return CanonicalForm.depolarizing(a, p).realize(g.neighbors(a))
+    return CanonicalForm.depolarizing(a, p)._realize(g.neighbor_mask(a))
 
 
 def dephasing_probability(t_ms: float, big_t_ms: float) -> float:
@@ -312,7 +304,7 @@ def _measure_x(g: Graph, a: int, b0: int | None) -> tuple[Graph, dict[int, int]]
     """
     if not g.neighbor_mask(a):
         raise ValueError(f"noise propagation through X on isolated vertex {a} is undefined")
-    if b0 is None or b0 not in g.neighbors(a):
+    if b0 is None or not (g.is_live(b0) and g.has_edge(a, b0)):
         raise ValueError(f"X measurement of {a} needs a support among its neighbors")
     g2, _ = measure_pauli(g, a, "X", b0)
     return g2, {a: (1 << b0) | (g.neighbor_mask(b0) & ~(1 << a)), b0: g2.neighbor_mask(b0)}
@@ -339,9 +331,8 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
     """Propagate all noise maps through a resolution plan."""
     for o, b0 in plan.steps:
         ns = propagate_measurement(ns, o, "X", b0)
-    if plan.stop_stage == STOP_AFTER_ISOLATION:
-        for v in plan.isolation:
-            ns = propagate_measurement(ns, v, "Z")
+    for v in plan.z_targets:
+        ns = propagate_measurement(ns, v, "Z")
     return ns
 
 
@@ -457,13 +448,13 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
         for v, image in images.items():
             if image & measured:
                 images[v] = _image(image, step)
-    if plan.stop_stage == STOP_AFTER_ISOLATION and plan.isolation:
+    if plan.z_targets:
         # Z measurements commute: each deletes its vertex (raising as
         # measure_pauli does for a dead one) and drops it from every image.
         g = g.copy()
-        for v in plan.isolation:
+        for v in plan.z_targets:
             g.delete_vertex(v)
-        kept = ~_mask(plan.isolation)
+        kept = ~_mask(plan.z_targets)
         images = {v: image & kept for v, image in images.items()}
 
     # The maps of standard_noise, in its order, as merged (final support,
@@ -501,14 +492,14 @@ def _point_weights(
     t_ms: float = 1.0,
     big_t_ms: float = math.inf,
     qubit_times_ms: dict[int, float] | None = None,
-) -> tuple[list[float], tuple[bool, frozenset[int]]]:
+) -> tuple[list[float], tuple[bool, int]]:
     """Weight column of one point, and its drop pattern.
 
     The weights come from the expressions :func:`standard_noise` uses, in
     Python floats.  A zero weight drops its branch (NoiseMap.from_weights),
     which leaves only a map's identity branch: the map then changes no law.
     The pattern names the maps dropped so: all depolarizing maps (w = 0),
-    and the dephasing sources with q = 0.
+    and the mask of dephasing sources with q = 0.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
@@ -527,12 +518,12 @@ def _point_weights(
     column = [0.0, 1.0, p + w, w, (p + w) + w, w + w]
     if waits:
         qs = [q[waits[v]] if v in waits else uniform for v in compiled.dephasing]
-        zero = frozenset(v for v, x in zip(compiled.dephasing, qs) if x == 0.0)
+        zero = _mask(v for v, x in zip(compiled.dephasing, qs) if x == 0.0)
         for x in qs:
             column += (1.0 - x, x)
     else:
         column += [1.0 - uniform, uniform] * len(compiled.dephasing)
-        zero = frozenset(compiled.dephasing) if uniform == 0.0 else frozenset()
+        zero = _mask(compiled.dephasing) if uniform == 0.0 else 0
     return column, (w == 0.0, zero)
 
 
@@ -545,7 +536,7 @@ def score_points(compiled: CompiledPlan, points) -> np.ndarray:
     the stepwise reference (see the module docstring).
     """
     columns: list[list[float]] = []
-    groups: dict[tuple[bool, frozenset[int]], list[int]] = {}
+    groups: dict[tuple[bool, int], list[int]] = {}
     for i, point in enumerate(points):
         column, pattern = _point_weights(compiled, *point)
         columns.append(column)
@@ -627,14 +618,14 @@ def _transition(keys: np.ndarray, marginal: tuple[int, ...]):
 
 
 def _build_program(
-    compiled: CompiledPlan, drop_depolarizing: bool, zero: frozenset[int]
+    compiled: CompiledPlan, drop_depolarizing: bool, zero: int
 ) -> _Program:
     """Run every component's convolution once over keys, and stack the steps.
 
     Signatures and transitions are memoized on component-local bits, so the
     components of a ladder share them.
     """
-    base = {v: _DEPHASING + 2 * j for j, v in enumerate(compiled.dephasing) if v not in zero}
+    base = {v: _DEPHASING + 2 * j for j, v in enumerate(compiled.dephasing) if not zero >> v & 1}
     if not drop_depolarizing:
         base[None] = _DEPOLARIZING
     states = [np.zeros(1, dtype=np.intp)]
@@ -774,10 +765,8 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
-    params = state.params
-    if params is None or not params.is_specialized or params.kappa_b_hat < 2:
-        raise ValueError("closed forms need the specialized regime with kappa_b_hat >= 2")
-    if plan.stop_stage == STOP_AFTER_ISOLATION and plan.isolation:
+    _require_specialized(state, "closed forms need the specialized regime with kappa_b_hat >= 2")
+    if plan.z_targets:
         raise ValueError("closed forms cover the rolling stage only; drop the isolation stage")
     measured = [o for o, _ in plan.steps]
     if measured == list(state.orch):
@@ -787,9 +776,9 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
     else:
         raise ValueError("plan must roll the full chain in linear or reversed order")
 
-    def planned(i: int, side: frozenset[int]) -> int:
+    def planned(i: int, side: int) -> int:
         b0 = plan.steps[i][1]
-        if b0 not in side:
+        if b0 < 0 or not side >> b0 & 1:
             raise ValueError(
                 f"support {b0} for step {i} is not on the current bridge side; "
                 "closed forms only cover canonical rolling sequences"
@@ -798,38 +787,28 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
 
     trace = list(_roll(state.graph, orch, planned))
     supports = [t.support for t in trace]
-    nonsupport = [t.nonsupport for t in trace]
     gamma_final = trace[-1].rolled
-
     support_index = {b0: m for m, b0 in enumerate(supports)}
-    nonsupport_index: dict[int, int] = {}
-    for m, dropped in enumerate(nonsupport):
-        for v in dropped:
-            nonsupport_index[v] = m
+    nonsupport_index = {v: m for m, t in enumerate(trace) for v in _bits(t.nonsupport)}
 
     maps: list[NoiseMap] = []
     for q in state.graph.vertices():
         if q in support_index:
-            tilde_n = gamma_final | nonsupport[support_index[q]]
-        elif q in gamma_final:
-            tilde_n = frozenset(supports)
+            tilde_n = gamma_final | trace[support_index[q]].nonsupport
+        elif gamma_final >> q & 1:
+            tilde_n = _mask(supports)
         elif q in nonsupport_index:
-            tilde_n = frozenset({supports[nonsupport_index[q]]})
+            tilde_n = 1 << supports[nonsupport_index[q]]
         elif q in state.peers:
             raise ValueError(f"peer {q} is not covered by the rolling sequence")
         else:
-            i = orch.index(q)
-            op = frozenset(supports[i:])
+            op = _mask(supports[orch.index(q) :])
             # Associate the sums exactly as the stepwise merge does, so the
             # two derivations agree bit for bit.
             quarter = (1.0 - p) / 4.0
-            maps.append(
-                NoiseMap.from_weights(
-                    q, {frozenset(): (p + quarter) + quarter, op: quarter + quarter}
-                )
-            )
+            maps.append(NoiseMap._from_masks(q, {0: (p + quarter) + quarter, op: quarter + quarter}))
             continue
-        maps.append(CanonicalForm.depolarizing(q, p).realize(tilde_n))
+        maps.append(CanonicalForm.depolarizing(q, p)._realize(tilde_n))
     return maps
 
 
@@ -841,10 +820,9 @@ def _component_terms(graph: Graph, maps) -> tuple[tuple[str, tuple], ...]:
     their supports restricted to it.  A map that touches no component would
     only add the identity to its law.
     """
-    components = [c for c in graph.components() if len(c) >= 2]
-    masks = [_mask(comp) for comp in components]
-    owner = {1 << v: i for i, comp in enumerate(components) for v in comp}
-    terms: list[list] = [[] for _ in components]
+    masks = [c for c in graph.component_masks() if c & (c - 1)]
+    owner = {1 << v: i for i, mask in enumerate(masks) for v in _bits(mask)}
+    terms: list[list] = [[] for _ in masks]
     for tag, branches in maps:
         rest = 0
         for support, _ in branches:
@@ -858,7 +836,7 @@ def _component_terms(graph: Graph, maps) -> tuple[tuple[str, tuple], ...]:
             mask = masks[i]
             rest &= ~mask
             terms[i].append((tag, tuple([(s & mask, x) for s, x in branches])))
-    return tuple((component_key(comp), tuple(t)) for comp, t in zip(components, terms))
+    return tuple((component_key(_bits(mask)), tuple(t)) for mask, t in zip(masks, terms))
 
 
 def _xor_convolve(maps) -> dict[int, float]:

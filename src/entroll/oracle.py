@@ -16,7 +16,7 @@ import numpy as np
 from .graphstate import Graph, MeasurementRecord, PauliString, component_key, measure_pauli
 from .gtl import GtlState
 from .noise import NoiseMap, NoiseState, component_fidelities, propagate, standard_noise
-from .rolling import STOP_AFTER_ISOLATION, ResolutionPlan
+from .rolling import ResolutionPlan
 
 __all__ = [
     "CORRECTION_UNITARIES",
@@ -372,10 +372,9 @@ def crosscheck(
     for o, b0 in plan.steps:
         sim, rec = measure_pauli(sim, o, "X", b0)
         dense = measure_with_record(dense, rec)
-    if plan.stop_stage == STOP_AFTER_ISOLATION:
-        for v in plan.isolation:
-            sim, rec = measure_pauli(sim, v, "Z")
-            dense = measure_with_record(dense, rec)
+    for v in plan.z_targets:
+        sim, rec = measure_pauli(sim, v, "Z")
+        dense = measure_with_record(dense, rec)
 
     entries = []
     for comp in sim.components():

@@ -10,8 +10,8 @@ disjoint Bell pairs or star (GHZ-class) resources.
 The default, bridge-pick and proximity plans and the closed-form noise maps
 all walk the chain on one stepper, :func:`_roll`.  Its side rule: a step's
 support side is what the measured qubit shares with the next one in the walk,
-or, at the last step, its still-untouched leaves.  Executing an arbitrary plan
-resolves sides by the more general :func:`_support_side`.
+or, at the last step, its leaves (:func:`_leaf_side`).  Executing an arbitrary
+plan resolves sides by the more general :func:`_support_side`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphstate import Graph, MeasurementRecord, gf2_rank, json_field, measure_pauli
-from .gtl import GtlState, _bfs_predecessors, _bridge_sides
+from .graphstate import (
+    Graph, MeasurementRecord, _bits, _mask, gf2_rank, json_field, json_object, measure_pauli
+)
+from .gtl import GtlParams, GtlState, _bfs_predecessors, _bridge_sides
 
 __all__ = [
     "STOP_AFTER_ISOLATION",
@@ -58,6 +60,11 @@ class ResolutionPlan:
         if len(set(measured)) != len(measured):
             raise ValueError("plan measures an orchestration qubit twice")
 
+    @property
+    def z_targets(self) -> tuple[int, ...]:
+        """The isolation targets the plan Z-measures: none if it stops after rolling."""
+        return self.isolation if self.stop_stage == STOP_AFTER_ISOLATION else ()
+
     def to_json(self) -> dict:
         return {
             "steps": [list(s) for s in self.steps],
@@ -68,8 +75,7 @@ class ResolutionPlan:
     @classmethod
     def from_json(cls, data: dict) -> ResolutionPlan:
         """Parse a plan object; a malformed field raises a ValueError naming it."""
-        if not isinstance(data, dict):
-            raise ValueError(f"plan must be a JSON object, got {type(data).__name__}")
+        json_object("plan", data)
         with json_field("plan", "steps"):
             steps = tuple((int(o), int(b)) for o, b in data["steps"])
         with json_field("plan", "isolation"):
@@ -86,7 +92,7 @@ class ResolutionPlan:
 
 @dataclass(frozen=True)
 class StepTrace:
-    """Execution-time bookkeeping of one rolling step.
+    """Execution-time bookkeeping of one rolling step, vertex sets as bitmasks.
 
     ``side`` is the support-side set (the current bridge set containing the
     support, or the degenerate leaf set at the chain end), ``rolled`` the
@@ -95,9 +101,9 @@ class StepTrace:
 
     measured: int
     support: int
-    side: frozenset[int]
-    rolled: frozenset[int]
-    nonsupport: frozenset[int]
+    side: int
+    rolled: int
+    nonsupport: int
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,7 @@ class RollingOutcome:
     stars: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _outcome(graph: Graph, records, rolled_set: frozenset[int]) -> RollingOutcome:
+def _outcome(graph: Graph, records, rolled: int) -> RollingOutcome:
     """The outcome of a run ending in ``graph``, with its pairs and stars found."""
     components = graph.components()
     pairs = []
@@ -124,48 +130,48 @@ def _outcome(graph: Graph, records, rolled_set: frozenset[int]) -> RollingOutcom
                 graph.degree(v) == 1 for v in comp if v != centers[0]
             ):
                 stars.append((centers[0], tuple(sorted(comp - {centers[0]}))))
-    return RollingOutcome(graph, tuple(records), rolled_set, components, tuple(pairs), tuple(stars))
+    return RollingOutcome(
+        graph, tuple(records), frozenset(_bits(rolled)), components, tuple(pairs), tuple(stars)
+    )
 
 
-def _support_side(
-    graph: Graph,
-    orch: tuple[int, ...],
-    o_i: int,
-    b0: int,
-    carried: frozenset[int] = frozenset(),
-) -> frozenset[int]:
-    """Support-side set for a step, resolved against the evolving graph."""
-    left, right = _bridge_sides(graph, orch, o_i)
-    if b0 in right:
-        return right
-    if b0 in left:
-        return left
-    nbrs = graph.neighbors(o_i)
-    if b0 in carried:
-        return carried & nbrs
-    leaf_side = frozenset(v for v in nbrs if graph.neighbors(v) == {o_i})
-    if b0 in leaf_side:
-        return leaf_side
-    return frozenset({b0})
+def _leaf_side(graph: Graph, o: int) -> int:
+    """The current neighbors of ``o`` whose only neighbor is ``o``."""
+    bit = 1 << o
+    return _mask(v for v in _bits(graph.neighbor_mask(o)) if graph.neighbor_mask(v) == bit)
+
+
+def _step(graph: Graph, o: int, b0: int, side: int) -> StepTrace:
+    nbrs = graph.neighbor_mask(o)
+    return StepTrace(o, b0, side, rolled=nbrs & ~side, nonsupport=side & ~(1 << b0))
+
+
+def _support_side(graph: Graph, orch: tuple[int, ...], i: int, b0: int, carried: int) -> int:
+    """Support-side set of a step measuring ``orch[i]`` with live neighbor ``b0``,
+    resolved against the evolving graph; ``carried`` is the last step's rolled set."""
+    bit = 1 << b0
+    left, right = _bridge_sides(graph, orch, i)
+    for side in (right, left, carried & graph.neighbor_mask(orch[i])):
+        if side & bit:
+            return side
+    leaves = _leaf_side(graph, orch[i])
+    return leaves if leaves & bit else bit
 
 
 def _roll(graph: Graph, order, pick) -> Iterator[StepTrace]:
     """X-measure ``order`` in turn, leaving ``graph`` as it is, and yield each step's trace.
 
     A step's side is the current neighbors it shares with the next qubit in
-    ``order``; at the last step, the neighbors whose only neighbor it is.
-    ``pick(i, side)`` returns step i's support.
+    ``order``; at the last step, its leaves.  ``pick(i, side)`` returns step
+    i's support.
     """
     for i, o in enumerate(order):
-        nbrs = graph.neighbors(o)
         if i + 1 < len(order):
-            side = nbrs & graph.neighbors(order[i + 1])
+            side = graph.neighbor_mask(o) & graph.neighbor_mask(order[i + 1])
         else:
-            side = frozenset(v for v in nbrs if graph.neighbors(v) == {o})
+            side = _leaf_side(graph, o)
         b0 = pick(i, side)
-        yield StepTrace(
-            measured=o, support=b0, side=side, rolled=nbrs - side, nonsupport=side - {b0}
-        )
+        yield _step(graph, o, b0, side)
         graph, _ = measure_pauli(graph, o, "X", b0)
 
 
@@ -173,44 +179,33 @@ def _execute(
     state: GtlState, plan: ResolutionPlan
 ) -> tuple[Graph, list[MeasurementRecord], list[StepTrace]]:
     g = state.graph.copy()
-    orch_set = set(state.orch)
     records: list[MeasurementRecord] = []
     trace: list[StepTrace] = []
-    carried: frozenset[int] = frozenset()
+    carried = 0
     for o_i, b0 in plan.steps:
-        if o_i not in orch_set:
+        if o_i not in state.orch:
             raise ValueError(f"step measures {o_i}, which is not an orchestration qubit")
         if not g.is_live(o_i):
             raise ValueError(f"step measures {o_i}, which is no longer live")
-        if not g.is_live(b0) or b0 not in g.neighbors(o_i):
+        if not (g.is_live(b0) and g.has_edge(o_i, b0)):
             raise ValueError(f"support {b0} is not a current neighbor of {o_i}")
-        side = _support_side(g, state.orch, o_i, b0, carried)
-        rolled = g.neighbors(o_i) - side
-        trace.append(
-            StepTrace(
-                measured=o_i,
-                support=b0,
-                side=side,
-                rolled=rolled,
-                nonsupport=side - {b0},
-            )
-        )
+        side = _support_side(g, state.orch, state.orch.index(o_i), b0, carried)
+        trace.append(_step(g, o_i, b0, side))
         g, rec = measure_pauli(g, o_i, "X", b0)
         records.append(rec)
-        carried = rolled
-    if plan.stop_stage == STOP_AFTER_ISOLATION:
-        for v in plan.isolation:
-            if not g.is_live(v):
-                raise ValueError(f"isolation target {v} is not live")
-            g, rec = measure_pauli(g, v, "Z")
-            records.append(rec)
+        carried = trace[-1].rolled
+    for v in plan.z_targets:
+        if not g.is_live(v):
+            raise ValueError(f"isolation target {v} is not live")
+        g, rec = measure_pauli(g, v, "Z")
+        records.append(rec)
     return g, records, trace
 
 
 def resolve(state: GtlState, plan: ResolutionPlan) -> RollingOutcome:
     """Execute a resolution plan on a copy of the state's graph."""
     g, records, trace = _execute(state, plan)
-    return _outcome(g, records, trace[-1].rolled if trace else frozenset())
+    return _outcome(g, records, trace[-1].rolled if trace else 0)
 
 
 def rolling_step(state: GtlState, o_i: int, b0: int) -> RollingOutcome:
@@ -218,12 +213,15 @@ def rolling_step(state: GtlState, o_i: int, b0: int) -> RollingOutcome:
     return resolve(state, ResolutionPlan(steps=((o_i, b0),), stop_stage=STOP_AFTER_ROLLING))
 
 
-def _require_specialized(state: GtlState) -> None:
+_NOT_SPECIALIZED = "extraction needs the specialized regime kappa_c = 2*kappa_b_hat with kappa_b_hat >= 2"
+
+
+def _require_specialized(state: GtlState, message: str = _NOT_SPECIALIZED) -> GtlParams:
+    """The state's parameters, which must be in the specialized regime with kappa_b_hat >= 2."""
     params = state.params
     if params is None or not params.is_specialized or params.kappa_b_hat < 2:
-        raise ValueError(
-            "extraction needs the specialized regime kappa_c = 2*kappa_b_hat with kappa_b_hat >= 2"
-        )
+        raise ValueError(message)
+    return params
 
 
 def default_resolution_plan(state: GtlState, target: str = "bell") -> ResolutionPlan:
@@ -235,31 +233,27 @@ def default_resolution_plan(state: GtlState, target: str = "bell") -> Resolution
     """
     if target not in ("bell", "ghz"):
         raise ValueError(f"unknown resolution target {target!r}")
-    _require_specialized(state)
-    params = state.params
-    assert params is not None
+    params = _require_specialized(state)
 
-    def lowest(i: int, side: frozenset[int]) -> int:
+    def lowest(i: int, side: int) -> int:
         if not side:
             raise ValueError(f"no admissible support for {state.orch[i]}; not a rollable GTL state")
-        return min(side)
+        return next(_bits(side))
 
     trace = list(_roll(state.graph, state.orch, lowest))
     last = trace[-1]
     if params.n_o == 1:
         # No carried set exists; designate the highest-id leaves as the set to
         # clear so the surviving star has exactly kappa_b_hat vertices.
-        others = sorted(last.side - {last.support})
+        others = list(_bits(last.nonsupport))
         keep = params.kappa_b_hat - 1
-        gamma = frozenset(others[keep:])
-        star_leaves = [frozenset(others[:keep])]
+        isolation, star_leaves = others[keep:], [others[:keep]]
     else:
-        gamma = last.rolled
-        star_leaves = [t.nonsupport for t in trace]
-    isolation = sorted(gamma)
+        isolation = list(_bits(last.rolled))
+        star_leaves = [list(_bits(t.nonsupport)) for t in trace]
     if target == "bell":
         for leaves in star_leaves:
-            isolation.extend(sorted(leaves)[1:])
+            isolation.extend(leaves[1:])
     steps = tuple((t.measured, t.support) for t in trace)
     return ResolutionPlan(steps=steps, isolation=tuple(isolation))
 
@@ -271,13 +265,12 @@ def bridge_pick_plans(state: GtlState, limit: int = 3) -> list[ResolutionPlan]:
     final leaf side); only the pick inside each side set varies.  Up to
     ``limit`` distinct plans are returned.
     """
-    _require_specialized(state)
-    patterns = [lambda i, c=c: c for c in range(2 * state.params.kappa_b_hat)]
+    patterns = [lambda i, c=c: c for c in range(2 * _require_specialized(state).kappa_b_hat)]
     patterns += [lambda i: i % 2, lambda i: (i + 1) % 2]
     plans: list[ResolutionPlan] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
     for pattern in patterns:
-        trace = _roll(state.graph, state.orch, lambda i, side: sorted(side)[pattern(i) % len(side)])
+        trace = _roll(state.graph, state.orch, lambda i, side: [*_bits(side)][pattern(i) % side.bit_count()])
         key = tuple((t.measured, t.support) for t in trace)
         if key not in seen:
             seen.add(key)
@@ -310,7 +303,7 @@ def centralized_resolution(state: GtlState, basis: str) -> RollingOutcome:
     for o in state.orch:
         g, rec = measure_pauli(g, o, basis)
         records.append(rec)
-    return _outcome(g, records, frozenset())
+    return _outcome(g, records, 0)
 
 
 def schmidt_upper_bound(state: GtlState) -> int:
@@ -344,8 +337,8 @@ def plan_proximity_reduction(state: GtlState, c_i: int, c_j: int) -> ResolutionP
     orch_set = set(state.orch)
     orch_path = [v for v in reversed(path) if v in orch_set]
 
-    def pick(m: int, side: frozenset[int]) -> int:
-        return min(side) if m + 1 < len(orch_path) else c_j
+    def pick(m: int, side: int) -> int:
+        return min(_bits(side)) if m + 1 < len(orch_path) else c_j
 
     steps = tuple((t.measured, t.support) for t in _roll(state.graph, orch_path, pick))
     return ResolutionPlan(steps=steps, stop_stage=STOP_AFTER_ROLLING)

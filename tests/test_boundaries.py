@@ -1,0 +1,204 @@
+"""Input boundaries: numbers too large for an int, bad vertex ids, non-object JSON.
+
+Every loader names the field an unusable value came from, and a bad support
+or target id gives the same error text through every path that measures it.
+"""
+
+import json
+
+import pytest
+
+from entroll import cli
+from entroll.experiments import ExperimentConfig
+from entroll.graphstate import graph_from_json, measure_pauli
+from entroll.gtl import GtlParams, build_gtl, gtl_from_json, gtl_to_json
+from entroll.noise import NoiseMap, closed_form_maps, compile_plan, propagate, standard_noise
+from entroll.rolling import STOP_AFTER_ROLLING, ResolutionPlan, resolve
+
+# (2, 2): orchestration 0 and 1, bridges 2 and 3, leaves 4, 5 (of 0) and 6, 7 (of 1).
+STATE = build_gtl(GtlParams.specialized(2, 2))
+STATE_JSON = json.dumps(gtl_to_json(STATE))
+TOO_BIG = "cannot convert float infinity to integer"
+
+
+def _error(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+# (id, loader, JSON text, source, field)
+LOADER_CASES = [
+    ("graph-n", graph_from_json, '{"n": 1e400, "edges": []}', "graph JSON", "n"),
+    ("graph-edges", graph_from_json, '{"n": 2, "edges": [[0, 1e400]]}', "graph JSON", "edges"),
+    ("gtl-orch", gtl_from_json, STATE_JSON.replace('"orch": [0, 1]', '"orch": [0, 1e400]'), "GTL JSON", "orch"),
+    ("gtl-peers", gtl_from_json, STATE_JSON.replace('"peers": [2', '"peers": [1e400'), "GTL JSON", "peers"),
+    ("gtl-params", gtl_from_json, STATE_JSON.replace('"n_o": 2', '"n_o": 1e400'), "GTL JSON", "params"),
+    ("plan-steps", ResolutionPlan.from_json, '{"steps": [[0, 1e400]]}', "plan", "steps"),
+    ("plan-isolation", ResolutionPlan.from_json, '{"steps": [], "isolation": [1e400]}', "plan", "isolation"),
+    ("config-kappa_b_hat", ExperimentConfig.from_json, '{"kappa_b_hat": 1e400, "n_o": 2}', "config", "kappa_b_hat"),
+    ("config-n_o", ExperimentConfig.from_json, '{"kappa_b_hat": 2, "n_o": 1e400}', "config", "n_o"),
+    ("config-seed", ExperimentConfig.from_json, '{"kappa_b_hat": 2, "n_o": 2, "seed": 1e400}', "config", "seed"),
+    (
+        "config-plan",
+        ExperimentConfig.from_json,
+        '{"kappa_b_hat": 2, "n_o": 2, "plan": {"steps": [[1e400, 2]]}}',
+        "config",
+        "plan",
+    ),
+    ("noise-origin", NoiseMap.from_json, '{"origin": 1e400, "branches": []}', "noise map", "origin"),
+    (
+        "noise-support",
+        NoiseMap.from_json,
+        '{"origin": 0, "branches": [{"p": 1.0, "support": [1e400]}]}',
+        "noise map",
+        "branches",
+    ),
+]
+
+
+class TestNumberTooLargeForAnInt:
+    @pytest.mark.parametrize(
+        "load, text, source, field",
+        [pytest.param(*case[1:], id=case[0]) for case in LOADER_CASES],
+    )
+    def test_each_loader_names_the_field(self, load, text, source, field):
+        data = json.loads(text)
+        message = _error(lambda: load(data))
+        assert message.startswith(f"{source} field {field!r}: ")
+        assert TOO_BIG in message
+
+    @pytest.mark.parametrize(
+        "command, text, field",
+        [
+            pytest.param("inspect", STATE_JSON.replace('"n": 8', '"n": 1e400'), "n", id="inspect-n"),
+            pytest.param("sweep", '{"kappa_b_hat": 2, "n_o": 2, "seed": 1e400}', "seed", id="sweep-seed"),
+        ],
+    )
+    def test_cli_prints_one_error_line(self, tmp_path, capsys, command, text, field):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        args = ["--config", str(path)] if command == "sweep" else [str(path)]
+        assert cli.main([command, *args]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"field {field!r}: {TOO_BIG}" in err
+
+
+class TestStateFile:
+    def test_negative_label_is_rejected(self):
+        data = {"n": 2, "labels": {"-1": "-1", "0": "0"}, "edges": []}
+        assert _error(lambda: graph_from_json(data)) == (
+            "graph JSON field 'labels': vertex id -1 is negative"
+        )
+
+    def test_non_object_is_rejected(self):
+        assert _error(lambda: graph_from_json([1, 2])) == "graph must be a JSON object, got list"
+        assert _error(lambda: gtl_from_json([1, 2])) == "GTL state must be a JSON object, got list"
+
+    def test_non_object_state_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text("[1, 2]")
+        assert cli.main(["inspect", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: GTL state must be a JSON object, got list\n"
+
+    def test_dead_ids_keep_their_errors(self, tmp_path, capsys):
+        data = json.loads(STATE_JSON)
+        assert _error(lambda: gtl_from_json(dict(data, orch=[0, 99]))) == "unknown or deleted vertex 99"
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(dict(data, peers=data["peers"] + [99])))
+        assert cli.main(["inspect", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: unknown or deleted vertex 99\n"
+
+
+def _plan(steps, isolation=None) -> ResolutionPlan:
+    if isolation is None:
+        return ResolutionPlan(steps=steps, stop_stage=STOP_AFTER_ROLLING)
+    return ResolutionPlan(steps=steps, isolation=isolation)
+
+
+NOT_ON_SIDE = (
+    "support {} for step {} is not on the current bridge side; "
+    "closed forms only cover canonical rolling sequences"
+)
+NEEDS_SUPPORT = "X measurement of {} needs a support among its neighbors"
+
+# (id, plan, error of propagate and compile_plan, of closed_form_maps, of resolve)
+PLAN_ERRORS = [
+    # a negative, unknown or non-neighbour support
+    *(
+        (
+            f"support-{s}",
+            _plan(((0, s), (1, 6))),
+            NEEDS_SUPPORT.format(0),
+            NOT_ON_SIDE.format(s, 0),
+            f"support {s} is not a current neighbor of 0",
+        )
+        for s in (-1, 99, 6)
+    ),
+    # a support measured by an earlier step
+    (
+        "support-measured",
+        _plan(((0, 2), (1, 2))),
+        NEEDS_SUPPORT.format(1),
+        NOT_ON_SIDE.format(2, 1),
+        "support 2 is not a current neighbor of 1",
+    ),
+    # a negative, unknown or peer measured qubit
+    *(
+        (
+            f"measured-{o}",
+            _plan(((o, 2),)),
+            NEEDS_SUPPORT.format(o) if o == 4 else f"unknown or deleted vertex {o}",
+            "plan must roll the full chain in linear or reversed order",
+            f"step measures {o}, which is not an orchestration qubit",
+        )
+        for o in (-1, 99, 4)
+    ),
+    # a negative, unknown or already measured isolation target
+    *(
+        (
+            f"target-{t}",
+            _plan(((0, 2), (1, 6)), isolation=(t,)),
+            f"unknown or deleted vertex {t}",
+            "closed forms cover the rolling stage only; drop the isolation stage",
+            f"isolation target {t} is not live",
+        )
+        for t in (-1, 99, 0)
+    ),
+]
+
+
+class TestBadIdErrorText:
+    @pytest.mark.parametrize(
+        "support, message",
+        [
+            (None, "X measurement of 0 needs a support choice among [2, 4, 5]"),
+            (-1, "support -1 is not a neighbor of 0"),
+            (3, "support 3 is not a neighbor of 0"),  # deleted below
+            (99, "support 99 is not a neighbor of 0"),
+            (6, "support 6 is not a neighbor of 0"),
+        ],
+    )
+    def test_measure_pauli_support(self, support, message):
+        g = STATE.graph.copy()
+        g.delete_vertex(3)
+        assert _error(lambda: measure_pauli(g, 0, "X", support)) == message
+
+    @pytest.mark.parametrize("target", [-1, 3, 99])
+    def test_measure_pauli_target(self, target):
+        g = STATE.graph.copy()
+        g.delete_vertex(3)
+        assert _error(lambda: measure_pauli(g, target, "Z")) == f"unknown or deleted vertex {target}"
+
+    @pytest.mark.parametrize(
+        "plan, stepwise, closed, resolved",
+        [pytest.param(*case[1:], id=case[0]) for case in PLAN_ERRORS],
+    )
+    def test_every_path_keeps_its_text(self, plan, stepwise, closed, resolved):
+        g = STATE.graph
+        assert _error(lambda: propagate(standard_noise(g, 0.9), plan)) == stepwise
+        assert _error(lambda: compile_plan(g, plan)) == stepwise
+        assert _error(lambda: closed_form_maps(STATE, plan, 0.9)) == closed
+        assert _error(lambda: resolve(STATE, plan)) == resolved

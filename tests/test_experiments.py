@@ -331,6 +331,36 @@ class TestCli:
         assert set(fids) == {"-".join(map(str, p)) for p in outcome["pairs"]}
         assert all(0.0 <= f <= 1.0 for f in fids.values())
 
+    @pytest.mark.parametrize("target", ["bell", "ghz"])
+    def test_resolve_fidelities_equal_the_stepwise_reference(self, tmp_path, capsys, target):
+        state = build_gtl(GtlParams.specialized(2, 3))
+        state_file = tmp_path / "state.json"
+        state_file.write_text(json.dumps(gtl_to_json(state)))
+        plan = default_resolution_plan(state, target)
+        for p in (0.9, 1.0):
+            for big_t in (10.0, math.inf):
+                args = ["resolve", str(state_file), "--target", target, "--p", str(p)]
+                if not math.isinf(big_t):
+                    args += ["--dephasing-time", str(big_t)]
+                assert cli.main(args) == cli.EXIT_OK
+                fids = json.loads(capsys.readouterr().out)["fidelities"]
+                ns = propagate(standard_noise(state.graph, p, 1.0, big_t), plan)
+                assert fids == component_fidelities(ns)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "1.5"], "depolarizing parameter 1.5 outside [0, 1]"),
+            (["--p", "0.9", "--protocol-time", "nan"], "wait time must be nonnegative, got nan"),
+        ],
+    )
+    def test_resolve_bad_noise_flags_keep_their_error(self, tmp_path, capsys, flags, message):
+        state_file = tmp_path / "state.json"
+        state_file.write_text(json.dumps(gtl_to_json(build_gtl(GtlParams.specialized(2, 3)))))
+        assert cli.main(["resolve", str(state_file), *flags]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
     def test_sweep_deterministic_bytes(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(

@@ -334,6 +334,13 @@ class TestPlans:
         with pytest.raises(ValueError):
             ResolutionPlan(steps=(), stop_stage="later")
 
+    def test_z_targets_follow_the_stop_stage(self):
+        assert ResolutionPlan(steps=(), isolation=(3, 5)).z_targets == (3, 5)
+        rolling_only = ResolutionPlan(steps=(), isolation=(3, 5), stop_stage=STOP_AFTER_ROLLING)
+        assert rolling_only.z_targets == ()
+        state = build_gtl(GtlParams(2, 4, 2))
+        assert resolve(state, rolling_only).graph == state.graph
+
     def test_stale_support_rejected_at_execution(self):
         state = build_gtl(GtlParams(2, 4, 2))
         b1, b2 = state.bridges[(0, 1)]
