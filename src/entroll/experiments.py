@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import oracle
-from .graphstate import json_field, json_object
+from .graphstate import json_field, json_int, json_object
 from .gtl import GtlParams, GtlState, bridge_neighborhoods, build_gtl, validate_gtl
 from .noise import (
     CompiledPlan,
@@ -113,8 +113,8 @@ class ExperimentConfig:
                 return parse(data[name])
 
         return cls(
-            kappa_b_hat=field("kappa_b_hat", int),
-            n_o=field("n_o", int),
+            kappa_b_hat=field("kappa_b_hat", json_int),
+            n_o=field("n_o", json_int),
             target=field("target", str, "bell"),
             p_grid=field("p_grid", lambda v: tuple(float(p) for p in _list(v)), (1.0,)),
             t_grid_ms=field("T_grid_ms", lambda v: tuple(_t(t) for t in _list(v)), (math.inf,)),
@@ -125,7 +125,7 @@ class ExperimentConfig:
                 (),
             ),
             plan=field("plan", lambda v: None if v is None else ResolutionPlan.from_json(v), None),
-            seed=field("seed", int, 0),
+            seed=field("seed", json_int, 0),
         )
 
     def to_json(self) -> dict:

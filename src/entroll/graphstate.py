@@ -397,6 +397,15 @@ def json_field(source: str, name: str) -> Iterator[None]:
         raise ValueError(f"{source} field {name!r}: {exc}") from None
 
 
+def json_int(value: object) -> int:
+    """An integer JSON value: ints, integral floats and numeric strings load; a
+    bool or a float with a fractional part is refused."""
+    out = int(value)  # type: ignore[call-overload]
+    if isinstance(value, bool) or (isinstance(value, float) and out != value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return out
+
+
 def json_object(source: str, data: object) -> None:
     """Reject a parsed JSON value that is not an object."""
     if not isinstance(data, dict):
@@ -406,18 +415,19 @@ def json_object(source: str, data: object) -> None:
 def graph_from_json(data: dict) -> Graph:
     json_object("graph", data)
     with json_field("graph JSON", "n"):
-        n = int(data["n"])
+        n = json_int(data["n"])
     with json_field("graph JSON", "labels"):
         live = sorted(int(k) for k in data.get("labels") or {}) or list(range(n))
         if live and live[0] < 0:
             raise ValueError(f"vertex id {live[0]} is negative")
     if len(live) != n:
         raise ValueError("graph JSON: n does not match the labeled vertex count")
-    g = Graph.empty(max(live, default=-1) + 1)
-    for v in set(g.vertices()) - set(live):
-        g.delete_vertex(v)
+    # Ids absent from the labels are retired, as if added and deleted.
+    g = Graph()
+    g._rows = [0] * (max(live, default=-1) + 1)
+    g._live = _mask(live)
     with json_field("graph JSON", "edges"):
         for u, v in data.get("edges", []):
-            g.add_edge(int(u), int(v))
+            g.add_edge(json_int(u), json_int(v))
     return g
 

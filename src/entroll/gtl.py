@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .graphstate import Graph, _bits, _mask, graph_from_json, graph_to_json, json_field, json_object
+from .graphstate import Graph, _bits, _mask, graph_from_json, graph_to_json, json_field, json_int, json_object
 
 __all__ = [
     "GtlParams",
@@ -369,14 +369,14 @@ def gtl_from_json(data: dict) -> GtlState:
     json_object("GTL state", data)
     graph = graph_from_json(data)
     with json_field("GTL JSON", "orch"):
-        orch = tuple(int(o) for o in data["orch"])
+        orch = tuple(json_int(o) for o in data["orch"])
     with json_field("GTL JSON", "peers"):
-        peers = frozenset(int(c) for c in data["peers"])
+        peers = frozenset(json_int(c) for c in data["peers"])
     params = None
     if "params" in data:
         with json_field("GTL JSON", "params"):
             p = data["params"]
-            params = GtlParams(int(p["kappa_b_hat"]), int(p["kappa_c"]), int(p["n_o"]))
+            params = GtlParams(json_int(p["kappa_b_hat"]), json_int(p["kappa_c"]), json_int(p["n_o"]))
     if params is not None:
         _check_params(params, validate_gtl(graph, orch, peers).params)
     return _gtl_state(graph, orch, peers, params)

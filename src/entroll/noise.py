@@ -17,6 +17,8 @@ signs cancel because every branch enters as a conjugation.
 
 A support is a bitmask, as every vertex set inside the package is (see
 :mod:`entroll.graphstate`), and branches sort by :func:`_support_order`.
+Fresh and closed-form depolarizing maps come from one span rule,
+:meth:`CanonicalForm._realize`, so both merge coinciding branches alike.
 
 Fidelities of the extracted resources come from an XOR convolution of the
 per-map branch distributions restricted to one connected component: on a
@@ -29,9 +31,9 @@ over those maps alone, on bitmask supports.
 ``_xor_convolve``) is the stepwise reference.  The images do not depend on
 the noise parameters, so :func:`compile_plan` composes them once per plan and
 tabulates, for every component of the final graph, the merged branches of the
-standard-noise maps that touch it.  :func:`score_points` scores any batch of
-(p, T) points from those tables; :func:`compiled_fidelities` is its one-point
-call.
+standard-noise maps that touch it (a vertex isolated at the start touches
+none).  :func:`score_points` scores any batch of (p, T) points from those
+tables; :func:`compiled_fidelities` is its one-point call.
 
 To score a batch, each component's convolution is run once over keys instead
 of probabilities and recorded as a program of numpy steps: the keys each step
@@ -43,7 +45,8 @@ every component to every point.  The scores equal the reference bit for bit:
   expressions (``math.exp`` through :func:`dephasing_probability`);
 * numpy only multiplies and adds, element by element, one point per column;
   no ``sum``, ``add.reduce``, ``einsum`` or ``matmul``, which may reorder a
-  sum;
+  sum.  Nor is Python's built-in ``sum()`` used, which compensates float
+  sums from Python 3.12;
 * every sum runs in the reference's order: a marginal adds its branches in
   branch order, and a key adds its products in the order the reference
   visits them, which follows each source key's insertion position in the
@@ -62,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphstate import Graph, _bits, _mask, component_key, json_field, json_object, measure_pauli
+from .graphstate import Graph, _bits, _mask, component_key, json_field, json_int, json_object, measure_pauli
 from .gtl import GtlState
 from .rolling import ResolutionPlan, _require_specialized, _roll
 
@@ -171,11 +174,11 @@ class NoiseMap:
         """Parse a map object; a malformed field raises a ValueError naming it."""
         json_object("noise map", data)
         with json_field("noise map", "origin"):
-            origin = int(data["origin"])
+            origin = json_int(data["origin"])
         with json_field("noise map", "branches"):
             weights: dict[frozenset[int], float] = {}
             for b in data["branches"]:
-                s = frozenset(int(v) for v in b["support"])
+                s = frozenset(json_int(v) for v in b["support"])
                 if min(s, default=0) < 0:
                     raise ValueError(f"support {sorted(s)} has a negative vertex id")
                 weights[s] = weights.get(s, 0.0) + float(b["p"])
@@ -206,12 +209,14 @@ class CanonicalForm:
         )
 
     def realize(self, neighborhood: frozenset[int]) -> NoiseMap:
-        return self._realize(_mask(neighborhood))
+        return self._realize(1 << self.origin, _mask(neighborhood))
 
-    def _realize(self, around: int) -> NoiseMap:
+    def _realize(self, image: int, around: int) -> NoiseMap:
+        """The map with Z_j sent to Z on ``image`` and Z_N to Z on ``around``;
+        weights landing on one support are summed in weight order."""
         out: dict[int, float] = {}
         for (alpha, beta), weight in self.weights:
-            support = (alpha << self.origin) ^ (around if beta else 0)
+            support = (image if alpha else 0) ^ (around if beta else 0)
             out[support] = out.get(support, 0.0) + weight
         return NoiseMap._from_masks(self.origin, out)
 
@@ -234,7 +239,7 @@ def depolarizing_map(g: Graph, a: int, p: float) -> NoiseMap:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
     g._require_live(a)
-    return CanonicalForm.depolarizing(a, p)._realize(g.neighbor_mask(a))
+    return CanonicalForm.depolarizing(a, p)._realize(1 << a, g.neighbor_mask(a))
 
 
 def dephasing_probability(t_ms: float, big_t_ms: float) -> float:
@@ -342,8 +347,8 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
 _Term = tuple[int | None, tuple[tuple[int, int], ...]]
 
 # Weight index of two merged branches of a depolarizing map: the identity with
-# another branch gives (p + w) + w, two others give w + w.  These are the
-# weights an isolated vertex's map starts with (see CanonicalForm.realize).
+# another branch gives (p + w) + w, two others give w + w, as
+# CanonicalForm._realize merges them.
 _MERGED = {(0, 1): 2, (1, 1): 3}
 
 # Rows of a point's weight column (see _point_weights): padding rows holding
@@ -366,8 +371,10 @@ class _Program:
     """The XOR convolutions of every component for one drop pattern, as numpy steps.
 
     The state holds each component's law as rows (one per key, in the
-    reference's insertion order) by points; ``start`` and ``read`` are the
-    rows of key 0 before the first step and after the last.  Marginal row i
+    reference's insertion order) by points; ``start`` holds the rows of key
+    0 before the first step and after the last.  Key 0 is the first key of
+    every law: each term lists its identity branch first, so each step's
+    first visit is key 0 with that branch.  Marginal row i
     is ``weights[branch_rows[i, 0]] + weights[branch_rows[i, 1]] + ...``.
     Step ``(src, code)``, flat (contributions, rows) tables, makes next state
     row r as ``state[src[r]] * marginal[code[r]] + state[src[rows + r]] *
@@ -380,7 +387,6 @@ class _Program:
     start: np.ndarray
     branch_rows: np.ndarray
     steps: tuple[tuple[np.ndarray, np.ndarray], ...]
-    read: np.ndarray
 
     def run(self, weights: np.ndarray) -> np.ndarray:
         """Fidelities, components by points, from a weight table of rows by points."""
@@ -402,7 +408,7 @@ class _Program:
             state = terms[0]
             for term in terms[1:]:
                 state += term
-        return state[self.read]
+        return state[self.start]
 
 
 @dataclass(frozen=True)
@@ -462,16 +468,18 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     # a depolarizing map (the span of Z_v and Z on its neighborhood) merge at
     # most in pairs, unless all four land on the identity.  Such a map
     # changes no component's law and is left out; it is the only kind whose
-    # merged weight depends on the steps at which its branches met.
+    # merged weight depends on the steps at which its branches met.  A vertex
+    # isolated in ``start`` is skipped: no measurement gives it an edge (X on
+    # it raises, it is never a support, Z deletes it), so its maps never touch
+    # a multi-qubit component.
     maps: list[tuple[int | None, list[tuple[int, int]]]] = []
     for v in start.vertices():
+        if not start.neighbor_mask(v):
+            continue
         image, around = images[v], 0
         for u in _bits(start.neighbor_mask(v)):
             around ^= images[u]
-        if start.neighbor_mask(v):
-            depolarizing = ((0, 0), (around, 1), (image, 1), (image ^ around, 1))
-        else:  # realize() has already merged an isolated vertex's branches
-            depolarizing = ((0, 2), (image, 3))
+        depolarizing = ((0, 0), (around, 1), (image, 1), (image ^ around, 1))
         if image or around:
             maps.append((None, _merge(depolarizing)))
         if image:
@@ -630,8 +638,9 @@ def _build_program(
         base[None] = _DEPOLARIZING
     states = [np.zeros(1, dtype=np.intp)]
     state_ids = {states[0].tobytes(): 0}
-    # Restricted branches -> signature id (-1 for the identity alone).  Two
-    # components' restricted supports differ unless both are the identity.
+    # Restricted branches -> signature id.  Each term holds a nonzero support
+    # in its component (see _component_terms), so no signature is the
+    # identity alone and two components' branches never coincide.
     signature_ids: dict = {}
     interned: dict = {}
     signatures: list = []  # (marginal keys, weight indices per key)
@@ -641,7 +650,6 @@ def _build_program(
     used_signatures: list[int] = []
     used_rows: list[int] = []
     counts: list[int] = []
-    finals: list[int] = []
     for key, terms in compiled.components:
         local_bit = {1 << int(v): 1 << i for i, v in enumerate(key.split("-"))}
         state, before = 0, len(used_rows)
@@ -652,13 +660,10 @@ def _build_program(
             sid = signature_ids.get(branches)
             if sid is None:
                 signature = _signature(branches, local_bit)
-                # _xor_convolve skips a map that only adds the identity.
-                sid = interned.setdefault(signature, len(signatures)) if signature[0] != (0,) else -1
+                sid = interned.setdefault(signature, len(signatures))
                 if sid == len(signatures):
                     signatures.append(signature)
                 signature_ids[branches] = sid
-            if sid < 0:
-                continue
             step = transitions.get((state, sid))
             if step is None:
                 keys, table = _transition(states[state], signatures[sid][0])
@@ -672,15 +677,10 @@ def _build_program(
             used_signatures.append(sid)
             used_rows.append(row)
         counts.append(len(used_rows) - before)
-        finals.append(state)
-    return _stack(
-        states, templates, signatures, used_templates, used_signatures, used_rows, counts, finals
-    )
+    return _stack(states, templates, signatures, used_templates, used_signatures, used_rows, counts)
 
 
-def _stack(
-    states, templates, signatures, used_templates, used_signatures, used_rows, counts, finals
-) -> _Program:
+def _stack(states, templates, signatures, used_templates, used_signatures, used_rows, counts) -> _Program:
     """Lay the memoized transitions out as one table pair per step, all components side by side.
 
     Every component gets as many state rows as the largest law has keys, so
@@ -740,14 +740,12 @@ def _stack(
             np.add(code_table[template[ks], j], block[ks][:, :, None], out=code[:, j])
         for i, k in enumerate(ks):
             steps[k] = (src[i].ravel(), code[i].ravel())
-    zero_at = np.array([states[s].tolist().index(0) for s in finals], dtype=np.intp)
     return _Program(
         rows=rows,
         cells=rows * depth,
         start=offsets.astype(np.intp),
         branch_rows=branch_rows.reshape(-1, per_slot),
         steps=tuple(steps),
-        read=offsets + zero_at,
     )
 
 
@@ -793,6 +791,7 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
 
     maps: list[NoiseMap] = []
     for q in state.graph.vertices():
+        image = 1 << q
         if q in support_index:
             tilde_n = gamma_final | trace[support_index[q]].nonsupport
         elif gamma_final >> q & 1:
@@ -801,14 +800,9 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
             tilde_n = 1 << supports[nonsupport_index[q]]
         elif q in state.peers:
             raise ValueError(f"peer {q} is not covered by the rolling sequence")
-        else:
-            op = _mask(supports[orch.index(q) :])
-            # Associate the sums exactly as the stepwise merge does, so the
-            # two derivations agree bit for bit.
-            quarter = (1.0 - p) / 4.0
-            maps.append(NoiseMap._from_masks(q, {0: (p + quarter) + quarter, op: quarter + quarter}))
-            continue
-        maps.append(CanonicalForm.depolarizing(q, p)._realize(tilde_n))
+        else:  # measured: Z_q is gone, Z on its neighborhood went to the later supports
+            image, tilde_n = 0, _mask(supports[orch.index(q) :])
+        maps.append(CanonicalForm.depolarizing(q, p)._realize(image, tilde_n))
     return maps
 
 

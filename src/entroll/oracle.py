@@ -124,9 +124,7 @@ class DenseState:
         flip = 0
         for v in pauli.x_support:
             flip |= 1 << (self.n - 1 - self.position(v))
-        phase = np.full(2 ** self.n, pauli.phase, dtype=complex)
-        for v in pauli.z_support:
-            phase *= 1.0 - 2.0 * self._bit(v)
+        phase = self.z_signs(pauli.z_support) * complex(pauli.phase)
         for v in pauli.x_support & pauli.z_support:
             # Y = iXZ on that qubit; the Z sign above already acted on the
             # source index, so only the i remains.
@@ -184,21 +182,14 @@ def apply_channel(state: DenseState, *noise_maps: NoiseMap) -> DenseState:
     return DenseState("density", state.qubits, state.data * factor[idx[:, None] ^ idx])
 
 
-def _apply_unitary(data: np.ndarray, n: int, pos: int, u: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "vector":
-        t = data.reshape([2] * n)
-        t = np.moveaxis(t, pos, 0)
-        t = np.tensordot(u, t, axes=([1], [0]))
-        t = np.moveaxis(t, 0, pos)
-        return t.reshape(-1)
-    t = data.reshape([2] * (2 * n))
-    t = np.moveaxis(t, pos, 0)
-    t = np.tensordot(u, t, axes=([1], [0]))
-    t = np.moveaxis(t, 0, pos)
-    t = np.moveaxis(t, n + pos, 0)
-    t = np.tensordot(u.conj(), t, axes=([1], [0]))
-    t = np.moveaxis(t, 0, n + pos)
-    return t.reshape(2 ** n, 2 ** n)
+def _apply(data: np.ndarray, n: int, pos: int, mat: np.ndarray, density: bool) -> np.ndarray:
+    """Apply a k x 2 matrix (a 1 x 2 bra projects) to qubit ``pos`` of ``n``:
+    on the ket axis and, for a density matrix, on the bra axis as its conjugate."""
+    t = data.reshape([2] * (2 * n if density else n))
+    sides = ((pos, mat), (n + pos, mat.conj())) if density else ((pos, mat),)
+    for axis, m in sides:
+        t = np.moveaxis(np.tensordot(m, np.moveaxis(t, axis, 0), axes=([1], [0])), 0, axis)
+    return t.reshape([dim // 2 * len(mat) for dim in data.shape])
 
 
 def measure_dense(
@@ -210,34 +201,20 @@ def measure_dense(
 ) -> DenseState:
     """Project qubit ``a``, renormalize, apply corrections, drop the qubit."""
     basis = basis.upper()
-    ket = _BASIS_KETS[(basis, outcome)]
-    n = state.n
-    pos = state.position(a)
-    remaining = tuple(v for v in state.qubits if v != a)
-    if state.mode == "vector":
-        t = state.data.reshape([2] * n)
-        t = np.moveaxis(t, pos, 0)
-        w = np.tensordot(ket.conj(), t, axes=([0], [0])).reshape(-1)
-        prob = float(np.vdot(w, w).real)
-        if prob < 1e-14:
-            raise ZeroProbabilityError(f"outcome {outcome} of {basis} on {a} has probability ~0")
-        w = w / math.sqrt(prob)
-        out = DenseState("vector", remaining, w)
+    bra = _BASIS_KETS[(basis, outcome)].conj()[None, :]
+    density = state.mode == "density"
+    data = _apply(state.data, state.n, state.position(a), bra, density)
+    if density:
+        prob = norm = float(np.trace(data).real)
     else:
-        t = state.data.reshape([2] * (2 * n))
-        t = np.moveaxis(t, pos, 0)
-        t = np.tensordot(ket.conj(), t, axes=([0], [0]))
-        t = np.moveaxis(t, (n - 1) + pos, 0)
-        t = np.tensordot(ket, t, axes=([0], [0]))
-        rho = t.reshape(2 ** (n - 1), 2 ** (n - 1))
-        prob = float(np.trace(rho).real)
-        if prob < 1e-14:
-            raise ZeroProbabilityError(f"outcome {outcome} of {basis} on {a} has probability ~0")
-        out = DenseState("density", remaining, rho / prob)
+        prob = float(np.vdot(data, data).real)
+        norm = math.sqrt(prob)
+    if prob < 1e-14:
+        raise ZeroProbabilityError(f"outcome {outcome} of {basis} on {a} has probability ~0")
+    out = DenseState(state.mode, tuple(v for v in state.qubits if v != a), data / norm)
     for v, tag in corrections:
-        if v == a:
-            continue
-        out.data = _apply_unitary(out.data, out.n, out.position(v), CORRECTION_UNITARIES[tag], out.mode)
+        if v != a:
+            out.data = _apply(out.data, out.n, out.position(v), CORRECTION_UNITARIES[tag], density)
     return out
 
 
@@ -283,23 +260,12 @@ def vectors_equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) 
     return bool(np.max(np.abs(u * phase - v)) <= tol)
 
 
-def _induced_subgraph(g: Graph, comp: frozenset[int]) -> Graph:
-    ids = sorted(comp)
-    pos = {v: i for i, v in enumerate(ids)}
-    sub = Graph.empty(len(ids))
-    for u in ids:
-        for w in g.neighbors(u):
-            if w in comp and pos[u] < pos[w]:
-                sub.add_edge(pos[u], pos[w])
-    return sub
-
-
 def dense_component_fidelity(state: DenseState, g: Graph, comp: frozenset[int]) -> float:
     """Fidelity of the reduced state on one component against its graph state."""
-    reduced = partial_trace(state, comp)
-    sub = _induced_subgraph(g, comp)
-    target = dense_graph_state(sub)
-    return float((target.data.conj() @ reduced.data @ target.data).real)
+    sub = g.copy()
+    for v in set(g.vertices()) - comp:
+        sub.delete_vertex(v)
+    return graph_state_overlap(partial_trace(state, comp), sub)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graphstate import (
-    Graph, MeasurementRecord, _bits, _mask, gf2_rank, json_field, json_object, measure_pauli
+    Graph, MeasurementRecord, _bits, _mask, gf2_rank, json_field, json_int, json_object, measure_pauli
 )
 from .gtl import GtlParams, GtlState, _bfs_predecessors, _bridge_sides
 
@@ -77,9 +77,9 @@ class ResolutionPlan:
         """Parse a plan object; a malformed field raises a ValueError naming it."""
         json_object("plan", data)
         with json_field("plan", "steps"):
-            steps = tuple((int(o), int(b)) for o, b in data["steps"])
+            steps = tuple((json_int(o), json_int(b)) for o, b in data["steps"])
         with json_field("plan", "isolation"):
-            isolation = tuple(int(v) for v in data.get("isolation", []))
+            isolation = tuple(json_int(v) for v in data.get("isolation", []))
         return cls(
             steps=steps,
             isolation=isolation,

@@ -1,17 +1,19 @@
-"""Input boundaries: numbers too large for an int, bad vertex ids, non-object JSON.
+"""Input boundaries: numbers that are no int, bad vertex ids, non-object JSON.
 
 Every loader names the field an unusable value came from, and a bad support
 or target id gives the same error text through every path that measures it.
 """
 
 import json
+import math
+import time
 
 import pytest
 
 from entroll import cli
-from entroll.experiments import ExperimentConfig
-from entroll.graphstate import graph_from_json, measure_pauli
-from entroll.gtl import GtlParams, build_gtl, gtl_from_json, gtl_to_json
+from entroll.experiments import ExperimentConfig, find_threshold
+from entroll.graphstate import Graph, graph_from_json, measure_pauli
+from entroll.gtl import GtlParams, Violation, build_gtl, gtl_from_json, gtl_to_json, validate_gtl
 from entroll.noise import NoiseMap, closed_form_maps, compile_plan, propagate, standard_noise
 from entroll.rolling import STOP_AFTER_ROLLING, ResolutionPlan, resolve
 
@@ -86,12 +88,85 @@ class TestNumberTooLargeForAnInt:
         assert f"field {field!r}: {TOO_BIG}" in err
 
 
+# (id, loader, JSON text, source, field, refused value): a bool or a
+# fractional float in every integer field.
+NOT_AN_INT_CASES = [
+    ("graph-n", graph_from_json, '{"n": true, "edges": []}', "graph JSON", "n", True),
+    ("graph-edges", graph_from_json, '{"n": 3, "edges": [[0.4, 2.0]]}', "graph JSON", "edges", 0.4),
+    ("gtl-orch", gtl_from_json, STATE_JSON.replace('"orch": [0, 1]', '"orch": [0.2, 1.9]'), "GTL JSON", "orch", 0.2),
+    ("gtl-peers", gtl_from_json, STATE_JSON.replace('"peers": [2', '"peers": [2.5'), "GTL JSON", "peers", 2.5),
+    ("gtl-params", gtl_from_json, STATE_JSON.replace('"n_o": 2', '"n_o": true'), "GTL JSON", "params", True),
+    ("plan-steps", ResolutionPlan.from_json, '{"steps": [[0.9, 2.7]]}', "plan", "steps", 0.9),
+    ("plan-isolation", ResolutionPlan.from_json, '{"steps": [], "isolation": [false]}', "plan", "isolation", False),
+    ("config-kappa_b_hat", ExperimentConfig.from_json, '{"kappa_b_hat": 2.5, "n_o": 2}', "config", "kappa_b_hat", 2.5),
+    ("config-n_o", ExperimentConfig.from_json, '{"kappa_b_hat": 2, "n_o": true}', "config", "n_o", True),
+    ("config-seed", ExperimentConfig.from_json, '{"kappa_b_hat": 2, "n_o": 2, "seed": 0.5}', "config", "seed", 0.5),
+    ("noise-origin", NoiseMap.from_json, '{"origin": 1.5, "branches": []}', "noise map", "origin", 1.5),
+    (
+        "noise-support",
+        NoiseMap.from_json,
+        '{"origin": 0, "branches": [{"p": 1.0, "support": [2.7]}]}',
+        "noise map",
+        "branches",
+        2.7,
+    ),
+]
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "load, text, source, field, value",
+        [pytest.param(*case[1:], id=case[0]) for case in NOT_AN_INT_CASES],
+    )
+    def test_bool_or_fraction_is_refused(self, load, text, source, field, value):
+        data = json.loads(text)
+        assert _error(lambda: load(data)) == f"{source} field {field!r}: expected an integer, got {value!r}"
+
+    def test_ints_integral_floats_and_numeric_strings_load(self):
+        graph = graph_from_json(json.loads('{"n": 3.0, "edges": [["0", 1.0], [1, "2"]]}'))
+        assert graph == Graph.from_edges(3, [(0, 1), (1, 2)])
+        plan = ResolutionPlan.from_json(json.loads('{"steps": [[0.0, "2"]], "isolation": [4.0]}'))
+        assert (plan.steps, plan.isolation) == (((0, 2),), (4,))
+        noise_map = NoiseMap.from_json(json.loads('{"origin": "3", "branches": [{"p": 1, "support": [3.0]}]}'))
+        assert (noise_map.origin, noise_map.weights()) == (3, {frozenset({3}): 1.0})
+        config = ExperimentConfig.from_json(json.loads('{"kappa_b_hat": "2", "n_o": 3.0, "seed": 7}'))
+        assert (config.kappa_b_hat, config.n_o, config.seed) == (2, 3, 7)
+        state = json.loads(STATE_JSON)
+        state.update(orch=[0.0, "1"], params={"kappa_b_hat": 2.0, "kappa_c": "4", "n_o": 2})
+        assert gtl_from_json(state) == STATE
+
+    def test_sweep_config_prints_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"kappa_b_hat": 2, "n_o": true}')
+        assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: config field 'n_o': expected an integer, got True\n"
+
+
 class TestStateFile:
     def test_negative_label_is_rejected(self):
         data = {"n": 2, "labels": {"-1": "-1", "0": "0"}, "edges": []}
         assert _error(lambda: graph_from_json(data)) == (
             "graph JSON field 'labels': vertex id -1 is negative"
         )
+
+    def test_label_count_must_match_n(self):
+        data = {"n": 3, "labels": {"0": "a", "1": "b"}, "edges": []}
+        assert _error(lambda: graph_from_json(data)) == "graph JSON: n does not match the labeled vertex count"
+
+    def test_self_loop_is_rejected(self):
+        data = {"n": 2, "edges": [[1, 1]]}
+        assert _error(lambda: graph_from_json(data)) == "graph JSON field 'edges': self-loop at vertex 1"
+
+    def test_large_label_loads_fast(self):
+        top = 10**6
+        data = {"n": 2, "labels": {"0": "a", str(top): "b"}, "edges": [[0, top]]}
+        began = time.perf_counter()
+        graph = graph_from_json(data)
+        assert time.perf_counter() - began < 1.0
+        assert graph.vertices() == (0, top)
+        assert graph.edges() == [(0, top)]
 
     def test_non_object_is_rejected(self):
         assert _error(lambda: graph_from_json([1, 2])) == "graph must be a JSON object, got list"
@@ -202,3 +277,61 @@ class TestBadIdErrorText:
         assert _error(lambda: compile_plan(g, plan)) == stepwise
         assert _error(lambda: closed_form_maps(STATE, plan, 0.9)) == closed
         assert _error(lambda: resolve(STATE, plan)) == resolved
+
+
+def _violations(edges, n, orch, peers) -> list[Violation]:
+    return list(validate_gtl(Graph.from_edges(n, edges), orch, frozenset(peers)).violations)
+
+
+# Two orchestration qubits 0 and 1 that share bridges 2 and 3.
+SHARED_PAIR = [(0, 2), (0, 3), (1, 2), (1, 3)]
+
+
+class TestGtlViolations:
+    def test_duplicate_orchestration_ids(self):
+        assert _violations(SHARED_PAIR, 4, (0, 0, 1), {2, 3}) == [
+            Violation("partition", "duplicate orchestration ids in (0, 0, 1)")
+        ]
+
+    def test_overlapping_partition(self):
+        assert _violations(SHARED_PAIR, 4, (0, 1), {1, 2, 3}) == [
+            Violation("partition", "overlapping partition: [1]")
+        ]
+
+    def test_edge_inside_the_orchestration_set(self):
+        assert _violations([(0, 1), (0, 2), (1, 3)], 4, (0, 1), {2, 3}) == [
+            Violation("two-colorable", "edge (0,1) inside the orchestration set")
+        ]
+
+    def test_bridge_on_a_non_consecutive_pair(self):
+        edges = [(0, 3), (2, 3), (0, 4), (1, 4), (1, 5), (2, 5)]
+        assert _violations(edges, 6, (0, 1, 2), {3, 4, 5}) == [
+            Violation("C2", "bridge 3 is adjacent to [0, 2], not one consecutive pair")
+        ]
+
+    def test_bridge_count_reference_falls_back_to_the_largest_pair(self):
+        # n_o * kappa_c - |peers| = 3 * 3 - 6 is odd, so the counting identity
+        # gives no kappa_b_hat; pair (0, 1) with two bridges sets the reference.
+        edges = [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7), (2, 8)]
+        assert _violations(edges, 9, (0, 1, 2), range(3, 9)) == [
+            Violation("C3", "pair (1, 2) shares 1 bridges, expected 2")
+        ]
+
+    def test_inferred_parameters_must_be_valid(self):
+        assert _violations(SHARED_PAIR, 4, (0, 1), {2, 3}) == [
+            Violation("parameters", "peer degree 2 must be at least twice the minimum bridge degree 2")
+        ]
+
+
+class TestConfigChecks:
+    def test_unknown_resource_target(self):
+        data = {"kappa_b_hat": 2, "n_o": 2, "target": "w"}
+        assert _error(lambda: ExperimentConfig.from_json(data)) == "unknown resource target 'w'"
+
+    def test_dephasing_time_must_be_positive(self):
+        data = {"kappa_b_hat": 2, "n_o": 2, "T_grid_ms": [5, 0]}
+        assert _error(lambda: ExperimentConfig.from_json(data)) == "dephasing time 0.0 must be positive"
+
+    def test_threshold_needs_a_finite_t_grid(self):
+        config = ExperimentConfig(2, 2, t_grid_ms=(1.0, math.inf))
+        assert _error(lambda: find_threshold(config)) == "threshold search needs a finite T grid"

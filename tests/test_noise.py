@@ -587,6 +587,20 @@ class TestCompiledPlan:
                 ]
                 assert folded
 
+    @pytest.mark.parametrize("measure_lone", [False, True], ids=["kept", "z-measured"])
+    def test_isolated_start_vertex(self, measure_lone):
+        # A vertex isolated in the start graph never gains an edge, so its
+        # maps touch no resource, whether it stays or is Z-measured.
+        state = build_gtl(GtlParams.specialized(2, 2))
+        g = state.graph.copy()
+        lone = g.add_vertex()
+        plan = default_resolution_plan(state, "bell")
+        if measure_lone:
+            plan = ResolutionPlan(steps=plan.steps, isolation=(*plan.isolation, lone))
+        waits = {v: 0.5 * (v % 3) for v in g.vertices()}
+        points = [(p, t, times) for p in (0.86, 1.0) for t in (2.0, math.inf) for times in (None, waits)]
+        assert_compiled_equals_stepwise(g, plan, points)
+
     def test_error_parity_with_stepwise(self):
         state = build_gtl(GtlParams.specialized(2, 2))
         o = state.orch[0]
