@@ -1,7 +1,7 @@
 """Experiment harness: fidelity sweeps, threshold curves, verification runs.
 
 A sweep or threshold search builds its resource and plan once and compiles
-the plan into per-component branch tables (see
+the plan into per-component term tables (see
 :func:`entroll.noise.compile_plan`).  Points are then scored in batches with
 :func:`entroll.noise.score_points`, building no noise maps: a sweep scores
 its whole grid in one call, and a threshold search scores, each round, every
@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import oracle
-from .graphstate import json_field, json_int, json_object
+from .graphstate import json_field, json_float, json_int, json_object
 from .gtl import GtlParams, GtlState, bridge_neighborhoods, build_gtl, validate_gtl
 from .noise import (
     CompiledPlan,
@@ -97,7 +97,7 @@ class ExperimentConfig:
         def _t(value: object) -> float:
             if isinstance(value, str) and value.lower() in ("inf", "infinity"):
                 return math.inf
-            return float(value)  # type: ignore[arg-type]
+            return json_float(value)
 
         def _list(value: object) -> list:
             if not isinstance(value, (list, tuple)):
@@ -116,12 +116,12 @@ class ExperimentConfig:
             kappa_b_hat=field("kappa_b_hat", json_int),
             n_o=field("n_o", json_int),
             target=field("target", str, "bell"),
-            p_grid=field("p_grid", lambda v: tuple(float(p) for p in _list(v)), (1.0,)),
+            p_grid=field("p_grid", lambda v: tuple(json_float(p) for p in _list(v)), (1.0,)),
             t_grid_ms=field("T_grid_ms", lambda v: tuple(_t(t) for t in _list(v)), (math.inf,)),
-            protocol_time_ms=field("protocol_time_ms", float, 1.0),
+            protocol_time_ms=field("protocol_time_ms", json_float, 1.0),
             qubit_times_ms=field(
                 "qubit_times_ms",
-                lambda v: tuple(sorted((int(k), float(t)) for k, t in (v or {}).items())),
+                lambda v: tuple(sorted((int(k), json_float(t)) for k, t in (v or {}).items())),
                 (),
             ),
             plan=field("plan", lambda v: None if v is None else ResolutionPlan.from_json(v), None),
@@ -175,11 +175,10 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """
     compiled = _compile(config)
     points = [(p, t) for p in config.p_grid for t in config.t_grid_ms]
-    keys = [key for key, _ in compiled.components]
     return [
         SweepRow(p=p, t_ms=t, resource_id=rid, fidelity=f)
         for (p, t), row in zip(points, _score(config, compiled, points))
-        for rid, f in sorted(zip(keys, row))
+        for rid, f in sorted(zip(compiled.components, row))
     ]
 
 

@@ -406,6 +406,13 @@ def json_int(value: object) -> int:
     return out
 
 
+def json_float(value: object) -> float:
+    """A real JSON value: ints, floats and numeric strings load; a bool is refused."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)  # type: ignore[arg-type]
+
+
 def json_object(source: str, data: object) -> None:
     """Reject a parsed JSON value that is not an object."""
     if not isinstance(data, dict):

@@ -29,11 +29,14 @@ over those maps alone, on bitmask supports.
 
 :func:`propagate` followed by :func:`component_fidelities` (both on
 ``_xor_convolve``) is the stepwise reference.  The images do not depend on
-the noise parameters, so :func:`compile_plan` composes them once per plan and
-tabulates, for every component of the final graph, the merged branches of the
-standard-noise maps that touch it (a vertex isolated at the start touches
-none).  :func:`score_points` scores any batch of (p, T) points from those
-tables; :func:`compiled_fidelities` is its one-point call.
+the noise parameters, so :func:`compile_plan` works them out once per plan,
+composing the step maps from the last step back, and lists in integer arrays,
+for every component of the final graph, the standard-noise maps that touch it
+(a vertex isolated at the start touches none).  Those term tables take a few
+numpy calls over a bit matrix of the images; a term's restricted branches
+follow from its map's merge pattern and two component-local keys.
+:func:`score_points` scores any batch of (p, T) points from those tables;
+:func:`compiled_fidelities` is its one-point call.
 
 To score a batch, each component's convolution is run once over keys instead
 of probabilities and recorded as a program of numpy steps: the keys each step
@@ -65,7 +68,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphstate import Graph, _bits, _mask, component_key, json_field, json_int, json_object, measure_pauli
+from .graphstate import (
+    Graph, _bits, _mask, component_key, json_field, json_float, json_int, json_object, measure_pauli
+)
 from .gtl import GtlState
 from .rolling import ResolutionPlan, _require_specialized, _roll
 
@@ -144,7 +149,7 @@ class NoiseMap:
                 raise ValueError("duplicate branch support; use from_weights to merge")
             seen.add(op.mask)
             total += prob
-        if abs(total - 1.0) > _PROB_TOL:
+        if not abs(total - 1.0) <= _PROB_TOL:  # also rejects nan
             raise ValueError(f"branch probabilities sum to {total}, expected 1")
 
     @classmethod
@@ -181,7 +186,7 @@ class NoiseMap:
                 s = frozenset(json_int(v) for v in b["support"])
                 if min(s, default=0) < 0:
                     raise ValueError(f"support {sorted(s)} has a negative vertex id")
-                weights[s] = weights.get(s, 0.0) + float(b["p"])
+                weights[s] = weights.get(s, 0.0) + json_float(b["p"])
             return cls.from_weights(origin, weights)
 
     def dumps(self) -> str:
@@ -341,11 +346,6 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
     return ns
 
 
-# One map's branches on one component, in branch order: the map's weight
-# source (None for a depolarizing map, the origin qubit for a dephasing map)
-# and (support restricted to the component, weight index) per branch.
-_Term = tuple[int | None, tuple[tuple[int, int], ...]]
-
 # Weight index of two merged branches of a depolarizing map: the identity with
 # another branch gives (p + w) + w, two others give w + w, as
 # CanonicalForm._realize merges them.
@@ -360,6 +360,10 @@ _ZERO, _ONE, _DEPOLARIZING, _DEPHASING = 0, 1, 2, 6
 # by 1.0 (a component whose terms have all been applied keeps its law), and
 # 2 + s by slot s of the term's marginal.
 _CODE_ZERO, _CODE_ONE, _CODE_SLOT = 0, 1, 2
+
+# Largest component compile_plan tables: a term's code packs its merge pattern
+# (under 16) and two local keys into an int64.  Scoring it takes 2**29 keys.
+_MAX_COMPONENT_QUBITS = 29
 
 # Largest contributions x state rows x points one pass of a program holds;
 # bigger batches are scored a slice of points at a time (same arithmetic).
@@ -413,23 +417,35 @@ class _Program:
 
 @dataclass(frozen=True)
 class CompiledPlan:
-    """A resolution plan reduced to the branch tables that score (p, T) points.
+    """A resolution plan reduced to the term tables that score (p, T) points.
 
     ``graph`` is the final graph and ``qubits`` the live vertices of the
     start graph, the qubits :func:`standard_noise` puts maps on.
-    ``components`` pairs the resource key of every multi-qubit component of
-    ``graph`` with its terms: for each map of :func:`standard_noise` whose
-    propagated supports touch the component, in map order, the map's merged
-    branches restricted to the component.  A branch names its weight by index
-    into its map's weights, so the tables do not depend on the noise
-    parameters.  ``dephasing`` lists the origins of the dephasing terms.
-    ``programs`` caches one compiled convolution per drop pattern.
+    ``components`` lists the resource keys of the multi-qubit components of
+    ``graph``.  ``maps`` holds the depolarizing and dephasing map of each
+    start vertex with neighbors as (source: None or the origin, final
+    branches, merged in every map a term names); a branch names its weight
+    by index into its map's weights, so no table depends on the noise
+    parameters.  A term is a map touching a component; the ``term_*`` arrays
+    list them component by component, in map order: component, index into
+    ``maps``, dephasing source (index into ``dephasing``, the sorted
+    dephasing origins; -1 if depolarizing) and signature.  A signature is a
+    term's marginal keys on component-local bits (bit j for the j-th vertex)
+    in insertion order, with the weight indices each key sums in branch
+    order, as :func:`_xor_convolve` merges them.  ``programs`` caches one
+    compiled convolution per drop pattern.
     """
 
     graph: Graph
     qubits: frozenset[int]
-    components: tuple[tuple[str, tuple[_Term, ...]], ...]
+    components: tuple[str, ...]
+    maps: tuple[tuple[int | None, tuple[tuple[int, int], ...]], ...]
     dephasing: tuple[int, ...]
+    signatures: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+    term_component: np.ndarray = field(compare=False, repr=False)
+    term_map: np.ndarray = field(compare=False, repr=False)
+    term_source: np.ndarray = field(compare=False, repr=False)
+    term_signature: np.ndarray = field(compare=False, repr=False)
     programs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -441,56 +457,106 @@ def _merge(branches: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     return sorted(merged.items(), key=lambda branch: _support_order(branch[0]))
 
 
+def _compose(mask: int, rows: dict[int, int]) -> int:
+    """XOR of ``rows[w]`` (Z_w itself when absent) over the set bits w of ``mask``."""
+    out = 0
+    for w in _bits(mask):
+        out ^= rows.get(w, 1 << w)
+    return out
+
+
 def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     """Compile a plan on graph ``g`` for :func:`compiled_fidelities` and :func:`score_points`.
 
-    Raises the same errors as :func:`propagate` on a plan that cannot run.
+    Raises the same errors as :func:`propagate` on a plan that cannot run,
+    and a ValueError for a component too large to score.
     """
     start = g
-    images = {v: 1 << v for v in g.vertices()}
+    steps = []
     for a, b0 in plan.steps:
         g, step = _measure_x(g, a, b0)
-        measured = (1 << a) | (1 << b0)
-        for v, image in images.items():
-            if image & measured:
-                images[v] = _image(image, step)
+        steps.append(step)
     if plan.z_targets:
         # Z measurements commute: each deletes its vertex (raising as
         # measure_pauli does for a dead one) and drops it from every image.
         g = g.copy()
         for v in plan.z_targets:
             g.delete_vertex(v)
-        kept = ~_mask(plan.z_targets)
-        images = {v: image & kept for v, image in images.items()}
+    # Composed from the last step back, rows[v] is the final image of Z_v:
+    # each step rewrites the rows of its two measured vertices from the old rows.
+    rows: dict[int, int] = {}
+    for step in reversed(steps):
+        rows.update({v: _compose(image, rows) for v, image in step.items()})
+    kept = ~_mask(plan.z_targets)
 
-    # The maps of standard_noise, in its order, as merged (final support,
-    # weight index) branches.  Supports map linearly, so the four branches of
-    # a depolarizing map (the span of Z_v and Z on its neighborhood) merge at
-    # most in pairs, unless all four land on the identity.  Such a map
-    # changes no component's law and is left out; it is the only kind whose
-    # merged weight depends on the steps at which its branches met.  A vertex
-    # isolated in ``start`` is skipped: no measurement gives it an edge (X on
-    # it raises, it is never a support, Z deletes it), so its maps never touch
-    # a multi-qubit component.
-    maps: list[tuple[int | None, list[tuple[int, int]]]] = []
-    for v in start.vertices():
-        if not start.neighbor_mask(v):
-            continue
-        image, around = images[v], 0
-        for u in _bits(start.neighbor_mask(v)):
-            around ^= images[u]
-        depolarizing = ((0, 0), (around, 1), (image, 1), (image ^ around, 1))
-        if image or around:
-            maps.append((None, _merge(depolarizing)))
-        if image:
-            maps.append((v, [(0, 0), (image, 1)]))
-    components = _component_terms(g, maps)
-    dephasing = sorted({source for _, terms in components for source, _ in terms} - {None})
+    # The maps of standard_noise, in its order, on the start vertices with
+    # neighbors (an isolated one never gains an edge, so its maps touch no
+    # component).  A depolarizing map's final supports are 0, A, I and I ^ A
+    # for I the image of Z_v and A that of its neighborhood; they merge at
+    # most in pairs, unless all four land on the identity, a map that touches
+    # nothing and the only kind whose merged weight depends on the steps at
+    # which its branches met.  Its merge pattern gives each merged branch's
+    # kind (0, 1, 2, 3 for 0, A, I, I ^ A) and weight index, so restricting it
+    # needs only the local keys of I and A.  Pattern 0 is a dephasing map's.
+    verts = [v for v in start.vertices() if start.neighbor_mask(v)]
+    image = {v: rows.get(v, 1 << v) & kept for v in verts}
+    patterns = {((0, 0), (2, 1)): 0}
+    maps: list[tuple[int | None, tuple[tuple[int, int], ...]]] = []
+    around, pattern = [], []
+    for v in verts:
+        i, a = image[v], _compose(start.neighbor_mask(v), image)
+        merged = tuple(_merge(((0, 0), (a, 1), (i, 1), (i ^ a, 1)))) if i or a else ()
+        span = {0: 0, a: 1, i: 2, i ^ a: 3}  # coinciding supports restrict alike
+        pattern.append(patterns.setdefault(tuple([(span[s], x) for s, x in merged]), len(patterns)))
+        maps += [(None, merged), (v, ((0, 0), (i, 1)))]
+        around.append(a)
+
+    # Local keys (bit j for a component's j-th vertex) from a bit matrix with
+    # a row per vertex id, whose row past the last vertex pads small
+    # components, and a column per I_v, then per A_v.
+    members = [list(_bits(c)) for c in g.component_masks() if c & (c - 1)]
+    size = max(map(len, members), default=0)
+    if size > _MAX_COMPONENT_QUBITS:
+        limit = _MAX_COMPONENT_QUBITS
+        raise ValueError(f"a component of {size} qubits is too large to score (at most {limit})")
+    pad = max(start.vertices(), default=0) + 1
+    width = pad // 8 + 1
+    blob = b"".join(x.to_bytes(width, "little") for x in [image[v] for v in verts] + around)
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8).reshape(-1, width).T, axis=0, bitorder="little")
+    columns = np.array([m + [pad] * (size - len(m)) for m in members], dtype=np.intp)
+    gathered = bits[columns.reshape(len(members), size)]
+    local = np.bitwise_or.reduce(np.left_shift(gathered, np.arange(size)[:, None], dtype=np.int32), axis=1)
+    li, la = local[:, : len(verts)], local[:, len(verts) :]
+
+    # A depolarizing map touches a component iff I or A does there, a
+    # dephasing map iff I does; nonzero lists the terms component-major.
+    comp, vertex, kind = np.nonzero(np.stack([(li | la) != 0, li != 0], axis=2))
+    term_la = np.where(kind, 0, la[comp, vertex])
+    term_pattern = np.where(kind, 0, np.array(pattern, dtype=np.int64)[vertex])
+    term_code = (term_pattern << size | li[comp, vertex]) << size | term_la  # in int64
+    codes, inverse = np.unique(term_code, return_inverse=True)
+    # Each distinct code gets its signature once; equal signatures share an id.
+    interned: dict = {}
+    ids, low, by_id = [], (1 << size) - 1, list(patterns)
+    for code in codes.tolist():
+        keys = (0, code & low, code >> size & low, (code ^ code >> size) & low)
+        marginal: dict[int, list[int]] = {}
+        for k, index in by_id[code >> 2 * size]:
+            marginal.setdefault(keys[k], []).append(index)
+        signature = (tuple(marginal), tuple(map(tuple, marginal.values())))
+        ids.append(interned.setdefault(signature, len(interned)))
+    dephasing = (li != 0).any(axis=0)  # the vertices whose dephasing map is a term
     return CompiledPlan(
         graph=g,
         qubits=frozenset(start.vertices()),
-        components=components,
-        dephasing=tuple(dephasing),
+        components=tuple(component_key(m) for m in members),
+        maps=tuple(maps),
+        dephasing=tuple(verts[i] for i in np.flatnonzero(dephasing).tolist()),
+        signatures=tuple(interned),
+        term_component=comp,
+        term_map=2 * vertex + kind,
+        term_source=np.where(kind, np.cumsum(dephasing)[vertex] - 1, -1),
+        term_signature=np.array(ids, dtype=np.intp)[inverse],
     )
 
 
@@ -515,6 +581,7 @@ def _point_weights(
     # standard_noise reads a wait only for a vertex of the graph, and the
     # uniform wait only for a vertex without its own.
     waits = {v: t for v, t in (qubit_times_ms or {}).items() if v in compiled.qubits}
+    uniform = 0.0  # computed below only if some vertex has no wait of its own
     try:
         q = {t: dephasing_probability(t, big_t_ms) for t in waits.values()}
         if len(waits) < len(compiled.qubits):
@@ -573,24 +640,7 @@ def compiled_fidelities(
     ``compiled`` was compiled from.  One point of :func:`score_points`.
     """
     row = score_points(compiled, [(p, t_ms, big_t_ms, qubit_times_ms)])[0]
-    return dict(zip((key for key, _ in compiled.components), row.tolist()))
-
-
-def _signature(branches, local_bit: dict[int, int]):
-    """A term's marginal keys on component-local bits, in insertion order, and
-    the weight indices each key sums, in branch order (as _xor_convolve merges).
-
-    ``local_bit`` maps each vertex bit of the component to its local bit.
-    """
-    marginal: dict[int, list[int]] = {}
-    for support, index in branches:
-        local = 0
-        while support:
-            low = support & -support
-            local |= local_bit[low]
-            support ^= low
-        marginal.setdefault(local, []).append(index)
-    return tuple(marginal), tuple(tuple(indices) for indices in marginal.values())
+    return dict(zip(compiled.components, row.tolist()))
 
 
 def _transition(keys: np.ndarray, marginal: tuple[int, ...]):
@@ -630,43 +680,28 @@ def _build_program(
 ) -> _Program:
     """Run every component's convolution once over keys, and stack the steps.
 
-    Signatures and transitions are memoized on component-local bits, so the
-    components of a ladder share them.
+    Transitions are memoized on component-local keys, so the components of
+    a ladder share them.
     """
-    base = {v: _DEPHASING + 2 * j for j, v in enumerate(compiled.dephasing) if not zero >> v & 1}
-    if not drop_depolarizing:
-        base[None] = _DEPOLARIZING
+    # Source -1 (depolarizing) reads the last entry.
+    dropped = np.array([zero >> v & 1 for v in compiled.dephasing] + [drop_depolarizing], dtype=bool)
+    keep = ~dropped[compiled.term_source]
+    source = compiled.term_source[keep]
+    signatures = compiled.term_signature[keep]
+    counts = np.bincount(compiled.term_component[keep], minlength=len(compiled.components))
     states = [np.zeros(1, dtype=np.intp)]
     state_ids = {states[0].tobytes(): 0}
-    # Restricted branches -> signature id.  Each term holds a nonzero support
-    # in its component (see _component_terms), so no signature is the
-    # identity alone and two components' branches never coincide.
-    signature_ids: dict = {}
-    interned: dict = {}
-    signatures: list = []  # (marginal keys, weight indices per key)
     transitions: dict = {}  # (state, signature id) -> (next state, template)
     templates: list = []
     used_templates: list[int] = []
-    used_signatures: list[int] = []
-    used_rows: list[int] = []
-    counts: list[int] = []
-    for key, terms in compiled.components:
-        local_bit = {1 << int(v): 1 << i for i, v in enumerate(key.split("-"))}
-        state, before = 0, len(used_rows)
-        for source, branches in terms:
-            row = base.get(source)
-            if row is None:
-                continue
-            sid = signature_ids.get(branches)
-            if sid is None:
-                signature = _signature(branches, local_bit)
-                sid = interned.setdefault(signature, len(signatures))
-                if sid == len(signatures):
-                    signatures.append(signature)
-                signature_ids[branches] = sid
+    at = 0
+    walk = signatures.tolist()
+    for count in counts.tolist():
+        state = 0
+        for sid in walk[at : at + count]:
             step = transitions.get((state, sid))
             if step is None:
-                keys, table = _transition(states[state], signatures[sid][0])
+                keys, table = _transition(states[state], compiled.signatures[sid][0])
                 following = state_ids.setdefault(keys.tobytes(), len(states))
                 if following == len(states):
                     states.append(keys)
@@ -674,10 +709,9 @@ def _build_program(
                 templates.append(table)
             state = step[0]
             used_templates.append(step[1])
-            used_signatures.append(sid)
-            used_rows.append(row)
-        counts.append(len(used_rows) - before)
-    return _stack(states, templates, signatures, used_templates, used_signatures, used_rows, counts)
+        at += count
+    rows = np.where(source < 0, _DEPOLARIZING, _DEPHASING + 2 * source)
+    return _stack(states, templates, compiled.signatures, used_templates, signatures, rows, counts)
 
 
 def _stack(states, templates, signatures, used_templates, used_signatures, used_rows, counts) -> _Program:
@@ -691,7 +725,7 @@ def _stack(states, templates, signatures, used_templates, used_signatures, used_
     """
     width = max(len(keys) for keys in states)
     rows = len(counts) * width
-    n_terms, n_steps = len(used_rows), max(counts, default=0)
+    n_terms, n_steps = len(used_rows), int(counts.max(initial=0))
     codes = _CODE_SLOT + max([0] + [len(keys) for keys, _ in signatures])
     index = np.min_scalar_type(max(rows, (n_terms + 1) * codes))
     offsets = np.arange(len(counts), dtype=index) * width
@@ -714,12 +748,11 @@ def _stack(states, templates, signatures, used_templates, used_signatures, used_
     for i, (_, slots) in enumerate(signatures):
         for j, indices in enumerate(slots, start=_CODE_SLOT):
             signature_table[i, j, : len(indices)] = indices
-    weights = signature_table[np.array(used_signatures + [len(signatures)], dtype=np.intp)]
-    base = np.array(used_rows + [0], dtype=np.intp)[:, None, None]
+    weights = signature_table[np.append(used_signatures, len(signatures))]
+    base = np.append(used_rows, 0)[:, None, None]
     branch_rows = np.where(weights >= 0, base + weights, _ZERO)
     branch_rows[:, _CODE_ONE, 0] = _ONE
 
-    counts = np.array(counts, dtype=np.intp)
     comp = np.repeat(np.arange(len(counts)), counts)
     step = np.arange(n_terms) - np.repeat(np.cumsum(counts) - counts, counts)
     template = np.zeros((n_steps, len(counts)), dtype=np.intp)

@@ -9,6 +9,8 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroll import cli
 from entroll.experiments import ExperimentConfig, find_threshold
@@ -321,6 +323,166 @@ class TestGtlViolations:
         assert _violations(SHARED_PAIR, 4, (0, 1), {2, 3}) == [
             Violation("parameters", "peer degree 2 must be at least twice the minimum bridge degree 2")
         ]
+
+
+# (id, loader, JSON text, source, field, refused value): a bool in every real field.
+NOT_A_NUMBER_CASES = [
+    ("config-p_grid", ExperimentConfig.from_json, '{"kappa_b_hat": 2, "n_o": 2, "p_grid": [true]}', "config", "p_grid", True),
+    (
+        "config-T_grid_ms",
+        ExperimentConfig.from_json,
+        '{"kappa_b_hat": 2, "n_o": 2, "T_grid_ms": [5, true]}',
+        "config",
+        "T_grid_ms",
+        True,
+    ),
+    (
+        "config-protocol_time_ms",
+        ExperimentConfig.from_json,
+        '{"kappa_b_hat": 2, "n_o": 2, "protocol_time_ms": false}',
+        "config",
+        "protocol_time_ms",
+        False,
+    ),
+    (
+        "config-qubit_times_ms",
+        ExperimentConfig.from_json,
+        '{"kappa_b_hat": 2, "n_o": 2, "qubit_times_ms": {"3": true}}',
+        "config",
+        "qubit_times_ms",
+        True,
+    ),
+    (
+        "noise-p",
+        NoiseMap.from_json,
+        '{"origin": 0, "branches": [{"p": true, "support": [0]}]}',
+        "noise map",
+        "branches",
+        True,
+    ),
+]
+
+
+class TestRealFields:
+    @pytest.mark.parametrize(
+        "load, text, source, field, value",
+        [pytest.param(*case[1:], id=case[0]) for case in NOT_A_NUMBER_CASES],
+    )
+    def test_bool_is_refused(self, load, text, source, field, value):
+        data = json.loads(text)
+        assert _error(lambda: load(data)) == f"{source} field {field!r}: expected a number, got {value!r}"
+
+    def test_ints_floats_numeric_and_infinite_strings_load(self):
+        config = ExperimentConfig.from_json(
+            json.loads(
+                '{"kappa_b_hat": 2, "n_o": 2, "p_grid": [1, 0.5, "0.25"], "T_grid_ms": [3, "inf", "Infinity", "2.5"],'
+                ' "protocol_time_ms": "2", "qubit_times_ms": {"3": 1, "4": "0.5"}}'
+            )
+        )
+        assert config.p_grid == (1.0, 0.5, 0.25)
+        assert config.t_grid_ms == (3.0, math.inf, math.inf, 2.5)
+        assert config.protocol_time_ms == 2.0
+        assert config.qubit_times_ms == ((3, 1.0), (4, 0.5))
+        noise_map = NoiseMap.from_json(
+            json.loads('{"origin": 0, "branches": [{"p": "0.25", "support": [0]}, {"p": 0.75, "support": []}]}')
+        )
+        assert noise_map.weights() == {frozenset(): 0.75, frozenset({0}): 0.25}
+
+    def test_sweep_config_prints_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"kappa_b_hat": 2, "n_o": 2, "p_grid": [0.9, true]}')
+        assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: config field 'p_grid': expected a number, got True\n"
+
+
+# Any JSON value: scalars (with the number-like strings the loaders parse) and
+# small lists and objects of them.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["inf", "-inf", "nan", "Infinity", "1e400", "2", "0.5", "-1"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+# (loader, valid object, slot setters): each setter puts a value into one field
+# of a copy of the valid object, at the top or one level down.
+FUZZ_LOADERS = [
+    (
+        ExperimentConfig.from_json,
+        {"kappa_b_hat": 2, "n_o": 2},
+        [
+            *(
+                (lambda name: lambda data, v: data.update({name: v}))(name)
+                for name in (
+                    "kappa_b_hat", "n_o", "target", "p_grid", "T_grid_ms", "protocol_time_ms",
+                    "qubit_times_ms", "plan", "seed",
+                )
+            ),
+            lambda data, v: data.update(p_grid=[0.9, v]),
+            lambda data, v: data.update(T_grid_ms=[v]),
+            lambda data, v: data.update(qubit_times_ms={"3": v}),
+            lambda data, v: data.update(plan={"steps": [[0, v]]}),
+        ],
+    ),
+    (
+        ResolutionPlan.from_json,
+        {"steps": [[0, 2]], "isolation": [4]},
+        [
+            lambda data, v: data.update(steps=v),
+            lambda data, v: data.update(isolation=v),
+            lambda data, v: data.update(stop_stage=v),
+            lambda data, v: data.update(steps=[v]),
+            lambda data, v: data.update(steps=[[v, 2]]),
+            lambda data, v: data.update(isolation=[v]),
+        ],
+    ),
+    (
+        NoiseMap.from_json,
+        {"origin": 0, "branches": [{"p": 1.0, "support": [0]}]},
+        [
+            lambda data, v: data.update(origin=v),
+            lambda data, v: data.update(branches=v),
+            lambda data, v: data.update(branches=[v]),
+            lambda data, v: data.update(branches=[{"p": v, "support": [0]}]),
+            lambda data, v: data.update(branches=[{"p": 1.0, "support": v}]),
+            lambda data, v: data.update(branches=[{"p": 1.0, "support": [v]}]),
+        ],
+    ),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), JSON_VALUES)
+def test_loaders_accept_or_raise_value_error(data, value):
+    # Each loader only parses: a value either loads or raises ValueError,
+    # never another exception.
+    load, valid, setters = data.draw(st.sampled_from(FUZZ_LOADERS))
+    obj = json.loads(json.dumps(valid))
+    data.draw(st.sampled_from(setters))(obj, value)
+    try:
+        load(obj)
+    except ValueError:
+        pass
+
+
+def test_noise_map_refuses_nan_probability():
+    data = {"origin": 0, "branches": [{"p": "nan", "support": []}, {"p": 1.0, "support": [0]}]}
+    assert _error(lambda: NoiseMap.from_json(data)) == "noise map field 'branches': branch probabilities sum to nan, expected 1"
+
+
+def test_sweep_plan_leaving_a_resource_too_large_to_score(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"kappa_b_hat": 2, "n_o": 10, "plan": {"steps": []}}')
+    assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a component of 32 qubits is too large to score (at most 29)\n"
 
 
 class TestConfigChecks:

@@ -499,6 +499,34 @@ class TestFidelity:
             fidelity(ns, frozenset({2}))
 
 
+def compiled_terms(compiled):
+    """Each component's terms as (source, restricted branch supports as sorted lists), in order.
+
+    Also checks each term's dephasing source and signature against its map's
+    branches restricted to the component.
+    """
+    out = []
+    for c, key in enumerate(compiled.components):
+        comp = [int(v) for v in key.split("-")]
+        terms = []
+        chosen = compiled.term_component == c
+        for m, source, sid in zip(
+            compiled.term_map[chosen].tolist(),
+            compiled.term_source[chosen].tolist(),
+            compiled.term_signature[chosen].tolist(),
+        ):
+            origin, branches = compiled.maps[m]
+            assert source == (-1 if origin is None else compiled.dephasing.index(origin))
+            marginal = {}
+            for s, index in branches:
+                local = sum(1 << j for j, v in enumerate(comp) if s >> v & 1)
+                marginal.setdefault(local, []).append(index)
+            assert compiled.signatures[sid] == (tuple(marginal), tuple(map(tuple, marginal.values())))
+            terms.append((origin, [[v for v in comp if s >> v & 1] for s, _ in branches]))
+        out.append(terms)
+    return out
+
+
 def assert_compiled_equals_stepwise(g, plan, points):
     """The compiled plan scores every (p, T, qubit times) point exactly as stepwise propagation.
 
@@ -509,26 +537,107 @@ def assert_compiled_equals_stepwise(g, plan, points):
     """
     compiled = compile_plan(g, plan)
     maps = propagate(standard_noise(g, 0.5, 1.0, 2.0), plan).maps  # no weight is zero here
-    for key, terms in compiled.components:
+    for key, terms in zip(compiled.components, compiled_terms(compiled)):
         comp = frozenset(int(v) for v in key.split("-"))
         expected = [
             (None if i % 2 == 0 else m.origin, [sorted(op.support & comp) for _, op in m.branches])
             for i, m in enumerate(maps)
             if any(op.support & comp for _, op in m.branches)
         ]
-        assert [
-            (source, [sorted(v for v in comp if s >> v & 1) for s, _ in branches])
-            for source, branches in terms
-        ] == expected
+        assert terms == expected
     batch = score_points(compiled, [(p, 1.0, big_t, times) for p, big_t, times in points])
     assert batch.shape == (len(points), len(compiled.components))
-    keys = [key for key, _ in compiled.components]
     for (p, big_t, times), row in zip(points, batch.tolist()):
         stepwise = propagate(standard_noise(g, p, 1.0, big_t, qubit_times_ms=times), plan)
         assert compiled.graph == stepwise.graph
         expected = list(component_fidelities(stepwise).items())
         assert list(compiled_fidelities(compiled, p, 1.0, big_t, times).items()) == expected
-        assert list(zip(keys, row)) == expected
+        assert list(zip(compiled.components, row)) == expected
+
+
+def rolling_only_plans(state):
+    """Three bridge-pick plans and two proximity reductions between far peers."""
+    peers = sorted(state.peers)
+    return bridge_pick_plans(state, limit=3) + [
+        plan_proximity_reduction(state, peers[0], peers[-1]),
+        plan_proximity_reduction(state, peers[-1], peers[1]),
+    ]
+
+
+def forward_terms(g, plan):
+    """The final graph and each final component's terms, by forward image composition.
+
+    Every image is pushed through each X step in turn (Z_a to Z on b0 and
+    the old neighborhood of b0 without a, Z_b0 to Z on the new
+    neighborhood of b0), the Z stage clears its targets, and each
+    standard-noise map is restricted to each component with plain masks.
+    A component maps to its terms, in map order: (source, restricted
+    supports as sorted lists).
+    """
+    images = {v: 1 << v for v in g.vertices()}
+    graph = g
+    for a, b0 in plan.steps:
+        after, _ = measure_pauli(graph, a, "X", b0)
+        step = {a: (1 << b0) | (graph.neighbor_mask(b0) & ~(1 << a)), b0: after.neighbor_mask(b0)}
+        for v, image in images.items():
+            for w, target in step.items():
+                if image >> w & 1:
+                    images[v] ^= (1 << w) ^ target
+        graph = after
+    for v in plan.z_targets:
+        graph, _ = measure_pauli(graph, v, "Z")
+        images = {u: image & ~(1 << v) for u, image in images.items()}
+    maps = []
+    for i, m in enumerate(standard_noise(g, 0.5, 1.0, 2.0).maps):
+        weights = {}
+        for prob, op in m.branches:
+            support = 0
+            for v in op.support:
+                support ^= images[v]
+            weights[support] = weights.get(support, 0.0) + prob
+        merged = NoiseMap.from_weights(m.origin, {ZOperator(s).support: x for s, x in weights.items()})
+        maps.append((None if i % 2 == 0 else m.origin, [op.mask for _, op in merged.branches]))
+    terms = {}
+    for comp in graph.components():
+        if len(comp) < 2:
+            continue
+        mask = sum(1 << v for v in comp)
+        terms["-".join(map(str, sorted(comp)))] = [
+            (source, [sorted(v for v in comp if s >> v & 1) for s in supports])
+            for source, supports in maps
+            if any(s & mask for s in supports)
+        ]
+    return graph, terms
+
+
+class TestLargeTermTables:
+    # Stepwise propagation is too slow to be the reference at these sizes, so
+    # the images are composed forward, one step at a time.
+    @pytest.mark.parametrize("kb, n_o", [(2, 80), (2, 160)])
+    def test_bell_ladders(self, kb, n_o):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        plan = default_resolution_plan(state, "bell")
+        self.check(state.graph, plan)
+
+    @pytest.mark.parametrize("kb, n_o", [(2, 3), (3, 2)])
+    def test_rolling_only_plans(self, kb, n_o):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        for plan in rolling_only_plans(state):
+            self.check(state.graph, plan)
+
+    def test_largest_component(self):
+        # An empty plan on (2, 9) leaves one 29-qubit component, the largest
+        # compile_plan takes, whose codes use 62 bits.
+        state = build_gtl(GtlParams.specialized(2, 9))
+        self.check(state.graph, ResolutionPlan(steps=()))
+
+    @staticmethod
+    def check(g, plan):
+        compiled = compile_plan(g, plan)
+        graph, expected = forward_terms(g, plan)
+        assert compiled.graph == graph
+        assert list(compiled.components) == list(expected)
+        assert compiled_terms(compiled) == list(expected.values())
 
 
 def _raised(fn) -> str:
@@ -556,12 +665,8 @@ class TestCompiledPlan:
     @pytest.mark.parametrize("kb, n_o", [(2, 2), (3, 2), (2, 3)])
     def test_rolling_only_plans(self, kb, n_o):
         state = build_gtl(GtlParams.specialized(kb, n_o))
-        peers = sorted(state.peers)
-        plans = bridge_pick_plans(state, limit=3)
-        plans += [plan_proximity_reduction(state, peers[0], peers[-1])]
-        plans += [plan_proximity_reduction(state, peers[-1], peers[1])]
         points = [(p, 5.0, None) for p in (0.0, 0.86, 1.0)]
-        for plan in plans:
+        for plan in rolling_only_plans(state):
             assert_compiled_equals_stepwise(state.graph, plan, points)
 
     def test_maps_merging_three_branches_over_several_steps(self):
@@ -661,6 +766,17 @@ class TestCompiledPlan:
         monkeypatch.setattr(noise, "_PASS_CELLS", 1)
         assert score_points(compiled, points).tolist() == whole.tolist()
         assert score_points(compiled, []).shape == (0, len(compiled.components))
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_graph_without_edges(self, n):
+        # No vertex has a neighbor: the tables, the weights and the scores are empty.
+        assert_compiled_equals_stepwise(Graph.empty(n), ResolutionPlan(steps=()), [(0.9, 5.0, None)])
+
+    def test_component_too_large_to_score(self):
+        # An empty plan leaves the whole 32-qubit resource as one component.
+        state = build_gtl(GtlParams.specialized(2, 10))
+        message = _raised(lambda: compile_plan(state.graph, ResolutionPlan(steps=())))
+        assert message == "a component of 32 qubits is too large to score (at most 29)"
 
     def test_plan_extracting_no_resource(self):
         state = build_gtl(GtlParams.specialized(2, 2))
