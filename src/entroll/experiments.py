@@ -386,6 +386,7 @@ def _verify_nsf(max_qubits: int) -> list[tuple[str, bool, str]]:
     checks.append(("closed forms vs stepwise", not bad, "exact equality" if not bad else "; ".join(bad[:3])))
 
     bad = []
+    ran = 0
     for kb, n_o in ((2, 1), (2, 2), (3, 1)):
         state = build_gtl(GtlParams.specialized(kb, n_o))
         if state.graph.n > max_qubits:
@@ -393,9 +394,11 @@ def _verify_nsf(max_qubits: int) -> list[tuple[str, bool, str]]:
         plan = default_resolution_plan(state, "bell")
         for p in (0.8, 1.0):
             report = oracle.crosscheck(state, plan, p=p, t_ms=1.0, big_t_ms=10.0)
+            ran += 1
             if not report.ok:
                 bad.append(f"{state.params} p={p}: delta {report.max_delta:.2e}")
-    checks.append(("oracle crosscheck", not bad, "deltas < 1e-9" if not bad else "; ".join(bad[:3])))
+    detail = f"{ran} crosschecks, deltas < 1e-9" if not bad else "; ".join(bad[:3])
+    checks.append(("oracle crosscheck", not bad, detail))
     return checks
 
 
@@ -411,6 +414,10 @@ def verify(
     """Run the bounded property suites; failures are report entries."""
     if scope not in ("structure", "rolling", "nsf", "all"):
         raise ValueError(f"unknown verify scope {scope!r}")
+    counts = {"max_kappa_b": max_kappa_b, "max_n_o": max_n_o, "max_qubits": max_qubits, "trials": trials}
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"verify {name} must be at least 1, got {count}")
     checks: list[tuple[str, bool, str]] = []
     if state is not None:
         result = validate_gtl(state.graph, state.orch, state.peers)

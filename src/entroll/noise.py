@@ -62,6 +62,7 @@ every component to every point.  The scores equal the reference bit for bit:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -162,6 +163,12 @@ class NoiseMap:
     @classmethod
     def from_weights(cls, origin: int, weights: dict[frozenset[int], float]) -> NoiseMap:
         return cls._from_masks(origin, {_mask(s): p for s, p in weights.items()})
+
+    @functools.cached_property
+    def _canonical(self) -> bool:
+        """Whether the branches are as ``_from_masks`` leaves them: no zero weight, supports sorted."""
+        keys = [_support_order(op.mask) for prob, op in self.branches if prob != 0.0]
+        return len(keys) == len(self.branches) and keys == sorted(keys)
 
     def weights(self) -> dict[frozenset[int], float]:
         return {op.support: prob for prob, op in self.branches}
@@ -299,6 +306,8 @@ def _image(mask: int, images: dict[int, int]) -> int:
 
 def _apply_images(m: NoiseMap, images: dict[int, int]) -> NoiseMap:
     measured = _mask(images)
+    if not any(op.mask & measured for _, op in m.branches) and m._canonical:
+        return m  # what the rebuild below would give
     out: dict[int, float] = {}
     for prob, op in m.branches:
         key = _image(op.mask, images) if op.mask & measured else op.mask

@@ -4,6 +4,13 @@ Keeps full statevectors (n <= 12) or density matrices and replays the exact
 same channels, measurements, and recorded local corrections that the
 graph-level pipeline tracks symbolically.  Qubit order is big-endian over the
 ``qubits`` tuple: the first listed vertex owns the most significant bit.
+
+Every pass over the data is a plain elementwise product or strided slice.  A
+layer of Z-type noise is one elementwise factor on the density matrix; a
+projection or a non-diagonal correction is one 2 x 2 mix of the halves where
+the qubit is 0 and 1 (``_apply``, on the ket index and for a density matrix
+on the bra index too); the diagonal corrections of a record, with its
+renormalization, fold into one factor per index.
 """
 
 from __future__ import annotations
@@ -56,6 +63,13 @@ CORRECTION_UNITARIES: dict[str, np.ndarray] = {
     "SQRT_Y_DAG": _rot(_Y, -1.0),
 }
 
+# The diagonal tags as c0 + c1 * Z: the factor they give an index is c0 + c1 * (+-1).
+_DIAGONAL: dict[str, tuple[complex, complex]] = {
+    tag: ((u[0, 0] + u[1, 1]) / 2, (u[0, 0] - u[1, 1]) / 2)
+    for tag, u in CORRECTION_UNITARIES.items()
+    if u[0, 1] == 0
+}
+
 _BASIS_KETS: dict[tuple[str, int], np.ndarray] = {
     ("X", 1): np.array([1.0, 1.0]) / math.sqrt(2),
     ("X", -1): np.array([1.0, -1.0]) / math.sqrt(2),
@@ -64,6 +78,15 @@ _BASIS_KETS: dict[tuple[str, int], np.ndarray] = {
     ("Z", 1): np.array([1.0, 0.0], dtype=complex),
     ("Z", -1): np.array([0.0, 1.0], dtype=complex),
 }
+
+
+# Every index of the largest dense state, and the parity (-1)^popcount(i) of
+# each; a Z string's diagonal over n qubits is the parity of (i & mask) for the
+# first 2**n indices i, one gather per string.
+_INDEX = np.arange(2 ** MAX_DENSE_QUBITS)
+_PARITY = np.ones(1)
+for _ in range(MAX_DENSE_QUBITS):
+    _PARITY = np.concatenate([_PARITY, -_PARITY])
 
 
 class ZeroProbabilityError(RuntimeError):
@@ -108,16 +131,10 @@ class DenseState:
             if eigs.min() < -1e-10:
                 raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
 
-    def _bit(self, v: int) -> np.ndarray:
-        idx = np.arange(2 ** self.n)
-        return (idx >> (self.n - 1 - self.position(v))) & 1
-
     def z_signs(self, support: frozenset[int]) -> np.ndarray:
         """Diagonal of the Z string on ``support`` as a +-1 vector."""
-        signs = np.ones(2 ** self.n)
-        for v in support:
-            signs *= 1.0 - 2.0 * self._bit(v)
-        return signs
+        mask = sum(1 << (self.n - 1 - self.position(v)) for v in support)
+        return _PARITY[_INDEX[: 2 ** self.n] & mask]
 
     def expectation(self, pauli: PauliString) -> complex:
         """<psi|P|psi> (vector mode) or tr(P rho) (density mode)."""
@@ -129,7 +146,7 @@ class DenseState:
             # Y = iXZ on that qubit; the Z sign above already acted on the
             # source index, so only the i remains.
             phase *= 1j
-        idx = np.arange(2 ** self.n)
+        idx = _INDEX[: 2 ** self.n]
         if self.mode == "vector":
             out = np.zeros_like(self.data)
             out[idx ^ flip] = phase * self.data
@@ -177,19 +194,46 @@ def apply_channel(state: DenseState, *noise_maps: NoiseMap) -> DenseState:
         for prob, op in noise_map.branches:
             g += prob * state.z_signs(op.support & live)
         factor *= g
-    # The narrowest index type keeps the 4^n XOR table small and its gather fast.
-    idx = np.arange(factor.size, dtype=np.min_scalar_type(factor.size - 1))
-    return DenseState("density", state.qubits, state.data * factor[idx[:, None] ^ idx])
+    # The matrix f(i ^ j), built by block copies instead of a gather through a
+    # 4^n index table: row 0 is f, and rows s..2s-1 are rows 0..s-1 with their
+    # column blocks of width s swapped pairwise, as (i + s) ^ j = i ^ (j ^ s).
+    table = np.empty((factor.size, factor.size))
+    table[0] = factor
+    s = 1
+    while s < factor.size:
+        src = table[:s].reshape(s, -1, 2, s)
+        dst = table[s : 2 * s].reshape(s, -1, 2, s)
+        dst[:, :, 0], dst[:, :, 1] = src[:, :, 1], src[:, :, 0]
+        s *= 2
+    return DenseState("density", state.qubits, state.data * table)
 
 
 def _apply(data: np.ndarray, n: int, pos: int, mat: np.ndarray, density: bool) -> np.ndarray:
     """Apply a k x 2 matrix (a 1 x 2 bra projects) to qubit ``pos`` of ``n``:
-    on the ket axis and, for a density matrix, on the bra axis as its conjugate."""
-    t = data.reshape([2] * (2 * n if density else n))
-    sides = ((pos, mat), (n + pos, mat.conj())) if density else ((pos, mat),)
-    for axis, m in sides:
-        t = np.moveaxis(np.tensordot(m, np.moveaxis(t, axis, 0), axes=([1], [0])), 0, axis)
-    return t.reshape([dim // 2 * len(mat) for dim in data.shape])
+    on the ket index and, for a density matrix, on the bra index as its conjugate.
+
+    Seen as (lead, 2, rest), an index splits into the halves where the qubit is
+    0 and 1, and output row j is m[j, 0] * half 0 + m[j, 1] * half 1.
+    """
+    shape = [dim // 2 * len(mat) for dim in data.shape]
+    sides = ((1 << pos, mat), (shape[0] << pos, mat.conj())) if density else ((1 << pos, mat),)
+    for lead, m in sides:
+        t = data.reshape(lead, 2, -1)
+        data = np.empty((lead, len(m), t.shape[2]), dtype=complex)
+        for j, (m0, m1) in enumerate(m):
+            np.multiply(t[:, 0], m0, out=data[:, j])
+            data[:, j] += m1 * t[:, 1]
+    return data.reshape(shape)
+
+
+def _scale(data: np.ndarray, d: np.ndarray, density: bool, norm: float = 1.0) -> None:
+    """Divide by ``norm`` and multiply in place by the diagonal ``d``: psi * d,
+    or rho * d d^dagger for a density matrix."""
+    if density:
+        data *= (d / norm)[:, None]
+        data *= d.conj()
+    else:
+        data *= d / norm
 
 
 def measure_dense(
@@ -199,7 +243,13 @@ def measure_dense(
     outcome: int = 1,
     corrections: tuple[tuple[int, str], ...] = (),
 ) -> DenseState:
-    """Project qubit ``a``, renormalize, apply corrections, drop the qubit."""
+    """Project qubit ``a``, renormalize, apply corrections, drop the qubit.
+
+    Diagonal corrections (Z, SQRT_Z, SQRT_Z_DAG) commute with each other, so
+    they are folded into one factor per index and applied in one pass,
+    together with the renormalization; a non-diagonal one applies the factor
+    gathered so far first, which keeps the order of two tags on one qubit.
+    """
     basis = basis.upper()
     bra = _BASIS_KETS[(basis, outcome)].conj()[None, :]
     density = state.mode == "density"
@@ -211,10 +261,24 @@ def measure_dense(
         norm = math.sqrt(prob)
     if prob < 1e-14:
         raise ZeroProbabilityError(f"outcome {outcome} of {basis} on {a} has probability ~0")
-    out = DenseState(state.mode, tuple(v for v in state.qubits if v != a), data / norm)
+    out = DenseState(state.mode, tuple(v for v in state.qubits if v != a), data)
+    phase = None
     for v, tag in corrections:
-        if v != a:
-            out.data = _apply(out.data, out.n, out.position(v), CORRECTION_UNITARIES[tag], density)
+        if v == a:
+            continue
+        if tag in _DIAGONAL:
+            c0, c1 = _DIAGONAL[tag]
+            factor = c0 + c1 * out.z_signs(frozenset((v,)))
+            phase = factor if phase is None else phase * factor
+            continue
+        if phase is not None:
+            _scale(out.data, phase, density)
+            phase = None
+        out.data = _apply(out.data, out.n, out.position(v), CORRECTION_UNITARIES[tag], density)
+    if phase is None:
+        out.data /= norm
+    else:
+        _scale(out.data, phase, density, norm)
     return out
 
 
@@ -227,11 +291,10 @@ def measure_with_record(state: DenseState, record: MeasurementRecord) -> DenseSt
 
 def partial_trace(state: DenseState, keep: frozenset[int]) -> DenseState:
     """Density-mode reduction onto the given qubit ids."""
-    rho_state = state.to_density()
-    data = rho_state.data
-    qubits = list(rho_state.qubits)
+    data = state.data if state.mode == "density" else np.outer(state.data, state.data.conj())
+    qubits = list(state.qubits)
     n = len(qubits)
-    for v in [q for q in rho_state.qubits if q not in keep][::-1]:
+    for v in [q for q in state.qubits if q not in keep][::-1]:
         pos = qubits.index(v)
         t = data.reshape([2] * (2 * n))
         t = np.trace(t, axis1=pos, axis2=n + pos)

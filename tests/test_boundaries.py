@@ -497,3 +497,28 @@ class TestConfigChecks:
     def test_threshold_needs_a_finite_t_grid(self):
         config = ExperimentConfig(2, 2, t_grid_ms=(1.0, math.inf))
         assert _error(lambda: find_threshold(config)) == "threshold search needs a finite T grid"
+
+
+class TestVerifyCounts:
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--trials", "-3", "trials"),
+            ("--trials", "0", "trials"),
+            ("--max-kappa-b", "0", "max_kappa_b"),
+            ("--max-n-o", "-1", "max_n_o"),
+            ("--max-qubits", "0", "max_qubits"),
+        ],
+    )
+    def test_count_below_one_is_refused(self, capsys, flag, value, name):
+        assert cli.main(["verify", flag, value]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: verify {name} must be at least 1, got {value}\n"
+
+    def test_crosscheck_detail_counts_the_crosschecks(self, capsys):
+        assert cli.main(["verify", "--scope", "nsf", "--max-qubits", "7"]) == cli.EXIT_OK
+        # The (2, 1) and (3, 1) resources have 5 and 7 qubits, (2, 2) has 8; two p each.
+        assert "[pass] oracle crosscheck: 4 crosschecks, deltas < 1e-9\n" in capsys.readouterr().out
+        assert cli.main(["verify", "--scope", "nsf", "--max-qubits", "1"]) == cli.EXIT_OK
+        assert "[pass] oracle crosscheck: 0 crosschecks, deltas < 1e-9\n" in capsys.readouterr().out

@@ -268,6 +268,60 @@ class TestPropagationInvariants:
             assert relabeled == rev[phi[q]]
 
 
+class TestUntouchedMaps:
+    """A map no measured vertex touches comes out as the rebuild leaves it:
+    zero weights dropped and supports sorted; an already sorted one is kept."""
+
+    @staticmethod
+    def graph():
+        # The path 0-1-2-3 is measured; the edge 4-5 is never touched.
+        return Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+
+    @staticmethod
+    def hand_built(g):
+        return (
+            depolarizing_map(g, 4, 0.8),
+            NoiseMap(origin=5, branches=((0.25, ZOperator(0b110000)), (0.75, ZOperator(0)))),
+            NoiseMap(
+                origin=4,
+                branches=((0.5, ZOperator(0)), (0.0, ZOperator(1 << 5)), (0.5, ZOperator(1 << 4))),
+            ),
+            NoiseMap(
+                origin=1,
+                branches=((0.3, ZOperator(1 << 1)), (0.0, ZOperator(1 << 3)), (0.7, ZOperator(0))),
+            ),
+        )
+
+    @staticmethod
+    def rebuilt(maps):
+        return tuple(NoiseMap.from_weights(m.origin, m.weights()) for m in maps)
+
+    def test_single_measurement(self):
+        g = self.graph()
+        maps = self.hand_built(g)
+        for basis, support in (("X", 2), ("Y", None), ("Z", None)):
+            out = propagate_measurement(NoiseState(graph=g.copy(), maps=maps), 1, basis, support).maps
+            ref = propagate_measurement(NoiseState(graph=g.copy(), maps=self.rebuilt(maps)), 1, basis, support).maps
+            assert out == ref
+            assert out == self.rebuilt(out)
+            assert out[0] is maps[0]
+            assert out[1].branches == ((0.75, ZOperator(0)), (0.25, ZOperator(0b110000)))
+            assert out[2].branches == ((0.5, ZOperator(0)), (0.5, ZOperator(1 << 4)))
+
+    def test_plan(self):
+        g = self.graph()
+        maps = self.hand_built(g)
+        plan = ResolutionPlan(steps=((1, 2),), isolation=(0,))
+        assert plan.z_targets
+        out = propagate(NoiseState(graph=g.copy(), maps=maps), plan).maps
+        assert out == propagate(NoiseState(graph=g.copy(), maps=self.rebuilt(maps)), plan).maps
+        assert out == self.rebuilt(out)
+        assert out[0] is maps[0]
+        assert out[1].branches == ((0.75, ZOperator(0)), (0.25, ZOperator(0b110000)))
+        # The measured path's map: Z_1 goes to Z on {2, 3}, and Z_3 is unchanged.
+        assert out[3].weights() == {frozenset(): 0.7, frozenset({2, 3}): 0.3}
+
+
 def _mirror_map(state: GtlState) -> dict[int, int]:
     """Graph automorphism reversing the orchestration order of a built GTL."""
     n_o = len(state.orch)

@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from entroll.graphstate import Graph, measure_pauli, stabilizer_generators
+from entroll.graphstate import CORRECTION_TAGS, Graph, PauliString, measure_pauli, stabilizer_generators
 from entroll.gtl import GtlParams, build_gtl
 from entroll.noise import NoiseMap, depolarizing_map, dephasing_map
 from entroll.oracle import (
+    CORRECTION_UNITARIES,
     MAX_CROSSCHECK_QUBITS,
     DenseState,
     ZeroProbabilityError,
@@ -206,6 +207,152 @@ class TestMeasureDense:
             results.append(cur)
         assert results[0].qubits == results[1].qubits
         assert np.max(np.abs(results[0].data - results[1].data)) < 1e-12
+
+
+_PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "Z": np.diag([1.0, -1.0]),
+}
+_EIGENKETS = {
+    ("X", 1): np.array([1.0, 1.0]) / math.sqrt(2),
+    ("X", -1): np.array([1.0, -1.0]) / math.sqrt(2),
+    ("Y", 1): np.array([1.0, 1.0j]) / math.sqrt(2),
+    ("Y", -1): np.array([1.0, -1.0j]) / math.sqrt(2),
+    ("Z", 1): np.array([1.0, 0.0]),
+    ("Z", -1): np.array([0.0, 1.0]),
+}
+
+
+def embed(factors):
+    """Kronecker product of one 2-column factor per qubit, first qubit most significant."""
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def kron_measure(state, a, basis, outcome, corrections):
+    """measure_dense written with full matrices: <b|_a (x) I, renormalize, then each
+    correction as the whole-register unitary I (x) U (x) I, one after another."""
+    pos = state.position(a)
+    bra = _EIGENKETS[(basis, outcome)].conj()[None, :]
+    drop = embed([bra if i == pos else np.eye(2) for i in range(state.n)])
+    qubits = tuple(v for v in state.qubits if v != a)
+    if state.mode == "vector":
+        data = drop @ state.data
+        data = data / np.linalg.norm(data)
+    else:
+        data = drop @ state.data @ drop.conj().T
+        data = data / np.trace(data)
+    for v, tag in corrections:
+        if v == a:
+            continue
+        u = embed([CORRECTION_UNITARIES[tag] if q == v else np.eye(2) for q in qubits])
+        data = u @ data if state.mode == "vector" else u @ data @ u.conj().T
+    return data
+
+
+def random_dense(n, mode, rng):
+    """A generic state on qubits 0..n-1: random amplitudes, or a random mixed density matrix."""
+    gen = np.random.default_rng(rng.randrange(2**32))
+    dim = 2**n
+    if mode == "vector":
+        vec = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+        return DenseState("vector", tuple(range(n)), vec / np.linalg.norm(vec))
+    a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return DenseState("density", tuple(range(n)), rho / np.trace(rho))
+
+
+def assert_matches_kron(state, a, basis, outcome, corrections):
+    out = measure_dense(state, a, basis, outcome, tuple(corrections))
+    assert out.qubits == tuple(v for v in state.qubits if v != a)
+    assert out.mode == state.mode
+    assert np.max(np.abs(out.data - kron_measure(state, a, basis, outcome, corrections))) < 1e-12
+
+
+class TestMeasureDenseAgainstKron:
+    """measure_dense against full-matrix projectors and correction unitaries."""
+
+    @pytest.mark.parametrize("mode", ["vector", "density"])
+    @pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+    def test_graph_records(self, mode, basis, rng):
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            g = random_graph(n, rng)
+            s = dense_graph_state(g, mode=mode)
+            a = rng.choice(list(g.vertices()))
+            nbrs = sorted(g.neighbors(a))
+            support = rng.choice(nbrs) if basis == "X" and nbrs else None
+            records = {}
+            for seed in range(16):  # sampled outcomes: both signs, with their tags
+                _, rec = measure_pauli(g, a, basis, support, rng=random.Random(seed))
+                records[rec.outcome] = rec
+            for rec in records.values():
+                assert_matches_kron(s, a, basis, rec.outcome, rec.corrections)
+
+    @pytest.mark.parametrize("mode", ["vector", "density"])
+    def test_random_tag_lists(self, mode, rng):
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            s = random_dense(n, mode, rng)
+            a = rng.randrange(n)
+            tags = [(rng.randrange(n), rng.choice(CORRECTION_TAGS)) for _ in range(rng.randint(0, 8))]
+            assert_matches_kron(s, a, rng.choice("XYZ"), rng.choice((1, -1)), tags)
+
+    @pytest.mark.parametrize("mode", ["vector", "density"])
+    @pytest.mark.parametrize(
+        "tags",
+        [
+            [(1, "Z"), (1, "SQRT_Y")],
+            [(1, "SQRT_Y"), (1, "Z")],
+            [(2, "SQRT_Z"), (2, "SQRT_Y_DAG"), (2, "SQRT_Z_DAG")],
+            [(2, "SQRT_Y_DAG"), (2, "SQRT_Z"), (0, "Z"), (2, "SQRT_Y")],
+            [(v, "Z") for v in (1, 2, 3, 4)],
+            [(1, "SQRT_Y_DAG")] + [(v, "Z") for v in (2, 3, 4)],
+            [(0, "SQRT_Y"), (3, "SQRT_Z")],
+        ],
+    )
+    def test_hand_written_tag_lists(self, mode, tags, rng):
+        s = random_dense(5, mode, rng)
+        for basis in "XYZ":
+            for outcome in (1, -1):
+                assert_matches_kron(s, 0, basis, outcome, tags)
+
+
+class TestZSignsAndExpectation:
+    def test_z_signs_per_bit(self, rng):
+        for _ in range(20):
+            n = rng.randint(1, 7)
+            qubits = tuple(rng.sample(range(20), n))
+            s = DenseState("vector", qubits, np.zeros(2**n))
+            support = frozenset(q for q in qubits if rng.random() < 0.5)
+            idx = np.arange(2**n)
+            expected = np.ones(2**n)
+            for v in support:
+                expected *= 1 - 2 * ((idx >> (n - 1 - qubits.index(v))) & 1)
+            assert np.array_equal(s.z_signs(support), expected)
+
+    @pytest.mark.parametrize("mode", ["vector", "density"])
+    def test_expectation_against_kron(self, mode, rng):
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            s = random_dense(n, mode, rng)
+            letters = [rng.choice("IXYZ") for _ in range(n)]
+            phase = rng.choice((1, -1, 1j, -1j))
+            pauli = PauliString(
+                x_support=frozenset(v for v, c in enumerate(letters) if c in "XY"),
+                z_support=frozenset(v for v, c in enumerate(letters) if c in "YZ"),
+                phase=phase,
+            )
+            op = phase * embed([_PAULI[c] for c in letters])
+            if mode == "vector":
+                expected = np.vdot(s.data, op @ s.data)
+            else:
+                expected = np.trace(op @ s.data)
+            assert abs(s.expectation(pauli) - expected) < 1e-12
 
 
 class TestGraphRuleSoundness:
