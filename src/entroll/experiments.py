@@ -368,6 +368,10 @@ def _verify_rolling(max_kb: int, max_no: int, trials: int, seed: int) -> list[tu
     return [("rolling-step postconditions", not bad, f"{trials} trials" if not bad else "; ".join(bad[:3]))]
 
 
+# The resources verify's nsf scope crosschecks against the dense oracle.
+_CROSSCHECKS = ((2, 1), (2, 2), (3, 1))
+
+
 def _verify_nsf(max_qubits: int) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     bad: list[str] = []
@@ -387,7 +391,7 @@ def _verify_nsf(max_qubits: int) -> list[tuple[str, bool, str]]:
 
     bad = []
     ran = 0
-    for kb, n_o in ((2, 1), (2, 2), (3, 1)):
+    for kb, n_o in _CROSSCHECKS:
         state = build_gtl(GtlParams.specialized(kb, n_o))
         if state.graph.n > max_qubits:
             continue
@@ -418,6 +422,11 @@ def verify(
     for name, count in counts.items():
         if count < 1:
             raise ValueError(f"verify {name} must be at least 1, got {count}")
+    smallest = min(GtlParams.specialized(kb, n_o).n_qubits for kb, n_o in _CROSSCHECKS)
+    if scope in ("nsf", "all") and max_qubits < smallest:
+        raise ValueError(
+            f"verify max_qubits must be at least {smallest}, the smallest crosscheck resource, got {max_qubits}"
+        )
     checks: list[tuple[str, bool, str]] = []
     if state is not None:
         result = validate_gtl(state.graph, state.orch, state.peers)

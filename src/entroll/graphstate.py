@@ -15,7 +15,8 @@ them: ``Graph.neighbors``/``components``, ``PauliString``,
 ``components``, ``ZOperator.support``, ``NoiseMap.from_weights``/``weights()``
 and JSON, ``CanonicalForm.realize``, ``restrict_to_targets``/``fidelity`` and
 ``CompiledPlan.qubits``.  A mask is built from an input id only once that id
-is shown live, so no bad id is ever shifted.
+is shown live, or, for a noise-map support, below ``MAX_QUBITS``, so no bad
+id is ever shifted.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Iterable, Iterator
 __all__ = [
     "CORRECTION_TAGS",
     "Graph",
+    "MAX_QUBITS",
     "MeasurementRecord",
     "PauliString",
     "component_key",
@@ -38,6 +40,20 @@ __all__ = [
     "measure_pauli",
     "stabilizer_generators",
 ]
+
+
+#: Largest resource the package builds (checked by ``GtlParams``), and one past
+#: the largest vertex id a loader accepts, so no id from a file is shifted into
+#: a mask wider than that.
+MAX_QUBITS = 4096
+
+
+def check_vertex_id(v: int) -> None:
+    """Refuse a loaded vertex id that is negative or at least MAX_QUBITS."""
+    if v < 0:
+        raise ValueError(f"vertex id {v} is negative")
+    if v >= MAX_QUBITS:
+        raise ValueError(f"vertex id {v} is above the largest supported id {MAX_QUBITS - 1}")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -423,10 +439,13 @@ def graph_from_json(data: dict) -> Graph:
     json_object("graph", data)
     with json_field("graph JSON", "n"):
         n = json_int(data["n"])
+        if n > MAX_QUBITS:
+            raise ValueError(f"{n} vertices exceed the bound of {MAX_QUBITS} qubits")
     with json_field("graph JSON", "labels"):
         live = sorted(int(k) for k in data.get("labels") or {}) or list(range(n))
-        if live and live[0] < 0:
-            raise ValueError(f"vertex id {live[0]} is negative")
+        if live:
+            check_vertex_id(live[0])
+            check_vertex_id(live[-1])
     if len(live) != n:
         raise ValueError("graph JSON: n does not match the labeled vertex count")
     # Ids absent from the labels are retired, as if added and deleted.

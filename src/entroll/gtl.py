@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-from .graphstate import Graph, _bits, _mask, graph_from_json, graph_to_json, json_field, json_int, json_object
+from .graphstate import (
+    MAX_QUBITS, Graph, _bits, _mask, graph_from_json, graph_to_json, json_field, json_int, json_object
+)
 
 __all__ = [
     "GtlParams",
@@ -47,6 +49,8 @@ class GtlParams:
                 f"peer degree {self.kappa_c} must be at least twice the "
                 f"minimum bridge degree {self.kappa_b_hat}"
             )
+        if self.n_qubits > MAX_QUBITS:
+            raise ValueError(f"a resource of {self.n_qubits} qubits exceeds the bound of {MAX_QUBITS} qubits")
 
     @classmethod
     def specialized(cls, kappa_b_hat: int, n_o: int) -> GtlParams:

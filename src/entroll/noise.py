@@ -38,11 +38,13 @@ follow from its map's merge pattern and two component-local keys.
 :func:`score_points` scores any batch of (p, T) points from those tables;
 :func:`compiled_fidelities` is its one-point call.
 
-To score a batch, each component's convolution is run once over keys instead
-of probabilities and recorded as a program of numpy steps: the keys each step
+To score a batch, the convolutions are run once over keys instead of
+probabilities and recorded as a program of numpy steps: the keys each step
 inserts, in the reference's insertion order, and for each key the (earlier
-key, marginal slot) products it sums.  One numpy step applies one term of
-every component to every point.  The scores equal the reference bit for bit:
+key, marginal slot) products it sums.  Components whose term lists begin
+alike share that prefix's law, so each distinct prefix, a node of a prefix
+trie, is run once.  One numpy step applies one term to every node of one
+trie depth at every point.  The scores equal the reference bit for bit:
 
 * each point's weights are computed in Python floats with the reference's
   expressions (``math.exp`` through :func:`dephasing_probability`);
@@ -53,8 +55,8 @@ every component to every point.  The scores equal the reference bit for bit:
 * every sum runs in the reference's order: a marginal adds its branches in
   branch order, and a key adds its products in the order the reference
   visits them, which follows each source key's insertion position in the
-  running law.  Padding multiplies by an exact 1.0 or adds an exact 0.0,
-  which changes no value here, as every value is finite and nonnegative;
+  running law.  Padding adds an exact 0.0, which changes no value here, as
+  every value is finite and nonnegative;
 * which maps a point's zero weights drop (all depolarizing maps at p = 1, a
   dephasing map at q = 0) changes the insertion order, so each such drop
   pattern gets its own program, built on first use and cached on the plan.
@@ -70,7 +72,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphstate import (
-    Graph, _bits, _mask, component_key, json_field, json_float, json_int, json_object, measure_pauli
+    Graph, _bits, _mask, check_vertex_id, component_key, json_field, json_float, json_int, json_object,
+    measure_pauli,
 )
 from .gtl import GtlState
 from .rolling import ResolutionPlan, _require_specialized, _roll
@@ -191,8 +194,8 @@ class NoiseMap:
             weights: dict[frozenset[int], float] = {}
             for b in data["branches"]:
                 s = frozenset(json_int(v) for v in b["support"])
-                if min(s, default=0) < 0:
-                    raise ValueError(f"support {sorted(s)} has a negative vertex id")
+                for v in s:
+                    check_vertex_id(v)
                 weights[s] = weights.get(s, 0.0) + json_float(b["p"])
             return cls.from_weights(origin, weights)
 
@@ -360,15 +363,14 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
 # CanonicalForm._realize merges them.
 _MERGED = {(0, 1): 2, (1, 1): 3}
 
-# Rows of a point's weight column (see _point_weights): padding rows holding
-# 0.0 and 1.0, then the four depolarizing weights, then (1 - q, q) for each
-# dephasing source in CompiledPlan.dephasing order.
-_ZERO, _ONE, _DEPOLARIZING, _DEPHASING = 0, 1, 2, 6
+# Rows of a point's weight column (see _point_weights): a padding row holding
+# 0.0, then the four depolarizing weights, then (1 - q, q) for each dephasing
+# source in CompiledPlan.dephasing order.
+_ZERO, _DEPOLARIZING, _DEPHASING = 0, 1, 5
 
-# Marginal codes in a transition template: 0 multiplies by 0.0 (padding), 1
-# by 1.0 (a component whose terms have all been applied keeps its law), and
-# 2 + s by slot s of the term's marginal.
-_CODE_ZERO, _CODE_ONE, _CODE_SLOT = 0, 1, 2
+# Marginal codes in a transition template: 0 multiplies by 0.0 (padding) and
+# 1 + s by slot s of the term's marginal.
+_CODE_ZERO, _CODE_SLOT = 0, 1
 
 # Largest component compile_plan tables: a term's code packs its merge pattern
 # (under 16) and two local keys into an int64.  Scoring it takes 2**29 keys.
@@ -383,23 +385,26 @@ _PASS_CELLS = 1 << 21
 class _Program:
     """The XOR convolutions of every component for one drop pattern, as numpy steps.
 
-    The state holds each component's law as rows (one per key, in the
-    reference's insertion order) by points; ``start`` holds the rows of key
-    0 before the first step and after the last.  Key 0 is the first key of
-    every law: each term lists its identity branch first, so each step's
-    first visit is key 0 with that branch.  Marginal row i
-    is ``weights[branch_rows[i, 0]] + weights[branch_rows[i, 1]] + ...``.
-    Step ``(src, code)``, flat (contributions, rows) tables, makes next state
-    row r as ``state[src[r]] * marginal[code[r]] + state[src[rows + r]] *
-    marginal[code[rows + r]] + ...``.  Every sum runs left to right.
-    ``cells`` is the largest step's contributions x rows.
+    Components whose kept terms begin alike share that prefix's law, bit for
+    bit, so the laws computed are those of the nodes of a prefix trie.  After
+    step d the state holds the laws of the depth-d nodes side by side, each
+    as ``width`` rows (keys in the reference's insertion order, then padding)
+    by points; before step 1 it holds the empty prefix's law, key 0 at 1.0.
+    Key 0 is the first key of every law, as each term lists its identity
+    branch first.  Marginal row i is ``weights[branch_rows[i, 0]] +
+    weights[branch_rows[i, 1]] + ...``.  Step ``(src, code, ends, read)``
+    has (contributions, rows) tables: next state row r is ``state[src[0, r]]
+    * marginal[code[0, r]] + state[src[1, r]] * marginal[code[1, r]] +
+    ...``, summed left to right over rows of the node's parent.  Then the
+    components ``ends`` copy their last nodes' key-0 rows ``read``; one with
+    no kept terms keeps 1.0.  ``cells`` is the largest step's contributions
+    x rows.
     """
 
-    rows: int
+    components: int
     cells: int
-    start: np.ndarray
     branch_rows: np.ndarray
-    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
     def run(self, weights: np.ndarray) -> np.ndarray:
         """Fidelities, components by points, from a weight table of rows by points."""
@@ -412,16 +417,17 @@ class _Program:
         marginal = weights.take(self.branch_rows[:, 0], axis=0)
         for column in self.branch_rows.T[1:]:
             marginal += weights.take(column, axis=0)
-        state = np.zeros((self.rows, weights.shape[1]))
-        state[self.start] = 1.0
-        for src, code in self.steps:
+        out = np.ones((self.components, weights.shape[1]))
+        state = np.ones((1, weights.shape[1]))
+        for src, code, ends, read in self.steps:
             terms = state.take(src, axis=0)
             terms *= marginal.take(code, axis=0)
-            terms = terms.reshape(-1, self.rows, weights.shape[1])
             state = terms[0]
             for term in terms[1:]:
                 state += term
-        return state[self.start]
+            if len(ends):
+                out[ends] = state.take(read, axis=0)
+        return out
 
 
 @dataclass(frozen=True)
@@ -599,7 +605,7 @@ def _point_weights(
         for v in sorted(compiled.qubits):  # raise for the first vertex, as standard_noise does
             dephasing_probability(waits.get(v, t_ms), big_t_ms)
         raise
-    column = [0.0, 1.0, p + w, w, (p + w) + w, w + w]
+    column = [0.0, p + w, w, (p + w) + w, w + w]
     if waits:
         qs = [q[waits[v]] if v in waits else uniform for v in compiled.dephasing]
         zero = _mask(v for v, x in zip(compiled.dephasing, qs) if x == 0.0)
@@ -684,110 +690,104 @@ def _transition(keys: np.ndarray, marginal: tuple[int, ...]):
     return pairs[inserts], (src, code)
 
 
-def _build_program(
-    compiled: CompiledPlan, drop_depolarizing: bool, zero: int
-) -> _Program:
-    """Run every component's convolution once over keys, and stack the steps.
+def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -> _Program:
+    """Run the convolution over keys once per trie node, and lay the nodes out depth by depth.
 
-    Transitions are memoized on component-local keys, so the components of
-    a ladder share them.
+    A node is a distinct prefix of some component's kept terms, a term's
+    kind being its (signature, weight row) pair.  Transitions are memoized
+    on keys, so the nodes of a ladder share them.  The tables use the
+    narrowest unsigned type that holds their entries: a wide star's tables
+    hold as many entries as one point's convolution has products, and their
+    size sets the scoring's peak memory.
     """
     # Source -1 (depolarizing) reads the last entry.
     dropped = np.array([zero >> v & 1 for v in compiled.dephasing] + [drop_depolarizing], dtype=bool)
     keep = ~dropped[compiled.term_source]
     source = compiled.term_source[keep]
-    signatures = compiled.term_signature[keep]
+    n_rows = _DEPHASING + 2 * len(compiled.dephasing)
+    n_kinds = len(compiled.signatures) * n_rows
+    kinds = compiled.term_signature[keep] * n_rows + np.where(source < 0, _DEPOLARIZING, _DEPHASING + 2 * source)
     counts = np.bincount(compiled.term_component[keep], minlength=len(compiled.components))
-    states = [np.zeros(1, dtype=np.intp)]
-    state_ids = {states[0].tobytes(): 0}
-    transitions: dict = {}  # (state, signature id) -> (next state, template)
-    templates: list = []
-    used_templates: list[int] = []
-    at = 0
-    walk = signatures.tolist()
+    # The trie maps node * n_kinds + kind to the child node; node 0 is the
+    # empty prefix, and a node's number is its place in creation order.
+    trie: dict[int, int] = {}
+    ends, at, walk = [], 0, kinds.tolist()
     for count in counts.tolist():
-        state = 0
-        for sid in walk[at : at + count]:
-            step = transitions.get((state, sid))
-            if step is None:
-                keys, table = _transition(states[state], compiled.signatures[sid][0])
-                following = state_ids.setdefault(keys.tobytes(), len(states))
-                if following == len(states):
-                    states.append(keys)
-                step = transitions[state, sid] = (following, len(templates) + 1)
-                templates.append(table)
-            state = step[0]
-            used_templates.append(step[1])
+        node = 0
+        for kind in walk[at : at + count]:
+            node = trie.setdefault(node * n_kinds + kind, len(trie) + 1)
+        ends.append(node)
         at += count
-    rows = np.where(source < 0, _DEPOLARIZING, _DEPHASING + 2 * source)
-    return _stack(states, templates, compiled.signatures, used_templates, signatures, rows, counts)
+    parent, kind = np.divmod(np.array([0, *trie], dtype=np.int64), max(n_kinds, 1))  # the root reads as 0
+    sid, base = np.divmod(kind, n_rows)
 
+    # A parent precedes its children, so one pass gives each node its keys,
+    # its depth and the template that makes it.
+    transitions: dict = {}  # (keys, signature id) -> (next keys, template)
+    templates: list = []
+    keys_of, depth, template = [np.zeros(1, dtype=np.intp)], [0], [0]
+    for p, s in zip(parent[1:].tolist(), sid[1:].tolist()):
+        memo = (keys_of[p].tobytes(), s)
+        if memo not in transitions:
+            keys, table = _transition(keys_of[p], compiled.signatures[s][0])
+            transitions[memo] = (keys, len(templates))
+            templates.append(table)
+        keys, t = transitions[memo]
+        keys_of.append(keys)
+        depth.append(depth[p] + 1)
+        template.append(t)
 
-def _stack(states, templates, signatures, used_templates, used_signatures, used_rows, counts) -> _Program:
-    """Lay the memoized transitions out as one table pair per step, all components side by side.
+    width = max(map(len, keys_of))
+    depth, template = np.array(depth), np.array(template)
+    by_depth = np.argsort(depth, kind="stable")
+    level = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2))  # start of each depth
+    place = np.empty_like(by_depth)  # a node's place among its depth's nodes
+    place[by_depth] = np.arange(len(depth)) - level[depth[by_depth]]
+    codes = _CODE_SLOT + max([0] + [len(keys) for keys, _ in compiled.signatures])
+    index = np.min_scalar_type(max(width * int(np.diff(level).max()), len(depth) * codes))
 
-    Every component gets as many state rows as the largest law has keys, so
-    a step's tables are its components' templates, copied block by block.
-    The tables use the narrowest unsigned type that holds their entries: a
-    wide star's tables hold as many entries as one point's convolution has
-    products, and their size sets the scoring's peak memory.
-    """
-    width = max(len(keys) for keys in states)
-    rows = len(counts) * width
-    n_terms, n_steps = len(used_rows), int(counts.max(initial=0))
-    codes = _CODE_SLOT + max([0] + [len(keys) for keys, _ in signatures])
-    index = np.min_scalar_type(max(rows, (n_terms + 1) * codes))
-    offsets = np.arange(len(counts), dtype=index) * width
-
-    # Template 0 keeps a finished component's law: each row times 1.0.
-    depth = max([1] + [src.shape[0] for src, _ in templates])
-    src_table = np.zeros((len(templates) + 1, depth, width), dtype=index)
+    contributions = np.array([src.shape[0] for src, _ in templates] or [1])[template]
+    src_table = np.zeros((len(templates), int(contributions.max()), width), dtype=index)
     code_table = np.full(src_table.shape, _CODE_ZERO, dtype=index)
-    src_table[0, 0] = np.arange(width)
-    code_table[0, 0] = _CODE_ONE
-    for t, (src, code) in enumerate(templates, start=1):
+    for t, (src, code) in enumerate(templates):
         src_table[t, : src.shape[0], : src.shape[1]] = src
         code_table[t, : code.shape[0], : code.shape[1]] = code
-    depths = np.array([1] + [src.shape[0] for src, _ in templates])
 
-    # One block of marginal rows per term, and a last one for template 0:
-    # 0.0, 1.0, then the term's slots.
-    per_slot = max([1] + [len(ix) for _, slots in signatures for ix in slots])
-    signature_table = np.full((len(signatures) + 1, codes, per_slot), -1, dtype=np.intp)
-    for i, (_, slots) in enumerate(signatures):
+    # Node n's marginal rows are block n - 1: 0.0, then its term's slots.
+    per_slot = max([1] + [len(ix) for _, slots in compiled.signatures for ix in slots])
+    signature_table = np.full((len(compiled.signatures), codes, per_slot), -1, dtype=np.intp)
+    for i, (_, slots) in enumerate(compiled.signatures):
         for j, indices in enumerate(slots, start=_CODE_SLOT):
             signature_table[i, j, : len(indices)] = indices
-    weights = signature_table[np.append(used_signatures, len(signatures))]
-    base = np.append(used_rows, 0)[:, None, None]
-    branch_rows = np.where(weights >= 0, base + weights, _ZERO)
-    branch_rows[:, _CODE_ONE, 0] = _ONE
+    weights = signature_table[sid[1:]]
+    branch_rows = np.where(weights >= 0, base[1:, None, None] + weights, _ZERO)
 
-    comp = np.repeat(np.arange(len(counts)), counts)
-    step = np.arange(n_terms) - np.repeat(np.cumsum(counts) - counts, counts)
-    template = np.zeros((n_steps, len(counts)), dtype=np.intp)
-    template[step, comp] = used_templates
-    block = np.full((n_steps, len(counts)), n_terms, dtype=index)
-    block[step, comp] = np.arange(n_terms)
-    block *= index.type(codes)
-
-    # Steps of equal depth (contributions per key) are laid out together.
-    step_depths = depths[template].max(axis=1, initial=1).tolist()
-    steps: list = [None] * n_steps
-    for d in set(step_depths):
-        ks = [k for k, depth_k in enumerate(step_depths) if depth_k == d]
-        src = np.empty((len(ks), d, len(counts), width), dtype=index)
-        code = np.empty_like(src)
-        for j in range(d):
-            np.add(src_table[template[ks], j], offsets[:, None], out=src[:, j])
-            np.add(code_table[template[ks], j], block[ks][:, :, None], out=code[:, j])
-        for i, k in enumerate(ks):
-            steps[k] = (src[i].ravel(), code[i].ravel())
+    # The steps' tables, one after another: a step's hold one row per
+    # contribution and node, contribution-major, nodes in place order.
+    nodes, sizes = by_depth[1:], np.diff(level)[1:]
+    widest = np.maximum.reduceat(contributions[nodes], level[1:-1] - 1)  # contributions per step
+    repeats = widest[depth[nodes] - 1]
+    member = np.repeat(nodes, repeats)
+    j = np.arange(len(member)) - np.repeat(np.cumsum(repeats) - repeats, repeats)
+    order = np.lexsort((j, depth[member]))  # stable, so nodes stay in place order
+    member, j = member[order], j[order]
+    src = src_table[template[member], j]
+    src += (place[parent[member]] * width).astype(index)[:, None]
+    code = code_table[template[member], j]
+    code += ((member - 1) * codes).astype(index)[:, None]
+    # Components by the depth of their last node, with that node's key-0 row.
+    ends = np.array(ends, dtype=np.intp)
+    by_end = np.argsort(depth[ends], kind="stable")
+    finished = np.searchsorted(depth[ends[by_end]], np.arange(len(level))).tolist()
+    read = place[ends[by_end]] * width
+    cuts = np.cumsum(widest * sizes)[:-1]
+    tables = zip(np.split(src, cuts), np.split(code, cuts), widest.tolist(), finished[1:], finished[2:])
+    steps = tuple((s.reshape(c, -1), k.reshape(c, -1), by_end[f:g], read[f:g]) for s, k, c, f, g in tables)
     return _Program(
-        rows=rows,
-        cells=rows * depth,
-        start=offsets.astype(np.intp),
+        components=len(compiled.components),
+        cells=int((widest * sizes).max(initial=0)) * width,
         branch_rows=branch_rows.reshape(-1, per_slot),
-        steps=tuple(steps),
+        steps=steps,
     )
 
 
@@ -851,15 +851,15 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
 def _component_terms(graph: Graph, maps) -> tuple[tuple[str, tuple], ...]:
     """Pair every multi-qubit component of ``graph`` with the maps that touch it.
 
-    ``maps`` yields (tag, branches) with branches as (support mask, value)
-    pairs; each component gets, in map order, the tag and the branches with
-    their supports restricted to it.  A map that touches no component would
-    only add the identity to its law.
+    ``maps`` yields each map's branches as (support mask, value) pairs; each
+    component gets, in map order, the branches with their supports
+    restricted to it.  A map that touches no component would only add the
+    identity to its law.
     """
     masks = [c for c in graph.component_masks() if c & (c - 1)]
     owner = {1 << v: i for i, mask in enumerate(masks) for v in _bits(mask)}
     terms: list[list] = [[] for _ in masks]
-    for tag, branches in maps:
+    for branches in maps:
         rest = 0
         for support, _ in branches:
             rest |= support
@@ -871,7 +871,7 @@ def _component_terms(graph: Graph, maps) -> tuple[tuple[str, tuple], ...]:
                 continue
             mask = masks[i]
             rest &= ~mask
-            terms[i].append((tag, tuple([(s & mask, x) for s, x in branches])))
+            terms[i].append(tuple([(s & mask, x) for s, x in branches]))
     return tuple((component_key(_bits(mask)), tuple(t)) for mask, t in zip(masks, terms))
 
 
@@ -935,8 +935,5 @@ def fidelity(ns: NoiseState, targets: frozenset[int]) -> float:
 
 def component_fidelities(ns: NoiseState) -> dict[str, float]:
     """Fidelity of every multi-qubit component, keyed by its sorted vertex ids."""
-    maps = ((None, [(op.mask, prob) for prob, op in m.branches]) for m in ns.maps)
-    return {
-        key: _xor_convolve(branches for _, branches in terms).get(0, 0.0)
-        for key, terms in _component_terms(ns.graph, maps)
-    }
+    maps = ([(op.mask, prob) for prob, op in m.branches] for m in ns.maps)
+    return {key: _xor_convolve(terms).get(0, 0.0) for key, terms in _component_terms(ns.graph, maps)}

@@ -249,8 +249,19 @@ def measure_dense(
     they are folded into one factor per index and applied in one pass,
     together with the renormalization; a non-diagonal one applies the factor
     gathered so far first, which keeps the order of two tags on one qubit.
+    A bad basis, outcome, qubit or tag raises a ValueError naming it.
     """
     basis = basis.upper()
+    if basis not in ("X", "Y", "Z"):
+        raise ValueError(f"unsupported measurement basis {basis!r}")
+    if outcome not in (1, -1):
+        raise ValueError(f"measurement outcome must be +1 or -1, got {outcome!r}")
+    for v in (a, *(c for c, _ in corrections)):
+        if v not in state.qubits:
+            raise ValueError(f"qubit {v!r} is not in the dense state")
+    for _, tag in corrections:
+        if tag not in CORRECTION_UNITARIES:
+            raise ValueError(f"unknown correction tag {tag!r}")
     bra = _BASIS_KETS[(basis, outcome)].conj()[None, :]
     density = state.mode == "density"
     data = _apply(state.data, state.n, state.position(a), bra, density)

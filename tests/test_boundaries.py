@@ -9,12 +9,12 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entroll import cli
 from entroll.experiments import ExperimentConfig, find_threshold
-from entroll.graphstate import Graph, graph_from_json, measure_pauli
+from entroll.graphstate import MAX_QUBITS, Graph, graph_from_json, measure_pauli
 from entroll.gtl import GtlParams, Violation, build_gtl, gtl_from_json, gtl_to_json, validate_gtl
 from entroll.noise import NoiseMap, closed_form_maps, compile_plan, propagate, standard_noise
 from entroll.rolling import STOP_AFTER_ROLLING, ResolutionPlan, resolve
@@ -162,13 +162,39 @@ class TestStateFile:
         assert _error(lambda: graph_from_json(data)) == "graph JSON field 'edges': self-loop at vertex 1"
 
     def test_large_label_loads_fast(self):
-        top = 10**6
+        top = MAX_QUBITS - 1
         data = {"n": 2, "labels": {"0": "a", str(top): "b"}, "edges": [[0, top]]}
         began = time.perf_counter()
         graph = graph_from_json(data)
         assert time.perf_counter() - began < 1.0
         assert graph.vertices() == (0, top)
         assert graph.edges() == [(0, top)]
+
+    def test_label_above_the_bound_is_one_error_line(self, tmp_path, capsys):
+        data = json.loads(STATE_JSON)
+        data["labels"]["7790443036900"] = "x"
+        data["n"] += 1
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["inspect", str(path)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: graph JSON field 'labels': vertex id 7790443036900 is above the largest supported id "
+            f"{MAX_QUBITS - 1}\n"
+        )
+
+    def test_vertex_count_above_the_bound(self):
+        data = {"n": MAX_QUBITS + 1, "edges": []}
+        assert _error(lambda: graph_from_json(data)) == (
+            f"graph JSON field 'n': {MAX_QUBITS + 1} vertices exceed the bound of {MAX_QUBITS} qubits"
+        )
+
+    def test_noise_support_above_the_bound(self):
+        data = {"origin": 0, "branches": [{"p": 1.0, "support": [MAX_QUBITS]}]}
+        assert _error(lambda: NoiseMap.from_json(data)) == (
+            f"noise map field 'branches': vertex id {MAX_QUBITS} is above the largest supported id {MAX_QUBITS - 1}"
+        )
 
     def test_non_object_is_rejected(self):
         assert _error(lambda: graph_from_json([1, 2])) == "graph must be a JSON object, got list"
@@ -410,6 +436,14 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 
+def _set_support(data, v):
+    data.update(branches=[{"p": 1.0, "support": v}])
+
+
+def _set_n(data, v):
+    data.update(n=v)
+
+
 # (loader, valid object, slot setters): each setter puts a value into one field
 # of a copy of the valid object, at the top or one level down.
 FUZZ_LOADERS = [
@@ -450,21 +484,36 @@ FUZZ_LOADERS = [
             lambda data, v: data.update(branches=v),
             lambda data, v: data.update(branches=[v]),
             lambda data, v: data.update(branches=[{"p": v, "support": [0]}]),
-            lambda data, v: data.update(branches=[{"p": 1.0, "support": v}]),
+            _set_support,
             lambda data, v: data.update(branches=[{"p": 1.0, "support": [v]}]),
         ],
     ),
+    (
+        graph_from_json,
+        {"n": 2, "edges": [[0, 1]]},
+        [
+            _set_n,
+            lambda data, v: data.update(labels=v),
+            lambda data, v: data.update(edges=[[0, v]]),
+        ],
+    ),
 ]
+FUZZ_CASES = [(load, valid, setter) for load, valid, setters in FUZZ_LOADERS for setter in setters]
+NOISE_MAP, GRAPH = FUZZ_LOADERS[-2][:2], FUZZ_LOADERS[-1][:2]
 
 
+# An id far above MAX_QUBITS, as a noise-map support or as a vertex count,
+# once ran out of memory instead of raising.
+@example((*NOISE_MAP, _set_support), [7790443036900.0])
+@example((*GRAPH, _set_n), 7790443036900)
 @settings(max_examples=200, deadline=None)
-@given(st.data(), JSON_VALUES)
-def test_loaders_accept_or_raise_value_error(data, value):
+@given(st.sampled_from(FUZZ_CASES), JSON_VALUES)
+def test_loaders_accept_or_raise_value_error(case, value):
     # Each loader only parses: a value either loads or raises ValueError,
     # never another exception.
-    load, valid, setters = data.draw(st.sampled_from(FUZZ_LOADERS))
+    load, valid, setter = case
     obj = json.loads(json.dumps(valid))
-    data.draw(st.sampled_from(setters))(obj, value)
+    setter(obj, value)
     try:
         load(obj)
     except ValueError:
@@ -520,5 +569,40 @@ class TestVerifyCounts:
         assert cli.main(["verify", "--scope", "nsf", "--max-qubits", "7"]) == cli.EXIT_OK
         # The (2, 1) and (3, 1) resources have 5 and 7 qubits, (2, 2) has 8; two p each.
         assert "[pass] oracle crosscheck: 4 crosschecks, deltas < 1e-9\n" in capsys.readouterr().out
-        assert cli.main(["verify", "--scope", "nsf", "--max-qubits", "1"]) == cli.EXIT_OK
-        assert "[pass] oracle crosscheck: 0 crosschecks, deltas < 1e-9\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scope, value", [("nsf", "1"), ("all", "4")])
+    def test_max_qubits_below_every_crosscheck_is_refused(self, capsys, scope, value):
+        # A run that crosschecks nothing would pass without checking anything.
+        assert cli.main(["verify", "--scope", scope, "--max-qubits", value]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: verify max_qubits must be at least 5, the smallest crosscheck resource, got {value}\n"
+        )
+
+    def test_max_qubits_unread_without_crosschecks(self, capsys):
+        assert cli.main(["verify", "--scope", "structure", "--max-kappa-b", "2", "--max-n-o", "2",
+                         "--max-qubits", "1"]) == cli.EXIT_OK
+
+
+class TestSizeBound:
+    def test_bound_admits_the_measured_rungs(self):
+        # The README states the bound and its cost at (2, 1364).
+        assert MAX_QUBITS == 4096
+        assert GtlParams.specialized(2, 640).n_qubits == 1922
+        assert GtlParams.specialized(2, 1364).n_qubits == 4094
+        assert GtlParams(1, 3, 1365).n_qubits == 4096
+
+    def test_params_above_the_bound_are_refused(self):
+        assert GtlParams(1, 2, 2047).n_qubits == 4095
+        message = "a resource of 4097 qubits exceeds the bound of 4096 qubits"
+        assert _error(lambda: GtlParams(1, 2, 2048)) == message
+
+    @pytest.mark.parametrize("command", ["build", "sweep", "threshold"])
+    def test_command_exits_before_building(self, capsys, command):
+        began = time.perf_counter()
+        assert cli.main([command, "--kappa-b", "2", "--n-o", "100000"]) == cli.EXIT_CONFIG
+        assert time.perf_counter() - began < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: a resource of 300002 qubits exceeds the bound of {MAX_QUBITS} qubits\n"

@@ -712,9 +712,25 @@ class TestCompiledPlan:
         g, plan = state.graph, default_resolution_plan(state, target)
         # Every third qubit waits 0 ms: its dephasing weight q is 0 and the branch is dropped.
         staggered = {v: 0.5 * (v % 3) for v in g.vertices()}
+        # Only the last qubit waits: at p = 1 one component keeps one term and the others none.
+        last = dict.fromkeys(g.vertices(), 0.0) | {max(g.vertices()): 2.0}
+        # Under each drop pattern (p = 1, T = inf, both) the components keep
+        # term lists of different lengths, so they end at different depths.
         points = [(p, t, None) for p in (0.0, 0.86, 1.0) for t in (2.0, math.inf)]
-        points += [(0.86, 2.0, staggered), (1.0, 2.0, staggered)]
+        points += [(0.86, 2.0, staggered), (1.0, 2.0, staggered), (1.0, 2.0, last)]
         assert_compiled_equals_stepwise(g, plan, points)
+
+    def test_program_width_does_not_grow_with_the_ladder(self):
+        # A step holds the trie nodes of one depth, a handful on a Bell
+        # ladder, not one column per component.
+        widths = []
+        for n_o in (10, 160):
+            state = build_gtl(GtlParams.specialized(2, n_o))
+            compiled = compile_plan(state.graph, default_resolution_plan(state, "bell"))
+            score_points(compiled, [(0.9, 1.0, 5.0, None)])
+            (program,) = compiled.programs.values()
+            widths.append(max(src.shape[1] for src, *_ in program.steps))
+        assert widths[0] == widths[1]
 
     @pytest.mark.parametrize("kb, n_o", [(2, 2), (3, 2), (2, 3)])
     def test_rolling_only_plans(self, kb, n_o):

@@ -192,6 +192,23 @@ class TestMeasureDense:
         with pytest.raises(ZeroProbabilityError):
             measure_dense(s, 0, "X", outcome=-1)
 
+    @pytest.mark.parametrize(
+        "a, basis, outcome, corrections, message",
+        [
+            (7, "X", 1, (), "qubit 7 is not in the dense state"),
+            (0, "Z", 1, ((7, "Z"),), "qubit 7 is not in the dense state"),
+            (0, "Z", 1, ((1, "H"),), "unknown correction tag 'H'"),
+            (0, "W", 1, (), "unsupported measurement basis 'W'"),
+            (0, "X", 0, (), "measurement outcome must be +1 or -1, got 0"),
+        ],
+        ids=["measured-vertex", "correction-vertex", "tag", "basis", "outcome"],
+    )
+    def test_bad_input_is_named(self, a, basis, outcome, corrections, message):
+        s = dense_graph_state(path_graph(2))
+        with pytest.raises(ValueError) as info:
+            measure_dense(s, a, basis, outcome, corrections)
+        assert str(info.value) == message
+
     def test_z_order_covariance(self, rng):
         g = random_graph(5, rng)
         s = dense_graph_state(g, mode="density")
