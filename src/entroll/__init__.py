@@ -22,6 +22,7 @@ from .gtl import (
     build_gtl,
     peer_proximity,
     structure_profile,
+    structure_profiles,
     validate_gtl,
 )
 from .noise import (
@@ -97,6 +98,7 @@ __all__ = [
     "stabilizer_generators",
     "standard_noise",
     "structure_profile",
+    "structure_profiles",
     "validate_gtl",
 ]
 

@@ -29,7 +29,7 @@ from .gtl import (
     build_gtl,
     gtl_from_json,
     gtl_to_json,
-    structure_profile,
+    structure_profiles,
     validate_gtl,
 )
 from .oracle import MAX_CROSSCHECK_QUBITS
@@ -76,9 +76,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             {"constraint": v.constraint, "message": v.message} for v in validation.violations
         ],
         "schmidt_upper_bound": schmidt_upper_bound(state),
-        "profiles": {
-            str(v): vars(structure_profile(state, v)) for v in state.graph.vertices()
-        },
+        "profiles": {str(v): vars(prof) for v, prof in structure_profiles(state).items()},
     }
     if validation.params is not None:
         report["params"] = asdict(validation.params)

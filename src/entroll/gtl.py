@@ -29,6 +29,7 @@ __all__ = [
     "gtl_to_json",
     "peer_proximity",
     "structure_profile",
+    "structure_profiles",
     "validate_gtl",
 ]
 
@@ -253,9 +254,22 @@ def structure_profile(state: GtlState, v: int) -> PeerProfile | OrchestrationPro
     """Bridge rank for a peer; peer and bridge degree for an orchestration qubit."""
     g = state.graph
     g._require_live(v)
+    peers = g.mask(state.peers) if v in state.orch else 0
+    return _profile(g, v, _mask(o for o in state.orch if g.is_live(o)), peers)
+
+
+def structure_profiles(state: GtlState) -> dict[int, PeerProfile | OrchestrationProfile]:
+    """:func:`structure_profile` of every live vertex, with the masks built once."""
+    g = state.graph
     orch = _mask(o for o in state.orch if g.is_live(o))
-    if v in state.orch:
-        nbrs = g.neighbor_mask(v) & g.mask(state.peers)
+    peers = g.mask(state.peers) if orch else 0
+    return {v: _profile(g, v, orch, peers) for v in g.vertices()}
+
+
+def _profile(g: Graph, v: int, orch: int, peers: int) -> PeerProfile | OrchestrationProfile:
+    """The profile of live ``v``, given the masks of the live orchestration qubits and the peers."""
+    if orch >> v & 1:
+        nbrs = g.neighbor_mask(v) & peers
         return OrchestrationProfile(
             peer_degree=nbrs.bit_count(),
             bridge_degree=sum(_rank(g, c, orch) > 1 for c in _bits(nbrs)),

@@ -5,6 +5,11 @@ same channels, measurements, and recorded local corrections that the
 graph-level pipeline tracks symbolically.  Qubit order is big-endian over the
 ``qubits`` tuple: the first listed vertex owns the most significant bit.
 
+The data stays real (float64) until a truly complex operator arrives (a Y
+bra or a SQRT_Z(_DAG) correction); numpy's type promotion takes it from there.
+A real replay, such as every default Bell or GHZ crosscheck, moves half the
+bytes, which also halves a density matrix's memory at ``MAX_DENSE_QUBITS``.
+
 Every pass over the data is a plain elementwise product or strided slice.  A
 layer of Z-type noise is one elementwise factor on the density matrix; a
 projection or a non-diagonal correction is one 2 x 2 mix of the halves where
@@ -45,22 +50,17 @@ MAX_DENSE_QUBITS = 12
 #: Largest resource :func:`crosscheck` (and so ``verify``) replays as a density matrix.
 MAX_CROSSCHECK_QUBITS = 10
 
-_Z = np.diag([1.0, -1.0]).astype(complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_H = math.sqrt(0.5)
 
-
-def _rot(mat: np.ndarray, sign: float) -> np.ndarray:
-    # exp(sign * i * pi/4 * mat) for involutory mat
-    return math.cos(math.pi / 4) * np.eye(2) + sign * 1j * math.sin(math.pi / 4) * mat
-
-
-#: Concrete unitaries for the correction tags carried by measurement records.
+#: Concrete unitaries for the correction tags carried by measurement records:
+#: exp(+-i pi/4 P) = (I +- iP) / sqrt(2).  iY is real, so the Y rotations are
+#: real matrices.
 CORRECTION_UNITARIES: dict[str, np.ndarray] = {
-    "Z": _Z,
-    "SQRT_Z": _rot(_Z, +1.0),
-    "SQRT_Z_DAG": _rot(_Z, -1.0),
-    "SQRT_Y": _rot(_Y, +1.0),
-    "SQRT_Y_DAG": _rot(_Y, -1.0),
+    "Z": np.diag([1.0, -1.0]),
+    "SQRT_Z": _H * np.diag([1 + 1j, 1 - 1j]),
+    "SQRT_Z_DAG": _H * np.diag([1 - 1j, 1 + 1j]),
+    "SQRT_Y": _H * np.array([[1.0, 1.0], [-1.0, 1.0]]),
+    "SQRT_Y_DAG": _H * np.array([[1.0, -1.0], [1.0, 1.0]]),
 }
 
 # The diagonal tags as c0 + c1 * Z: the factor they give an index is c0 + c1 * (+-1).
@@ -75,8 +75,8 @@ _BASIS_KETS: dict[tuple[str, int], np.ndarray] = {
     ("X", -1): np.array([1.0, -1.0]) / math.sqrt(2),
     ("Y", 1): np.array([1.0, 1.0j]) / math.sqrt(2),
     ("Y", -1): np.array([1.0, -1.0j]) / math.sqrt(2),
-    ("Z", 1): np.array([1.0, 0.0], dtype=complex),
-    ("Z", -1): np.array([0.0, 1.0], dtype=complex),
+    ("Z", 1): np.array([1.0, 0.0]),
+    ("Z", -1): np.array([0.0, 1.0]),
 }
 
 
@@ -148,7 +148,7 @@ class DenseState:
             phase *= 1j
         idx = _INDEX[: 2 ** self.n]
         if self.mode == "vector":
-            out = np.zeros_like(self.data)
+            out = np.zeros(self.data.shape, dtype=complex)
             out[idx ^ flip] = phase * self.data
             return complex(np.vdot(self.data, out))
         return complex(np.sum(phase * self.data[idx, idx ^ flip]))
@@ -161,7 +161,7 @@ def dense_graph_state(g: Graph, mode: str = "vector") -> DenseState:
         raise ValueError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits, got {n}")
     qubits = tuple(g.vertices())
     dim = 2 ** n
-    vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
+    vec = np.full(dim, 1 / math.sqrt(dim))
     idx = np.arange(dim)
     pos = {v: i for i, v in enumerate(qubits)}
     for u, w in g.edges():
@@ -182,11 +182,18 @@ def apply_channel(state: DenseState, *noise_maps: NoiseMap) -> DenseState:
     g(x) = sum_b p_b (-1)^{|s_b & x|}: Z_b gives the ket index i the sign
     (-1)^{|s_b & i|} and the bra index j the sign (-1)^{|s_b & j|}.  These
     channels commute, so the maps compose into one factor f = prod_m g_m over
-    the 2^n indices, and the whole layer is one elementwise product.  Support
-    qubits absent from the state are ignored.
+    the 2^n indices, and the whole layer is one elementwise product into the
+    one new matrix it returns.  Support qubits absent from the state are ignored.
     """
     if state.mode != "density":
         raise ValueError("channels act on density-mode states")
+    table = _channel_table(state, noise_maps, np.result_type(state.data, float))
+    table *= state.data
+    return DenseState("density", state.qubits, table)
+
+
+def _channel_table(state: DenseState, noise_maps: tuple[NoiseMap, ...], dtype: np.dtype) -> np.ndarray:
+    """The matrix f(i ^ j) of :func:`apply_channel`, in a fresh ``dtype`` buffer."""
     live = set(state.qubits)
     factor = np.ones(2 ** state.n)
     for noise_map in noise_maps:
@@ -197,7 +204,7 @@ def apply_channel(state: DenseState, *noise_maps: NoiseMap) -> DenseState:
     # The matrix f(i ^ j), built by block copies instead of a gather through a
     # 4^n index table: row 0 is f, and rows s..2s-1 are rows 0..s-1 with their
     # column blocks of width s swapped pairwise, as (i + s) ^ j = i ^ (j ^ s).
-    table = np.empty((factor.size, factor.size))
+    table = np.empty((factor.size, factor.size), dtype)
     table[0] = factor
     s = 1
     while s < factor.size:
@@ -205,7 +212,7 @@ def apply_channel(state: DenseState, *noise_maps: NoiseMap) -> DenseState:
         dst = table[s : 2 * s].reshape(s, -1, 2, s)
         dst[:, :, 0], dst[:, :, 1] = src[:, :, 1], src[:, :, 0]
         s *= 2
-    return DenseState("density", state.qubits, state.data * table)
+    return table
 
 
 def _apply(data: np.ndarray, n: int, pos: int, mat: np.ndarray, density: bool) -> np.ndarray:
@@ -219,21 +226,24 @@ def _apply(data: np.ndarray, n: int, pos: int, mat: np.ndarray, density: bool) -
     sides = ((1 << pos, mat), (shape[0] << pos, mat.conj())) if density else ((1 << pos, mat),)
     for lead, m in sides:
         t = data.reshape(lead, 2, -1)
-        data = np.empty((lead, len(m), t.shape[2]), dtype=complex)
+        data = np.empty((lead, len(m), t.shape[2]), np.result_type(t, m))
         for j, (m0, m1) in enumerate(m):
-            np.multiply(t[:, 0], m0, out=data[:, j])
-            data[:, j] += m1 * t[:, 1]
+            # A zero coefficient is skipped: a Z-basis bra is one pass.
+            np.multiply(t[:, 0] if m0 else t[:, 1], m0 or m1, out=data[:, j])
+            if m0 and m1:
+                data[:, j] += m1 * t[:, 1]
     return data.reshape(shape)
 
 
-def _scale(data: np.ndarray, d: np.ndarray, density: bool, norm: float = 1.0) -> None:
-    """Divide by ``norm`` and multiply in place by the diagonal ``d``: psi * d,
-    or rho * d d^dagger for a density matrix."""
+def _scale(data: np.ndarray, d: np.ndarray, density: bool, norm: float = 1.0) -> np.ndarray:
+    """Divide by ``norm`` and multiply by the diagonal ``d``: psi * d, or
+    rho * d d^dagger for a density matrix.  In place, unless a complex ``d``
+    meets real data: then into a new complex array."""
+    out = data if np.result_type(data, d) == data.dtype else np.empty(data.shape, complex)
+    np.multiply(data, (d / norm)[:, None] if density else d / norm, out=out)
     if density:
-        data *= (d / norm)[:, None]
-        data *= d.conj()
-    else:
-        data *= d / norm
+        out *= d.conj()
+    return out
 
 
 def measure_dense(
@@ -283,13 +293,13 @@ def measure_dense(
             phase = factor if phase is None else phase * factor
             continue
         if phase is not None:
-            _scale(out.data, phase, density)
+            out.data = _scale(out.data, phase, density)
             phase = None
         out.data = _apply(out.data, out.n, out.position(v), CORRECTION_UNITARIES[tag], density)
     if phase is None:
         out.data /= norm
     else:
-        _scale(out.data, phase, density, norm)
+        out.data = _scale(out.data, phase, density, norm)
     return out
 
 
@@ -407,7 +417,13 @@ def crosscheck(
     ns = propagate(ns0, plan)
     symbolic_fids = component_fidelities(ns)
 
-    dense = apply_channel(dense_graph_state(g, mode="density"), *ns0.maps)
+    # |G><G| is multiplied straight into the channel's table, so the noise
+    # layer before the first record makes one full-size matrix, not two.
+    ket = dense_graph_state(g)
+    rho = _channel_table(ket, ns0.maps, ket.data.dtype)
+    rho *= ket.data[:, None]
+    rho *= ket.data.conj()
+    dense = DenseState("density", ket.qubits, rho)
     sim = g.copy()
     for o, b0 in plan.steps:
         sim, rec = measure_pauli(sim, o, "X", b0)

@@ -1,9 +1,21 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from entroll.graphstate import Graph
+
+# numpy 1.24 has it at the top level; numpy 2 only in numpy.exceptions.
+ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    # A complex value cast to real loses its imaginary part with only a
+    # warning; in these tests that is an error.
+    config.addinivalue_line(
+        "filterwarnings", f"error::{ComplexWarning.__module__}.{ComplexWarning.__name__}"
+    )
 
 
 def random_graph(n: int, rng: random.Random, density: float = 0.5) -> Graph:

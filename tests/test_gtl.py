@@ -13,6 +13,7 @@ from entroll.gtl import (
     gtl_to_json,
     peer_proximity,
     structure_profile,
+    structure_profiles,
     validate_gtl,
 )
 
@@ -154,6 +155,23 @@ class TestProfiles:
         state = build_gtl(GtlParams.specialized(kb, n_o))
         total = sum(structure_profile(state, o).bridge_degree for o in state.orch)
         assert total == 2 * (n_o - 1) * kb
+
+    @pytest.mark.parametrize("kb,n_o", [(1, 2), (2, 3), (3, 4), (2, 40)])
+    def test_all_profiles_equal_single_profiles(self, kb, n_o):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        state.graph.delete_vertex(state.orch[0])
+        profiles = structure_profiles(state)
+        assert tuple(profiles) == state.graph.vertices()
+        assert profiles == {v: structure_profile(state, v) for v in state.graph.vertices()}
+
+    def test_dead_peer_fails_only_orchestration_profiles(self):
+        state = build_gtl(GtlParams(2, 4, 2))
+        leaf = state.leaves[0][0]
+        state.graph.delete_vertex(leaf)
+        assert structure_profile(state, state.leaves[1][0]) == PeerProfile(rank=1, is_bridge=False)
+        for call in (lambda: structure_profile(state, 0), lambda: structure_profiles(state)):
+            with pytest.raises(ValueError, match=f"unknown or deleted vertex {leaf}"):
+                call()
 
 
 class TestBridgeNeighborhoods:

@@ -6,7 +6,7 @@ import pytest
 
 from entroll.graphstate import CORRECTION_TAGS, Graph, PauliString, measure_pauli, stabilizer_generators
 from entroll.gtl import GtlParams, build_gtl
-from entroll.noise import NoiseMap, depolarizing_map, dephasing_map
+from entroll.noise import NoiseMap, depolarizing_map, dephasing_map, standard_noise
 from entroll.oracle import (
     CORRECTION_UNITARIES,
     MAX_CROSSCHECK_QUBITS,
@@ -144,7 +144,7 @@ class TestApplyChannel:
                 full = np.kron(full, m_)
             return full
 
-        rho = s.data
+        rho = s.data.astype(complex)
         expected = p * rho
         for support in [frozenset(), frozenset({1}), frozenset({0, 2}), frozenset({0, 1, 2})]:
             u = op(support)
@@ -370,6 +370,82 @@ class TestZSignsAndExpectation:
             else:
                 expected = np.trace(op @ s.data)
             assert abs(s.expectation(pauli) - expected) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["vector", "density"])
+    def test_y_factors_on_real_graph_states(self, mode, rng):
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            s = dense_graph_state(random_graph(n, rng), mode=mode)
+            assert s.data.dtype == np.float64
+            letters = [rng.choice("IXYZ") for _ in range(n)]
+            letters[rng.randrange(n)] = "Y"  # in both the x and the z support
+            phase = rng.choice((1, -1, 1j, -1j))
+            pauli = PauliString(
+                x_support=frozenset(v for v, c in enumerate(letters) if c in "XY"),
+                z_support=frozenset(v for v, c in enumerate(letters) if c in "YZ"),
+                phase=phase,
+            )
+            op = phase * embed([_PAULI[c] for c in letters])
+            if mode == "vector":
+                expected = np.vdot(s.data, op @ s.data)
+            else:
+                expected = np.trace(op @ s.data)
+            assert abs(s.expectation(pauli) - expected) < 1e-12
+
+
+def as_complex(state):
+    return DenseState(state.mode, state.qubits, state.data.astype(complex))
+
+
+class TestRealArithmetic:
+    """Real data stays float64 until a complex operator arrives, and then agrees
+    with the same replay on a complex copy."""
+
+    @pytest.mark.parametrize("target", ["bell", "ghz"])
+    @pytest.mark.parametrize("kb,n_o", [(2, 1), (3, 1), (2, 2), (4, 1)])
+    def test_default_replays_stay_real(self, kb, n_o, target):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        plan = default_resolution_plan(state, target)
+        g = state.graph
+        dense = apply_channel(dense_graph_state(g, mode="density"), *standard_noise(g, 0.86, 1.0, 2.0).maps)
+        assert dense.data.dtype == np.float64
+        sim = g.copy()
+        moves = [(o, "X", b0) for o, b0 in plan.steps] + [(v, "Z", None) for v in plan.z_targets]
+        for v, basis, b0 in moves:
+            sim, rec = measure_pauli(sim, v, basis, b0)
+            dense = measure_with_record(dense, rec)
+            assert dense.data.dtype == np.float64, rec
+        report = crosscheck(state, plan, p=0.86, t_ms=1.0, big_t_ms=2.0)
+        assert report.entries
+        assert all(e.delta < 1e-9 for e in report.entries)
+
+    @pytest.mark.parametrize("mode", ["vector", "density"])
+    @pytest.mark.parametrize("basis", ["X", "Y", "Z"])
+    @pytest.mark.parametrize("tag", [None, *CORRECTION_TAGS])
+    def test_measure_dense_matches_complex_copy(self, mode, basis, tag):
+        g = path_graph(4)
+        s = dense_graph_state(g, mode=mode)
+        if mode == "density":
+            s = apply_channel(s, depolarizing_map(g, 2, 0.8), dephasing_map(0, 1.0, 3.0))
+        lists = [()] if tag is None else [((2, tag),), ((0, tag), (2, "SQRT_Y_DAG"), (3, tag))]
+        for corrections in lists:
+            for outcome in (1, -1):
+                out = measure_dense(s, 1, basis, outcome, corrections)
+                cast = measure_dense(as_complex(s), 1, basis, outcome, corrections)
+                assert np.max(np.abs(out.data - cast.data)) < 1e-12
+                complex_op = basis == "Y" or tag in ("SQRT_Z", "SQRT_Z_DAG")
+                assert out.data.dtype == (np.complex128 if complex_op else np.float64)
+
+    def test_apply_channel_matches_complex_copy(self, rng):
+        for n in range(1, 8):
+            g = random_graph(n, rng)
+            s = dense_graph_state(g, mode="density")
+            maps = random_maps(g, rng)
+            out = apply_channel(s, *maps)
+            cast = apply_channel(as_complex(s), *maps)
+            assert out.data.dtype == np.float64
+            assert cast.data.dtype == np.complex128
+            assert np.max(np.abs(out.data - cast.data)) < 1e-15
 
 
 class TestGraphRuleSoundness:
