@@ -370,24 +370,14 @@ def stabilizer_generators(g: Graph) -> list[PauliString]:
 
 def gf2_rank(g: Graph) -> int:
     """Rank of the live adjacency matrix over GF(2)."""
-    rows = [g.neighbor_mask(v) for v in g.vertices()]
-    rank = 0
-    for col in g.vertices():
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r] >> col & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r] >> col & 1:
-                rows[r] ^= rows[rank]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    basis: dict[int, int] = {}  # highest set bit -> basis row
+    for v in g.vertices():
+        row = g.neighbor_mask(v)
+        while (top := row.bit_length()) in basis:  # a zero row has top 0, never a key
+            row ^= basis[top]
+        if row:
+            basis[top] = row
+    return len(basis)
 
 
 # -- serialization ----------------------------------------------------------

@@ -848,33 +848,6 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
     return maps
 
 
-def _component_terms(graph: Graph, maps) -> tuple[tuple[str, tuple], ...]:
-    """Pair every multi-qubit component of ``graph`` with the maps that touch it.
-
-    ``maps`` yields each map's branches as (support mask, value) pairs; each
-    component gets, in map order, the branches with their supports
-    restricted to it.  A map that touches no component would only add the
-    identity to its law.
-    """
-    masks = [c for c in graph.component_masks() if c & (c - 1)]
-    owner = {1 << v: i for i, mask in enumerate(masks) for v in _bits(mask)}
-    terms: list[list] = [[] for _ in masks]
-    for branches in maps:
-        rest = 0
-        for support, _ in branches:
-            rest |= support
-        while rest:  # one pass per touched component, from its lowest touched vertex
-            low = rest & -rest
-            i = owner.get(low)
-            if i is None:
-                rest ^= low
-                continue
-            mask = masks[i]
-            rest &= ~mask
-            terms[i].append(tuple([(s & mask, x) for s, x in branches]))
-    return tuple((component_key(_bits(mask)), tuple(t)) for mask, t in zip(masks, terms))
-
-
 def _xor_convolve(maps) -> dict[int, float]:
     """Law of the XOR of one independent draw per map, over bitmask supports.
 
@@ -899,6 +872,11 @@ def _xor_convolve(maps) -> dict[int, float]:
     return dist
 
 
+def _restricted_law(maps, mask: int) -> dict[int, float]:
+    """XOR law of the maps' branch supports restricted to ``mask``."""
+    return _xor_convolve([(op.mask & mask, prob) for prob, op in m.branches] for m in maps)
+
+
 def restrict_to_targets(
     maps: tuple[NoiseMap, ...] | list[NoiseMap],
     targets: frozenset[int],
@@ -914,8 +892,7 @@ def restrict_to_targets(
     targets = frozenset(targets)
     if targets not in graph.components():
         raise ValueError(f"targets {sorted(targets)} are not a full connected component")
-    mask = _mask(targets)
-    law = _xor_convolve([(op.mask & mask, prob) for prob, op in m.branches] for m in maps)
+    law = _restricted_law(maps, _mask(targets))
     return {frozenset(_bits(support)): prob for support, prob in law.items()}
 
 
@@ -935,5 +912,8 @@ def fidelity(ns: NoiseState, targets: frozenset[int]) -> float:
 
 def component_fidelities(ns: NoiseState) -> dict[str, float]:
     """Fidelity of every multi-qubit component, keyed by its sorted vertex ids."""
-    maps = ([(op.mask, prob) for prob, op in m.branches] for m in ns.maps)
-    return {key: _xor_convolve(terms).get(0, 0.0) for key, terms in _component_terms(ns.graph, maps)}
+    return {
+        component_key(_bits(mask)): _restricted_law(ns.maps, mask).get(0, 0.0)
+        for mask in ns.graph.component_masks()
+        if mask & (mask - 1)
+    }

@@ -27,7 +27,7 @@ import numpy as np
 
 from .graphstate import Graph, MeasurementRecord, PauliString, component_key, measure_pauli
 from .gtl import GtlState
-from .noise import NoiseMap, NoiseState, component_fidelities, propagate, standard_noise
+from .noise import NoiseMap, component_fidelities, propagate, standard_noise
 from .rolling import ResolutionPlan
 
 __all__ = [
@@ -398,7 +398,6 @@ def crosscheck(
     p: float = 1.0,
     t_ms: float = 1.0,
     big_t_ms: float = math.inf,
-    initial_maps: tuple[NoiseMap, ...] | None = None,
 ) -> CrosscheckReport:
     """Run the noise pipeline symbolically and densely; compare fidelities.
 
@@ -410,10 +409,7 @@ def crosscheck(
     g = state.graph
     if g.n > MAX_CROSSCHECK_QUBITS:
         raise ValueError(f"crosscheck is limited to {MAX_CROSSCHECK_QUBITS} qubits, got {g.n}")
-    if initial_maps is None:
-        ns0 = standard_noise(g, p, t_ms, big_t_ms)
-    else:
-        ns0 = NoiseState(graph=g.copy(), maps=initial_maps)
+    ns0 = standard_noise(g, p, t_ms, big_t_ms)
     ns = propagate(ns0, plan)
     symbolic_fids = component_fidelities(ns)
 

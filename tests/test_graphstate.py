@@ -16,6 +16,7 @@ from entroll.graphstate import (
     measure_pauli,
     stabilizer_generators,
 )
+from entroll.gtl import GtlParams, build_gtl
 
 from conftest import assert_adjacency_invariants, random_graph
 
@@ -190,3 +191,19 @@ class TestGf2Rank:
         for _ in range(100):
             g = random_graph(rng.randint(1, 12), rng)
             assert gf2_rank(g) % 2 == 0
+
+    def test_matches_enumerated_row_space(self, rng):
+        for _ in range(200):
+            n = rng.randint(1, 10)
+            g = random_graph(n, rng, density=rng.random())
+            for v in rng.sample(range(n), rng.randint(0, n // 2)):
+                g.delete_vertex(v)  # live ids need not be contiguous
+            span = {0}
+            for v in g.vertices():
+                row = g.neighbor_mask(v)
+                span |= {x ^ row for x in span}
+            assert len(span) == 1 << gf2_rank(g)
+
+    @pytest.mark.parametrize("n_o", [1, 2, 3, 10, 41, 122, 341, 1364])
+    def test_bell_ladder_rank(self, n_o):
+        assert gf2_rank(build_gtl(GtlParams.specialized(2, n_o)).graph) == 2 * n_o

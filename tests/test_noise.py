@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from entroll.graphstate import Graph, measure_pauli
+from entroll.graphstate import Graph, component_key, measure_pauli
 from entroll.gtl import GtlParams, GtlState, build_gtl
 from entroll.noise import (
     CanonicalForm,
@@ -551,6 +551,58 @@ class TestFidelity:
         ns = standard_noise(state.graph, 0.9)
         with pytest.raises(ValueError):
             fidelity(ns, frozenset({2}))
+
+
+def assert_scorers_agree(ns):
+    """``component_fidelities`` equals ``fidelity`` bit for bit on every multi-qubit component."""
+    fids = component_fidelities(ns)
+    comps = [c for c in ns.graph.components() if len(c) >= 2]
+    assert list(fids) == [component_key(c) for c in comps]
+    for comp in comps:
+        assert fids[component_key(comp)] == fidelity(ns, comp)
+
+
+class TestStepwiseScorersAgree:
+    @pytest.mark.parametrize("kb, n_o", [(2, 3), (3, 2)])
+    def test_rolling_only_plans(self, kb, n_o):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        for plan in rolling_only_plans(state):
+            assert_scorers_agree(propagate(standard_noise(state.graph, 0.9, 2.0, 7.0), plan))
+
+    def test_non_canonical_maps(self):
+        # components {0, 1, 2} and {3, 4}; 5 is isolated and 6 deleted
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4)])
+        g.delete_vertex(6)
+        maps = (
+            # zero-weight branches and supports out of order
+            NoiseMap(1, ((0.25, ZOperator(0b110)), (0.0, ZOperator(0b1)), (0.75, ZOperator(0)))),
+            NoiseMap(2, ((0.5, ZOperator(0b100)), (0.0, ZOperator(0)), (0.5, ZOperator(0b10)))),
+            # touches no multi-qubit component
+            NoiseMap(5, ((0.875, ZOperator(0)), (0.125, ZOperator(0b100000)))),
+            # touch both components; the zero-weight branch {4} lies in the second only
+            NoiseMap(0, ((0.5, ZOperator(0b11001)), (0.5, ZOperator(0b1)), (0.0, ZOperator(0b10000)))),
+            NoiseMap(4, ((0.625, ZOperator(0)), (0.375, ZOperator(0b10100)))),
+        )
+        ns = NoiseState(graph=g, maps=maps)
+        assert_scorers_agree(ns)
+        assert set(component_fidelities(ns)) == {"0-1-2", "3-4"}
+
+    def test_random_maps(self, rng):
+        for _ in range(50):
+            n = rng.randint(2, 9)
+            g = random_graph(n, rng, density=0.3)
+            for v in rng.sample(range(n), rng.randint(0, 2)):
+                g.delete_vertex(v)
+            maps = []
+            for v in g.vertices():
+                supports = {
+                    sum(1 << u for u in g.vertices() if rng.random() < 0.4) for _ in range(rng.randint(1, 4))
+                }
+                weights = [rng.choice([0.0, rng.random()]) for _ in supports]
+                weights[0] = weights[0] or 1.0
+                total = sum(weights)
+                maps.append(NoiseMap(v, tuple((w / total, ZOperator(s)) for w, s in zip(weights, supports))))
+            assert_scorers_agree(NoiseState(graph=g, maps=tuple(maps)))
 
 
 def compiled_terms(compiled):
