@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import oracle
-from .graphstate import json_field, json_float, json_int, json_object
+from .graphstate import check_vertex_id, json_field, json_float, json_int, json_object
 from .gtl import GtlParams, GtlState, bridge_neighborhoods, build_gtl, validate_gtl
 from .noise import (
     CompiledPlan,
@@ -84,9 +84,13 @@ class ExperimentConfig:
                 raise ValueError(f"dephasing time {t} must be positive")
         if not self.protocol_time_ms >= 0:
             raise ValueError(f"protocol time must be nonnegative, got {self.protocol_time_ms}")
-        for _, t in self.qubit_times_ms:
+        seen: set[int] = set()
+        for v, t in self.qubit_times_ms:
             if not t >= 0:
                 raise ValueError(f"per-qubit memory times must be nonnegative, got {t}")
+            if v in seen:
+                raise ValueError(f"qubit_times_ms lists vertex {v} twice")
+            seen.add(v)
         GtlParams.specialized(self.kappa_b_hat, self.n_o)
 
     @classmethod
@@ -98,6 +102,10 @@ class ExperimentConfig:
             if isinstance(value, str) and value.lower() in ("inf", "infinity"):
                 return math.inf
             return json_float(value)
+
+        def _vertex(value: object) -> int:
+            check_vertex_id(v := json_int(value))
+            return v
 
         def _list(value: object) -> list:
             if not isinstance(value, (list, tuple)):
@@ -121,7 +129,7 @@ class ExperimentConfig:
             protocol_time_ms=field("protocol_time_ms", json_float, 1.0),
             qubit_times_ms=field(
                 "qubit_times_ms",
-                lambda v: tuple(sorted((int(k), json_float(t)) for k, t in (v or {}).items())),
+                lambda v: tuple(sorted((_vertex(k), json_float(t)) for k, t in (v or {}).items())),
                 (),
             ),
             plan=field("plan", lambda v: None if v is None else ResolutionPlan.from_json(v), None),

@@ -39,12 +39,30 @@ follow from its map's merge pattern and two component-local keys.
 :func:`compiled_fidelities` is its one-point call.
 
 To score a batch, the convolutions are run once over keys instead of
-probabilities and recorded as a program of numpy steps: the keys each step
-inserts, in the reference's insertion order, and for each key the (earlier
-key, marginal slot) products it sums.  Components whose term lists begin
-alike share that prefix's law, so each distinct prefix, a node of a prefix
-trie, is run once.  One numpy step applies one term to every node of one
-trie depth at every point.  The scores equal the reference bit for bit:
+probabilities and recorded as a program of numpy steps: for each key a
+step inserts, the (earlier key, marginal slot) products it sums.
+Components whose term lists begin alike share that prefix's law, so each
+distinct prefix, a node of a prefix trie, is run once.  One numpy step
+applies one term to every node of one trie depth at every point.
+
+A map's supports are 0, A, I and I ^ A (0 and I if dephasing), a
+subspace, and so are their restrictions: a term's marginal keys are [0, a]
+or [0, a, b, a ^ b], the span of M = (a) or (a, b) in counting order (key x
+is the XOR of the basis vectors at the set bits of x).  Every law's keys
+are then the span of an ordered basis in counting order too, starting from
+the empty prefix's [0].  The reference visits the pairs (key, marginal key)
+key-major and inserts each XOR at its first visit, so parent key i inserts
+its whole coset of span(M), in M's counting order, unless an earlier parent
+key lies in that coset.  The first keys of the cosets are the indices
+``imin`` with no bit at a dependent position j (basis[j] in the span of M
+and basis[:j]), so the next basis is M followed by the independent basis
+vectors, and the rule holds again.  With s = len(M), w = 2**s and T the
+parent indices whose keys lie in span(M), ascending, next key x sums |T|
+products in visiting order: product k takes parent index ``imin[x >> s] ^
+T[k]`` and marginal slot ``(x & w - 1) ^ coord_M(key(T[k]))``.  No sort is
+needed, and a law's size, 2**len(basis), is known before any table is
+made: a law of more than ``_MAX_LAW_KEYS`` keys is refused then.  The
+scores equal the reference bit for bit:
 
 * each point's weights are computed in Python floats with the reference's
   expressions (``math.exp`` through :func:`dephasing_probability`);
@@ -376,6 +394,11 @@ _CODE_ZERO, _CODE_SLOT = 0, 1
 # (under 16) and two local keys into an int64.  Scoring it takes 2**29 keys.
 _MAX_COMPONENT_QUBITS = 29
 
+# Most keys a scored law may hold; the program's tables grow with it.  A
+# one-point sweep of the (d, 2) GHZ star, whose law ends with 2**d keys,
+# peaked at 54, 227 and 784 MB RSS for d = 14, 16 and 18 (x86-64, numpy 2.4).
+_MAX_LAW_KEYS = 1 << 18
+
 # Largest contributions x state rows x points one pass of a program holds;
 # bigger batches are scored a slice of points at a time (same arithmetic).
 _PASS_CELLS = 1 << 21
@@ -658,36 +681,36 @@ def compiled_fidelities(
     return dict(zip(compiled.components, row.tolist()))
 
 
-def _transition(keys: np.ndarray, marginal: tuple[int, ...]):
-    """One step of _xor_convolve run on keys: the next keys and what sums into each.
+def _transition(basis: tuple[int, ...], marginal: tuple[int, ...]):
+    """One step of _xor_convolve run on keys, in closed form over bases (see the module docstring).
 
-    The reference visits the pairs (key, marginal key) key-major and inserts
-    each XOR at its first visit, so the next keys are the distinct XORs in
-    order of first visit, and each adds its products in visiting order.
-    Returns the next keys and a (contributions, next keys) table pair: the
-    position of each product's key and its marginal code (_CODE_ZERO pads).
+    Returns the next basis and a function making the (contributions, next
+    keys) table pair: each product's parent index and marginal code.
     """
-    width = len(marginal)
-    pairs = (keys[:, None] ^ np.array(marginal, dtype=np.intp)).ravel()
-    # Equal XORs together, each in visiting order; numpy radix-sorts 16-bit keys.
-    sortable = pairs.astype(np.uint16) if int(pairs.max()) < 1 << 16 else pairs
-    visits = np.argsort(sortable, kind="stable")
-    ordered = pairs[visits]
-    first = np.empty(len(pairs), dtype=bool)
-    first[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    group = np.cumsum(first) - 1
-    starts = np.flatnonzero(first)
-    rank = np.arange(len(pairs)) - starts[group]
-    inserts = np.zeros(len(pairs), dtype=bool)  # the visits that insert a key
-    inserts[visits[starts]] = True
-    position = (np.cumsum(inserts) - 1)[visits[starts]]
-    at = rank * len(starts) + position[group]
-    src = np.zeros((int(rank.max()) + 1, len(starts)), dtype=np.int32)
-    code = np.full(src.shape, _CODE_ZERO, dtype=np.int32)
-    src.ravel()[at] = visits // width
-    code.ravel()[at] = _CODE_SLOT + visits % width
-    return pairs[inserts], (src, code)
+    s = len(marginal).bit_length() - 1
+    assert len(set(marginal)) == len(marginal) == 1 << s, f"signature keys {marginal} span no basis"
+    assert all(marginal[x] == marginal[x & -x] ^ marginal[x & x - 1] for x in range(1 << s)), marginal
+    m = tuple(marginal[1 << j] for j in range(s))
+    # Reduce M, then the basis, by top bit; bit j of a tag names (m + basis)[j].
+    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (reduced key, tag)
+    inside, dependent = [0], 0  # the tags of T, ascending
+    for j, key in enumerate(m + basis):
+        tag = 1 << j
+        while key.bit_length() in pivots:
+            k, t = pivots[key.bit_length()]
+            key, tag = key ^ k, tag ^ t
+        if key:
+            pivots[key.bit_length()] = (key, tag)
+        else:  # basis[j - s] is dependent: its tag's other bits lie below j and on no dependent one
+            inside += [t ^ tag for t in inside]
+            dependent |= 1 << j - s
+    nxt = m + tuple(b for j, b in enumerate(basis) if not dependent >> j & 1)
+
+    def tables() -> tuple[np.ndarray, np.ndarray]:
+        i, x, t = np.arange(1 << len(basis)), np.arange(1 << len(nxt)), np.array(inside)[:, None]
+        return i[i & dependent == 0][x >> s] ^ t >> s, _CODE_SLOT + ((x ^ t) & (1 << s) - 1)
+
+    return nxt, tables
 
 
 def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -> _Program:
@@ -695,10 +718,11 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
 
     A node is a distinct prefix of some component's kept terms, a term's
     kind being its (signature, weight row) pair.  Transitions are memoized
-    on keys, so the nodes of a ladder share them.  The tables use the
+    on bases, so the nodes of a ladder share them.  The tables use the
     narrowest unsigned type that holds their entries: a wide star's tables
     hold as many entries as one point's convolution has products, and their
-    size sets the scoring's peak memory.
+    size sets the scoring's peak memory, so a law above _MAX_LAW_KEYS keys
+    raises a ValueError before any table is made.
     """
     # Source -1 (depolarizing) reads the last entry.
     dropped = np.array([zero >> v & 1 for v in compiled.dephasing] + [drop_depolarizing], dtype=bool)
@@ -721,23 +745,23 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     parent, kind = np.divmod(np.array([0, *trie], dtype=np.int64), max(n_kinds, 1))  # the root reads as 0
     sid, base = np.divmod(kind, n_rows)
 
-    # A parent precedes its children, so one pass gives each node its keys,
+    # A parent precedes its children, so one pass gives each node its basis,
     # its depth and the template that makes it.
-    transitions: dict = {}  # (keys, signature id) -> (next keys, template)
-    templates: list = []
-    keys_of, depth, template = [np.zeros(1, dtype=np.intp)], [0], [0]
+    transitions: dict = {}  # (basis, signature id) -> (next basis, tables, template)
+    basis_of, depth, template = [()], [0], [0]
     for p, s in zip(parent[1:].tolist(), sid[1:].tolist()):
-        memo = (keys_of[p].tobytes(), s)
+        memo = (basis_of[p], s)
         if memo not in transitions:
-            keys, table = _transition(keys_of[p], compiled.signatures[s][0])
-            transitions[memo] = (keys, len(templates))
-            templates.append(table)
-        keys, t = transitions[memo]
-        keys_of.append(keys)
+            transitions[memo] = (*_transition(basis_of[p], compiled.signatures[s][0]), len(transitions))
+        basis, _, t = transitions[memo]
+        basis_of.append(basis)
         depth.append(depth[p] + 1)
         template.append(t)
+    for name, node in zip(compiled.components, ends):  # a law never shrinks along its path
+        if (keys := 1 << len(basis_of[node])) > _MAX_LAW_KEYS:
+            raise ValueError(f"scoring component {name} takes {keys:,} keys (at most {_MAX_LAW_KEYS:,})")
 
-    width = max(map(len, keys_of))
+    width = 1 << max(map(len, basis_of))
     depth, template = np.array(depth), np.array(template)
     by_depth = np.argsort(depth, kind="stable")
     level = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2))  # start of each depth
@@ -746,12 +770,11 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     codes = _CODE_SLOT + max([0] + [len(keys) for keys, _ in compiled.signatures])
     index = np.min_scalar_type(max(width * int(np.diff(level).max()), len(depth) * codes))
 
-    contributions = np.array([src.shape[0] for src, _ in templates] or [1])[template]
-    src_table = np.zeros((len(templates), int(contributions.max()), width), dtype=index)
-    code_table = np.full(src_table.shape, _CODE_ZERO, dtype=index)
-    for t, (src, code) in enumerate(templates):
-        src_table[t, : src.shape[0], : src.shape[1]] = src
-        code_table[t, : code.shape[0], : code.shape[1]] = code
+    templates = [np.array(tables()) for _, tables, _ in transitions.values()]
+    contributions = np.array([pair.shape[1] for pair in templates] or [1])[template]
+    src_table, code_table = table = np.zeros((2, len(templates), int(contributions.max()), width), dtype=index)
+    for t, pair in enumerate(templates):  # pads with source 0 and code _CODE_ZERO, both 0
+        table[:, t, : pair.shape[1], : pair.shape[2]] = pair
 
     # Node n's marginal rows are block n - 1: 0.0, then its term's slots.
     per_slot = max([1] + [len(ix) for _, slots in compiled.signatures for ix in slots])

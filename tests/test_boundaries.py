@@ -7,6 +7,7 @@ or target id gives the same error text through every path that measures it.
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -534,6 +535,32 @@ def test_sweep_plan_leaving_a_resource_too_large_to_score(tmp_path, capsys):
     assert err == "error: a component of 32 qubits is too large to score (at most 29)\n"
 
 
+class TestQubitTimes:
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ({"1": 2.0, "01": 5.0}, "qubit_times_ms lists vertex 1 twice"),
+            ({"-3": 2.0}, "config field 'qubit_times_ms': vertex id -3 is negative"),
+            ({"4096": 2.0}, "config field 'qubit_times_ms': vertex id 4096 is above the largest supported id 4095"),
+        ],
+    )
+    def test_bad_or_repeated_ids_are_refused(self, times, message):
+        data = {"kappa_b_hat": 2, "n_o": 2, "qubit_times_ms": times}
+        assert _error(lambda: ExperimentConfig.from_json(data)) == message
+
+    def test_direct_construction_refuses_a_repeated_id(self):
+        message = _error(lambda: ExperimentConfig(2, 2, qubit_times_ms=((1, 2.0), (1, 5.0))))
+        assert message == "qubit_times_ms lists vertex 1 twice"
+
+    def test_sweep_config_prints_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"kappa_b_hat": 2, "n_o": 2, "qubit_times_ms": {"1": 2.0, "01": 5.0}}')
+        assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: qubit_times_ms lists vertex 1 twice\n"
+
+
 class TestConfigChecks:
     def test_unknown_resource_target(self):
         data = {"kappa_b_hat": 2, "n_o": 2, "target": "w"}
@@ -606,3 +633,20 @@ class TestSizeBound:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: a resource of 300002 qubits exceeds the bound of {MAX_QUBITS} qubits\n"
+
+    def test_law_above_the_key_bound_exits_before_scoring(self, capsys):
+        # The (24, 2) GHZ star has 24 qubits, under the 29-qubit compile
+        # limit, but its law would hold 2**24 keys.
+        tracemalloc.start()
+        try:
+            status = cli.main(["sweep", "--kappa-b", "24", "--n-o", "2", "--target", "ghz",
+                               "--p-grid", "0.9", "--t-grid", "10"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == cli.EXIT_CONFIG
+        assert peak < 4 << 20
+        out, err = capsys.readouterr()
+        assert out == ""
+        star = "-".join(map(str, range(2, 26)))
+        assert err == f"error: scoring component {star} takes 16,777,216 keys (at most 262,144)\n"

@@ -752,12 +752,86 @@ def _raised(fn) -> str:
     return str(info.value)
 
 
+def counting_order(basis):
+    """The keys a basis spans, in counting order: key x is the XOR of basis[j] over the set bits j of x."""
+    keys = [0]
+    for b in basis:
+        keys += [k ^ b for k in keys]
+    return keys
+
+
+def replay_transition(keys, marginal):
+    """_xor_convolve's visits over keys: each next key, in first-visit order, with its
+    (parent index, marginal code) products in visiting order."""
+    sums = {}
+    for i, key in enumerate(keys):
+        for j, m in enumerate(marginal):
+            sums.setdefault(key ^ m, []).append((i, noise._CODE_SLOT + j))
+    return sums
+
+
+def independent_vector(rng, within, outside, bits=8):
+    """A random vector in span(within) (all of GF(2)^bits if None) outside span(outside)."""
+    while True:
+        v = rng.randrange(1 << bits) if within is None else rng.choice(counting_order(within))
+        if v not in counting_order(outside):
+            return v
+
+
+# Every bench instance, as workloads.py runs it.
+BENCH_INSTANCES = [
+    (2, 10, "bell"), (3, 20, "bell"), (4, 20, "bell"), (2, 40, "bell"), (3, 6, "bell"), (8, 3, "ghz"),
+    (10, 2, "ghz"), (3, 1, "bell"), (3, 1, "ghz"), (2, 2, "bell"), (2, 2, "ghz"), (4, 1, "bell"), (4, 1, "ghz"),
+]
+
+
+class TestTransition:
+    def test_closed_form_replays_first_visits(self, rng):
+        # Parent bases of up to 6 of 8 bits; marginals of 1 or 2 vectors, of
+        # which `overlap` lie in the parent's span: none, some, or all.
+        for _ in range(40):
+            for s in (1, 2):
+                basis = []
+                for _ in range(rng.randrange(7)):
+                    basis.append(independent_vector(rng, None, basis))
+                for overlap in range(min(s, len(basis)) + 1):
+                    inside = []
+                    for _ in range(overlap):
+                        inside.append(independent_vector(rng, basis, inside))
+                    m = list(inside)
+                    for _ in range(s - overlap):
+                        m.append(independent_vector(rng, None, basis + m))
+                    rng.shuffle(m)
+                    marginal = tuple(counting_order(m))
+                    following, tables = noise._transition(tuple(basis), marginal)
+                    src, code = tables()
+                    sums = replay_transition(counting_order(basis), marginal)
+                    assert counting_order(following) == list(sums)
+                    assert len(following) == len(basis) + s - overlap
+                    assert src.shape == code.shape == (1 << overlap, len(sums))
+                    assert [list(zip(*pair)) for pair in zip(src.T.tolist(), code.T.tolist())] == list(sums.values())
+
+    @pytest.mark.parametrize("marginal", [(0, 1, 2, 4), (0, 3, 5, 5), (1, 0), (0, 1, 1, 0), (0, 1, 2)])
+    def test_signature_outside_the_invariant_is_refused(self, marginal):
+        with pytest.raises(AssertionError):
+            noise._transition((1, 2), marginal)
+
+    @pytest.mark.parametrize("kb, n_o, target", BENCH_INSTANCES)
+    def test_bench_signatures_span_two_keys(self, kb, n_o, target):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        compiled = compile_plan(state.graph, default_resolution_plan(state, target))
+        assert compiled.signatures
+        for keys, _ in compiled.signatures:
+            assert len(set(keys)) == len(keys)
+            assert keys in [(0, keys[1]), (0, keys[1], keys[-2], keys[1] ^ keys[-2])]
+
+
 class TestCompiledPlan:
     # The benchmark's rungs, plus the n_o = 1 case whose plan trims leaves only.
     @pytest.mark.parametrize(
         "kb, n_o, target",
         [(2, 10, "bell"), (3, 20, "bell"), (4, 20, "bell"), (2, 40, "bell"),
-         (8, 3, "ghz"), (10, 2, "ghz"), (3, 1, "bell")],
+         (8, 3, "ghz"), (10, 2, "ghz"), (12, 2, "ghz"), (3, 1, "bell")],
     )
     def test_resolution_plans(self, kb, n_o, target):
         state = build_gtl(GtlParams.specialized(kb, n_o))
@@ -899,6 +973,20 @@ class TestCompiledPlan:
         state = build_gtl(GtlParams.specialized(2, 10))
         message = _raised(lambda: compile_plan(state.graph, ResolutionPlan(steps=())))
         assert message == "a component of 32 qubits is too large to score (at most 29)"
+
+    def test_law_above_the_key_bound(self, monkeypatch):
+        # Each (8, 3) GHZ star's law ends with 2**8 keys.
+        state = build_gtl(GtlParams.specialized(8, 3))
+        compiled = compile_plan(state.graph, default_resolution_plan(state, "ghz"))
+        points = [(0.9, 1.0, 5.0, None)]
+        monkeypatch.setattr(noise, "_MAX_LAW_KEYS", 256)
+        assert score_points(compiled, points).shape == (1, 3)
+        compiled.programs.clear()
+        monkeypatch.setattr(noise, "_MAX_LAW_KEYS", 255)
+        message = _raised(lambda: score_points(compiled, points))
+        assert message == f"scoring component {compiled.components[0]} takes 256 keys (at most 255)"
+        # At p = 1 and T = inf every branch is dropped: nothing is left to score.
+        assert score_points(compiled, [(1.0, 1.0, math.inf, None)]).tolist() == [[1.0] * 3]
 
     def test_plan_extracting_no_resource(self):
         state = build_gtl(GtlParams.specialized(2, 2))
