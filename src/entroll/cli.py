@@ -132,9 +132,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.target is not None:
         data["target"] = args.target
     if args.p_grid is not None:
-        data["p_grid"] = [float(x) for x in args.p_grid.split(",")]
+        data["p_grid"] = args.p_grid.split(",")
     if args.t_grid is not None:
-        data["T_grid_ms"] = [x for x in args.t_grid.split(",")]
+        data["T_grid_ms"] = args.t_grid.split(",")
     if args.seed is not None:
         data["seed"] = args.seed
     if "kappa_b_hat" not in data or "n_o" not in data:

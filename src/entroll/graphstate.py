@@ -17,6 +17,11 @@ and JSON, ``CanonicalForm.realize``, ``restrict_to_targets``/``fidelity`` and
 ``CompiledPlan.qubits``.  A mask is built from an input id only once that id
 is shown live, or, for a noise-map support, below ``MAX_QUBITS``, so no bad
 id is ever shifted.
+
+Liveness is checked at the public entry points and where ``rolling`` and
+``noise`` take a plan step; past those checks, internal walks read and write
+``Graph._rows``.  One in-place X update, ``Graph._measure_x``, serves
+:func:`measure_pauli`, the rolling planner and the noise compiler.
 """
 
 from __future__ import annotations
@@ -211,10 +216,23 @@ class Graph:
         self._rows[v] = 0
         self._live &= ~bit
 
-    def _local_complement(self, a: int) -> None:
-        nb = self.neighbor_mask(a)
-        for v in _bits(nb):
-            self._rows[v] ^= nb & ~(1 << v)
+    def _local_complement(self, a: int, cut: int = 0) -> None:
+        """LC(a) on the rows; with ``cut = 1 << a`` the neighbors of ``a`` also drop ``a``."""
+        rows = self._rows
+        nb = rest = rows[a]
+        while rest:
+            low = rest & -rest
+            rows[low.bit_length() - 1] ^= nb ^ low ^ cut
+            rest ^= low
+
+    def _measure_x(self, a: int, b0: int) -> None:
+        """X-measure ``a`` with support ``b0`` in place: LC(b0), LC(a), delete ``a``, LC(b0).
+        ``b0`` is a live neighbor of live ``a``, or any live vertex if ``a`` is isolated."""
+        self._local_complement(b0)
+        self._local_complement(a, 1 << a)
+        self._rows[a] = 0
+        self._live ^= 1 << a
+        self._local_complement(b0)
 
     # -- dunder ------------------------------------------------------------
 
@@ -307,7 +325,7 @@ def measure_pauli(
     basis = basis.upper()
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"unsupported measurement basis {basis!r}")
-    nbrs = g.neighbor_mask(a)
+    nbrs = g._rows[a]
     if basis == "X" and nbrs:
         if support_choice is None:
             raise ValueError(f"X measurement of {a} needs a support choice among {list(_bits(nbrs))}")
@@ -341,11 +359,8 @@ def measure_pauli(
     else:
         b0 = support_choice
         assert b0 is not None
-        nb0 = g.neighbor_mask(b0)
-        h._local_complement(b0)
-        h._local_complement(a)
-        h.delete_vertex(a)
-        h._local_complement(b0)
+        nb0 = g._rows[b0]
+        h._measure_x(a, b0)
         if outcome == 1:
             zs = nbrs & ~nb0 & ~(1 << b0)
             corrections = ((b0, "SQRT_Y_DAG"), *((b, "Z") for b in _bits(zs)))

@@ -97,36 +97,26 @@ def build_gtl(params: GtlParams) -> GtlState:
     before leaves.
     """
     kb, kc, n_o = params.kappa_b_hat, params.kappa_c, params.n_o
+    rows = [0] * n_o
+    for i in range(n_o):
+        if i + 1 < n_o:  # kb bridges, each adjacent to i and i + 1
+            bridges = ((1 << kb) - 1) << len(rows)
+            rows[i] |= bridges
+            rows[i + 1] |= bridges
+            rows += [3 << i] * kb
+        n_leaf = kc - kb * ((i > 0) + (i + 1 < n_o))  # the peers of i that are not bridges
+        rows[i] |= ((1 << n_leaf) - 1) << len(rows)
+        rows += [1 << i] * n_leaf
     g = Graph()
-    orch = tuple(g.add_vertex() for _ in range(n_o))
-    for i, o in enumerate(orch):
-        if i + 1 < n_o:
-            for _ in range(kb):
-                b = g.add_vertex()
-                g.add_edge(o, b)
-                g.add_edge(orch[i + 1], b)
-        if n_o == 1:
-            n_leaf = kc
-        elif i in (0, n_o - 1):
-            n_leaf = kc - kb
-        else:
-            n_leaf = kc - 2 * kb
-        for _ in range(n_leaf):
-            g.add_edge(o, g.add_vertex())
-    return _gtl_state(g, orch, frozenset(g.vertices()[n_o:]), params)
+    g._rows, g._live = rows, (1 << len(rows)) - 1
+    return _gtl_state(g, tuple(range(n_o)), frozenset(range(n_o, len(rows))), params)
 
 
 def _gtl_state(graph: Graph, orch: tuple[int, ...], peers: frozenset[int], params) -> GtlState:
     """The state, with its bridges and leaves read off the graph (orchestration qubits must be live)."""
-    orch_mask = graph.mask(orch)
-    bridges = {
-        (orch[i], orch[i + 1]): tuple(_bits(_bridge_sides(graph, orch, i)[1]))
-        for i in range(len(orch) - 1)
-    }
-    leaves = {
-        o: tuple(c for c in _bits(graph.neighbor_mask(o)) if _rank(graph, c, orch_mask) == 1)
-        for o in orch
-    }
+    orch_mask, rows = graph.mask(orch), graph._rows
+    bridges = {(o, nxt): tuple(_bits(rows[o] & rows[nxt])) for o, nxt in zip(orch, orch[1:])}
+    leaves = {o: tuple(c for c in _bits(rows[o]) if rows[c] & orch_mask == 1 << o) for o in orch}
     return GtlState(graph=graph, orch=orch, peers=peers, bridges=bridges, leaves=leaves, params=params)
 
 

@@ -336,18 +336,19 @@ def _apply_images(m: NoiseMap, images: dict[int, int]) -> NoiseMap:
     return NoiseMap._from_masks(m.origin, out)
 
 
-def _measure_x(g: Graph, a: int, b0: int | None) -> tuple[Graph, dict[int, int]]:
-    """X-measure ``a`` with support ``b0``: the new graph and the images of Z_a and Z_b0.
+def _measure_x(g: Graph, a: int, b0: int | None) -> dict[int, int]:
+    """X-measure ``a`` with support ``b0`` on ``g`` in place, and return the images of Z_a and Z_b0.
 
     Z_a goes to Z on ``{b0}`` and the old neighborhood of ``b0`` without
     ``a``, and Z_b0 to Z on the new neighborhood of ``b0``.
     """
-    if not g.neighbor_mask(a):
+    if not (nbrs := g.neighbor_mask(a)):
         raise ValueError(f"noise propagation through X on isolated vertex {a} is undefined")
-    if b0 is None or not (g.is_live(b0) and g.has_edge(a, b0)):
+    if b0 is None or not (g.is_live(b0) and nbrs >> b0 & 1):
         raise ValueError(f"X measurement of {a} needs a support among its neighbors")
-    g2, _ = measure_pauli(g, a, "X", b0)
-    return g2, {a: (1 << b0) | (g.neighbor_mask(b0) & ~(1 << a)), b0: g2.neighbor_mask(b0)}
+    image = 1 << b0 | g._rows[b0] & ~(1 << a)
+    g._measure_x(a, b0)
+    return {a: image, b0: g._rows[b0]}
 
 
 def propagate_measurement(
@@ -357,7 +358,7 @@ def propagate_measurement(
     g = ns.graph
     basis = basis.upper()
     if basis == "X":
-        g2, images = _measure_x(g, a, support_choice)
+        images = _measure_x(g2 := g.copy(), a, support_choice)
     elif basis in ("Y", "Z"):
         g2, _ = measure_pauli(g, a, basis)
         images = {a: g.neighbor_mask(a) if basis == "Y" else 0}
@@ -487,19 +488,34 @@ class CompiledPlan:
     programs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+def _precedes(x: int, y: int) -> bool:
+    """Whether support ``x`` sorts before a different ``y`` by :func:`_support_order`: the one
+    holding the lowest vertex in just one of them goes first, unless the other stops before it."""
+    low = (x ^ y) & -(x ^ y)
+    return y >= low if x & low else x < low
+
+
 def _merge(branches: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """Merge branches with equal supports, sorted as NoiseMap.from_weights sorts them."""
     merged: dict[int, int] = {}
     for support, index in branches:
         merged[support] = _MERGED[merged[support], index] if support in merged else index
-    return sorted(merged.items(), key=lambda branch: _support_order(branch[0]))
+    out: list[tuple[int, int]] = []
+    for branch in merged.items():  # an insertion sort of at most four
+        at = len(out)
+        while at and _precedes(branch[0], out[at - 1][0]):
+            at -= 1
+        out.insert(at, branch)
+    return out
 
 
 def _compose(mask: int, rows: dict[int, int]) -> int:
     """XOR of ``rows[w]`` (Z_w itself when absent) over the set bits w of ``mask``."""
     out = 0
-    for w in _bits(mask):
-        out ^= rows.get(w, 1 << w)
+    while mask:
+        low = mask & -mask
+        out ^= rows.get(low.bit_length() - 1, low)
+        mask ^= low
     return out
 
 
@@ -509,17 +525,12 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     Raises the same errors as :func:`propagate` on a plan that cannot run,
     and a ValueError for a component too large to score.
     """
-    start = g
-    steps = []
-    for a, b0 in plan.steps:
-        g, step = _measure_x(g, a, b0)
-        steps.append(step)
-    if plan.z_targets:
-        # Z measurements commute: each deletes its vertex (raising as
-        # measure_pauli does for a dead one) and drops it from every image.
-        g = g.copy()
-        for v in plan.z_targets:
-            g.delete_vertex(v)
+    start, g = g, g.copy()
+    steps = [_measure_x(g, a, b0) for a, b0 in plan.steps]
+    # Z measurements commute: each deletes its vertex (raising as
+    # measure_pauli does for a dead one) and drops it from every image.
+    for v in plan.z_targets:
+        g.delete_vertex(v)
     # Composed from the last step back, rows[v] is the final image of Z_v:
     # each step rewrites the rows of its two measured vertices from the old rows.
     rows: dict[int, int] = {}
@@ -536,13 +547,14 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     # which its branches met.  Its merge pattern gives each merged branch's
     # kind (0, 1, 2, 3 for 0, A, I, I ^ A) and weight index, so restricting it
     # needs only the local keys of I and A.  Pattern 0 is a dephasing map's.
-    verts = [v for v in start.vertices() if start.neighbor_mask(v)]
+    vertices, start_rows = start.vertices(), start._rows
+    verts = [v for v in vertices if start_rows[v]]
     image = {v: rows.get(v, 1 << v) & kept for v in verts}
     patterns = {((0, 0), (2, 1)): 0}
     maps: list[tuple[int | None, tuple[tuple[int, int], ...]]] = []
     around, pattern = [], []
     for v in verts:
-        i, a = image[v], _compose(start.neighbor_mask(v), image)
+        i, a = image[v], _compose(start_rows[v], image)
         merged = tuple(_merge(((0, 0), (a, 1), (i, 1), (i ^ a, 1)))) if i or a else ()
         span = {0: 0, a: 1, i: 2, i ^ a: 3}  # coinciding supports restrict alike
         pattern.append(patterns.setdefault(tuple([(span[s], x) for s, x in merged]), len(patterns)))
@@ -557,7 +569,7 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     if size > _MAX_COMPONENT_QUBITS:
         limit = _MAX_COMPONENT_QUBITS
         raise ValueError(f"a component of {size} qubits is too large to score (at most {limit})")
-    pad = max(start.vertices(), default=0) + 1
+    pad = max(vertices, default=0) + 1
     width = pad // 8 + 1
     blob = b"".join(x.to_bytes(width, "little") for x in [image[v] for v in verts] + around)
     bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8).reshape(-1, width).T, axis=0, bitorder="little")
@@ -586,7 +598,7 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     dephasing = (li != 0).any(axis=0)  # the vertices whose dephasing map is a term
     return CompiledPlan(
         graph=g,
-        qubits=frozenset(start.vertices()),
+        qubits=frozenset(vertices),
         components=tuple(component_key(m) for m in members),
         maps=tuple(maps),
         dephasing=tuple(verts[i] for i in np.flatnonzero(dephasing).tolist()),
@@ -803,9 +815,11 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     by_end = np.argsort(depth[ends], kind="stable")
     finished = np.searchsorted(depth[ends[by_end]], np.arange(len(level))).tolist()
     read = place[ends[by_end]] * width
-    cuts = np.cumsum(widest * sizes)[:-1]
-    tables = zip(np.split(src, cuts), np.split(code, cuts), widest.tolist(), finished[1:], finished[2:])
-    steps = tuple((s.reshape(c, -1), k.reshape(c, -1), by_end[f:g], read[f:g]) for s, k, c, f, g in tables)
+    cuts = [0, *np.cumsum(widest * sizes).tolist()]
+    tables = zip(cuts, cuts[1:], widest.tolist(), finished[1:], finished[2:])
+    steps = tuple(
+        (src[a:b].reshape(c, -1), code[a:b].reshape(c, -1), by_end[f:g], read[f:g]) for a, b, c, f, g in tables
+    )
     return _Program(
         components=len(compiled.components),
         cells=int((widest * sizes).max(initial=0)) * width,

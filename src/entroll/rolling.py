@@ -165,14 +165,15 @@ def _roll(graph: Graph, order, pick) -> Iterator[StepTrace]:
     ``order``; at the last step, its leaves.  ``pick(i, side)`` returns step
     i's support.
     """
+    graph = graph.copy()
     for i, o in enumerate(order):
-        if i + 1 < len(order):
-            side = graph.neighbor_mask(o) & graph.neighbor_mask(order[i + 1])
-        else:
-            side = _leaf_side(graph, o)
+        nbrs = graph.neighbor_mask(o)
+        side = nbrs & graph.neighbor_mask(order[i + 1]) if i + 1 < len(order) else _leaf_side(graph, o)
         b0 = pick(i, side)
         yield _step(graph, o, b0, side)
-        graph, _ = measure_pauli(graph, o, "X", b0)
+        if nbrs and not (graph.is_live(b0) and nbrs >> b0 & 1):  # as measure_pauli checks
+            raise ValueError(f"support {b0} is not a neighbor of {o}")
+        graph._measure_x(o, b0)
 
 
 def _execute(

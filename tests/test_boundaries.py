@@ -423,6 +423,16 @@ class TestRealFields:
         assert out == ""
         assert err == "error: config field 'p_grid': expected a number, got True\n"
 
+    @pytest.mark.parametrize("command", ["sweep", "threshold"])
+    @pytest.mark.parametrize(
+        "flag, grid, field", [("--p-grid", "0.9,abc", "p_grid"), ("--t-grid", "10,abc", "T_grid_ms")]
+    )
+    def test_grid_flag_error_names_its_field(self, capsys, command, flag, grid, field):
+        assert cli.main([command, "--kappa-b", "2", "--n-o", "2", flag, grid]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: config field {field!r}: could not convert string to float: 'abc'\n"
+
 
 # Any JSON value: scalars (with the number-like strings the loaders parse) and
 # small lists and objects of them.

@@ -1,8 +1,9 @@
+import itertools
 import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entroll.graphstate import (
@@ -17,6 +18,8 @@ from entroll.graphstate import (
     stabilizer_generators,
 )
 from entroll.gtl import GtlParams, build_gtl
+from entroll.noise import _measure_x as noise_measure_x
+from entroll.rolling import _roll
 
 from conftest import assert_adjacency_invariants, random_graph
 
@@ -97,6 +100,42 @@ def test_adjacency_invariants_hold_after_random_operations(data):
                 support = rng.choice(sorted(g.neighbors(v)))
             g, _ = measure_pauli(g, v, basis, support)
         assert_adjacency_invariants(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_x_update_is_the_local_complement_composite(data):
+    # Random graph on up to 9 ids, some deleted, and a random live edge (a, b0).
+    n = data.draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    for v in data.draw(st.sets(st.integers(0, n - 1), max_size=n - 2)):
+        g.delete_vertex(v)
+    assume(g.edges())
+    a, b0 = data.draw(st.sampled_from(g.edges()))
+    if data.draw(st.booleans()):
+        a, b0 = b0, a
+    before = (list(g._rows), g._live)
+    expected = local_complement(local_complement(g, b0), a)
+    expected.delete_vertex(a)
+    expected = local_complement(expected, b0)
+
+    h = g.copy()
+    h._measure_x(a, b0)
+    assert (h._rows, h._live) == (expected._rows, expected._live)
+    assert measure_pauli(g, a, "X", b0)[0] == expected
+    h = g.copy()
+    images = noise_measure_x(h, a, b0)
+    assert h == expected
+    assert images == {a: 1 << b0 | g.neighbor_mask(b0) & ~(1 << a), b0: expected.neighbor_mask(b0)}
+    # The planner's walk: read its graph once it has stepped past a.
+    other = next(v for v in g.vertices() if v != a)
+    walk = _roll(g, (a, other), lambda i, side: b0)
+    next(walk)
+    next(walk)
+    assert walk.gi_frame.f_locals["graph"] == expected
+    assert (g._rows, g._live) == before
 
 
 class TestMeasurement:

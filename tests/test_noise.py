@@ -785,6 +785,50 @@ BENCH_INSTANCES = [
 ]
 
 
+def _merge_by_strings(branches):
+    """The merge with its supports sorted by their _support_order strings."""
+    merged: dict[int, int] = {}
+    for support, index in branches:
+        merged[support] = noise._MERGED[merged[support], index] if support in merged else index
+    return sorted(merged.items(), key=lambda branch: noise._support_order(branch[0]))
+
+
+class TestSupportOrder:
+    def test_precedes_matches_the_string_order(self, rng):
+        masks = {0, 1, 2, 3, 1 << 64, (1 << 64) | 1, (1 << 70) - 1, (1 << 130) | (1 << 3)}
+        for _ in range(300):
+            mask = rng.getrandbits(rng.choice((4, 8, 64, 130)))
+            masks |= {mask, mask & ((1 << rng.randrange(1, 131)) - 1)}  # with a prefix of it
+        masks = sorted(masks)
+        by_strings = sorted(masks, key=noise._support_order)
+        for i, x in enumerate(by_strings):
+            for y in by_strings[i + 1 :]:
+                assert noise._precedes(x, y) and not noise._precedes(y, x)
+        # compile_plan's inputs: the supports 0, A, I and I ^ A, not all 0,
+        # so that some coincide when A is 0 or I.
+        for _ in range(300):
+            i = rng.choice(masks[1:])
+            for a in (rng.choice(masks), 0, i):
+                for branches in (((0, 0), (a, 1), (i, 1), (i ^ a, 1)), ((0, 0), (i, 1), (a, 1), (i ^ a, 1))):
+                    assert noise._merge(branches) == _merge_by_strings(branches)
+
+    @pytest.mark.parametrize("kb, n_o, target", BENCH_INSTANCES)
+    def test_bench_merges_match_the_string_order(self, monkeypatch, kb, n_o, target):
+        inputs = []
+
+        def recording(branches):
+            inputs.append(branches)
+            return merge(branches)
+
+        merge = noise._merge
+        monkeypatch.setattr(noise, "_merge", recording)
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        compile_plan(state.graph, default_resolution_plan(state, target))
+        assert inputs
+        for branches in inputs:
+            assert merge(branches) == _merge_by_strings(branches)
+
+
 class TestTransition:
     def test_closed_form_replays_first_visits(self, rng):
         # Parent bases of up to 6 of 8 bits; marginals of 1 or 2 vectors, of

@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from entroll.graphstate import gf2_rank
-from entroll.gtl import GtlParams, bridge_neighborhoods, build_gtl, peer_proximity
+from entroll.graphstate import Graph, gf2_rank
+from entroll.gtl import GtlParams, GtlState, bridge_neighborhoods, build_gtl, peer_proximity
 from entroll.rolling import (
     STOP_AFTER_ROLLING,
     ResolutionPlan,
@@ -145,6 +145,13 @@ class TestProximityReduction:
         state = build_gtl(GtlParams(2, 4, 2))
         with pytest.raises(ValueError):
             plan_proximity_reduction(state, state.leaves[0][0], state.leaves[0][0])
+
+    def test_far_peer_off_the_last_step_is_refused(self):
+        # On the path 0-1-2-3 with peer-peer edge 2-3 the last orchestration
+        # qubit, 1, is not adjacent to the far peer 3 its step would take.
+        state = GtlState(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), (1,), frozenset({0, 2, 3}))
+        with pytest.raises(ValueError, match=r"^support 3 is not a neighbor of 1$"):
+            plan_proximity_reduction(state, 0, 3)
 
 
 class TestBellExtraction:
