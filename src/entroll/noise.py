@@ -16,9 +16,10 @@ Images extend multiplicatively (XOR of supports) to arbitrary strings; global
 signs cancel because every branch enters as a conjugation.
 
 A support is a bitmask, as every vertex set inside the package is (see
-:mod:`entroll.graphstate`), and branches sort by :func:`_support_order`.
-Fresh and closed-form depolarizing maps come from one span rule,
-:meth:`CanonicalForm._realize`, so both merge coinciding branches alike.
+:mod:`entroll.graphstate`), and branches sort as sorted vertex tuples do
+(:func:`_by_support`).  Fresh and closed-form depolarizing maps come from
+one span rule, :meth:`CanonicalForm._realize`, so both merge coinciding
+branches alike.
 
 Fidelities of the extracted resources come from an XOR convolution of the
 per-map branch distributions restricted to one connected component: on a
@@ -34,7 +35,7 @@ composing the step maps from the last step back, and lists in integer arrays,
 for every component of the final graph, the standard-noise maps that touch it
 (a vertex isolated at the start touches none).  Those term tables take a few
 numpy calls over a bit matrix of the images; a term's restricted branches
-follow from its map's merge pattern and two component-local keys.
+follow from the order of its map's supports and two component-local keys.
 :func:`score_points` scores any batch of (p, T) points from those tables;
 :func:`compiled_fidelities` is its one-point call.
 
@@ -138,16 +139,19 @@ class ZOperator:
         return ZOperator(self.mask ^ other.mask)
 
 
-_SET_FIRST = str.maketrans("01", "10")
+def _precedes(x: int, y: int) -> bool:
+    """Whether support ``x`` sorts before a different ``y``, as their sorted vertex tuples do: the
+    one holding the lowest vertex in just one of them goes first, unless the other stops before it."""
+    low = (x ^ y) & -(x ^ y)
+    return y >= low if x & low else x < low
 
 
-def _support_order(mask: int) -> str:
-    """Sort key that orders bitmask supports as sorted vertex tuples order.
+def _by_support(pairs) -> list:
+    """``(support, value)`` pairs sorted by :func:`_precedes`, equal supports in their given order."""
+    return sorted(pairs, key=_SUPPORT_KEY)
 
-    The bits read lowest first, with a set bit before a clear one, so the
-    first differing vertex decides and a prefix sorts first.
-    """
-    return bin(mask)[:1:-1].translate(_SET_FIRST) if mask else ""
+
+_SUPPORT_KEY = functools.cmp_to_key(lambda x, y: 0 if x[0] == y[0] else -1 if _precedes(x[0], y[0]) else 1)
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ class NoiseMap:
     def _from_masks(cls, origin: int, weights: dict[int, float]) -> NoiseMap:
         """The map of merged bitmask-keyed weights: zero weights dropped, supports sorted."""
         merged = {s: p for s, p in weights.items() if p != 0.0} or {0: 1.0}
-        branches = tuple((merged[s], ZOperator(s)) for s in sorted(merged, key=_support_order))
+        branches = tuple((p, ZOperator(s)) for s, p in _by_support(merged.items()))
         return cls(origin=origin, branches=branches)
 
     @classmethod
@@ -188,8 +192,8 @@ class NoiseMap:
     @functools.cached_property
     def _canonical(self) -> bool:
         """Whether the branches are as ``_from_masks`` leaves them: no zero weight, supports sorted."""
-        keys = [_support_order(op.mask) for prob, op in self.branches if prob != 0.0]
-        return len(keys) == len(self.branches) and keys == sorted(keys)
+        pairs = [(op.mask, prob) for prob, op in self.branches if prob != 0.0]
+        return len(pairs) == len(self.branches) and pairs == _by_support(pairs)
 
     def weights(self) -> dict[frozenset[int], float]:
         return {op.support: prob for prob, op in self.branches}
@@ -377,22 +381,18 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
     return ns
 
 
-# Weight index of two merged branches of a depolarizing map: the identity with
-# another branch gives (p + w) + w, two others give w + w, as
-# CanonicalForm._realize merges them.
-_MERGED = {(0, 1): 2, (1, 1): 3}
-
 # Rows of a point's weight column (see _point_weights): a padding row holding
-# 0.0, then the four depolarizing weights, then (1 - q, q) for each dephasing
-# source in CompiledPlan.dephasing order.
-_ZERO, _DEPOLARIZING, _DEPHASING = 0, 1, 5
+# 0.0, then the depolarizing weights p + w of the identity and w of every
+# other branch, then (1 - q, q) for each dephasing source in
+# CompiledPlan.dephasing order.
+_ZERO, _DEPOLARIZING, _DEPHASING = 0, 1, 3
 
 # Marginal codes in a transition template: 0 multiplies by 0.0 (padding) and
 # 1 + s by slot s of the term's marginal.
 _CODE_ZERO, _CODE_SLOT = 0, 1
 
-# Largest component compile_plan tables: a term's code packs its merge pattern
-# (under 16) and two local keys into an int64.  Scoring it takes 2**29 keys.
+# Largest component compile_plan tables: a term's code packs its pattern
+# (under 8) and two local keys into an int64.  Scoring it takes 2**29 keys.
 _MAX_COMPONENT_QUBITS = 29
 
 # Most keys a scored law may hold; the program's tables grow with it.  A
@@ -461,52 +461,28 @@ class CompiledPlan:
     ``graph`` is the final graph and ``qubits`` the live vertices of the
     start graph, the qubits :func:`standard_noise` puts maps on.
     ``components`` lists the resource keys of the multi-qubit components of
-    ``graph``.  ``maps`` holds the depolarizing and dephasing map of each
-    start vertex with neighbors as (source: None or the origin, final
-    branches, merged in every map a term names); a branch names its weight
-    by index into its map's weights, so no table depends on the noise
-    parameters.  A term is a map touching a component; the ``term_*`` arrays
-    list them component by component, in map order: component, index into
-    ``maps``, dephasing source (index into ``dephasing``, the sorted
-    dephasing origins; -1 if depolarizing) and signature.  A signature is a
-    term's marginal keys on component-local bits (bit j for the j-th vertex)
-    in insertion order, with the weight indices each key sums in branch
-    order, as :func:`_xor_convolve` merges them.  ``programs`` caches one
-    compiled convolution per drop pattern.
+    ``graph``, and ``dephasing`` the sorted origins of the dephasing maps
+    that touch one.  A term is a map touching a component; the ``term_*``
+    arrays list them component by component, in map order: component,
+    dephasing source (index into ``dephasing``; -1 if depolarizing) and
+    signature (index into ``signatures``).  A signature is a term's marginal
+    keys on component-local bits (bit j for the j-th vertex) in insertion
+    order, with the weight indices each key sums in branch order, as
+    :func:`_xor_convolve` merges them: index 0 names the identity branch's
+    weight and 1 that of every other branch, so no table depends on the noise
+    parameters.  ``programs`` caches one compiled convolution per drop
+    pattern.
     """
 
     graph: Graph
     qubits: frozenset[int]
     components: tuple[str, ...]
-    maps: tuple[tuple[int | None, tuple[tuple[int, int], ...]], ...]
     dephasing: tuple[int, ...]
     signatures: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
     term_component: np.ndarray = field(compare=False, repr=False)
-    term_map: np.ndarray = field(compare=False, repr=False)
     term_source: np.ndarray = field(compare=False, repr=False)
     term_signature: np.ndarray = field(compare=False, repr=False)
     programs: dict = field(default_factory=dict, compare=False, repr=False)
-
-
-def _precedes(x: int, y: int) -> bool:
-    """Whether support ``x`` sorts before a different ``y`` by :func:`_support_order`: the one
-    holding the lowest vertex in just one of them goes first, unless the other stops before it."""
-    low = (x ^ y) & -(x ^ y)
-    return y >= low if x & low else x < low
-
-
-def _merge(branches: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
-    """Merge branches with equal supports, sorted as NoiseMap.from_weights sorts them."""
-    merged: dict[int, int] = {}
-    for support, index in branches:
-        merged[support] = _MERGED[merged[support], index] if support in merged else index
-    out: list[tuple[int, int]] = []
-    for branch in merged.items():  # an insertion sort of at most four
-        at = len(out)
-        while at and _precedes(branch[0], out[at - 1][0]):
-            at -= 1
-        out.insert(at, branch)
-    return out
 
 
 def _compose(mask: int, rows: dict[int, int]) -> int:
@@ -541,24 +517,22 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     # The maps of standard_noise, in its order, on the start vertices with
     # neighbors (an isolated one never gains an edge, so its maps touch no
     # component).  A depolarizing map's final supports are 0, A, I and I ^ A
-    # for I the image of Z_v and A that of its neighborhood; they merge at
-    # most in pairs, unless all four land on the identity, a map that touches
-    # nothing and the only kind whose merged weight depends on the steps at
-    # which its branches met.  Its merge pattern gives each merged branch's
-    # kind (0, 1, 2, 3 for 0, A, I, I ^ A) and weight index, so restricting it
-    # needs only the local keys of I and A.  Pattern 0 is a dephasing map's.
+    # for I the image of Z_v and A that of its neighborhood.  Restriction to a
+    # component is linear, so their keys there are distinct or coincide in
+    # pairs (all four on 0 is no term): a key sums at most two weights, alike
+    # in either order, so merging coinciding supports first changes no score.
+    # A map's pattern is its kinds (0, 1, 2, 3 for 0, A, I, I ^ A) in branch
+    # order, 0 first as it precedes any other support, so restricting it needs
+    # only the local keys of I and A.  Pattern 0 is a dephasing map's.
     vertices, start_rows = start.vertices(), start._rows
     verts = [v for v in vertices if start_rows[v]]
     image = {v: rows.get(v, 1 << v) & kept for v in verts}
-    patterns = {((0, 0), (2, 1)): 0}
-    maps: list[tuple[int | None, tuple[tuple[int, int], ...]]] = []
+    patterns = {(0, 2): 0}
     around, pattern = [], []
     for v in verts:
         i, a = image[v], _compose(start_rows[v], image)
-        merged = tuple(_merge(((0, 0), (a, 1), (i, 1), (i ^ a, 1)))) if i or a else ()
-        span = {0: 0, a: 1, i: 2, i ^ a: 3}  # coinciding supports restrict alike
-        pattern.append(patterns.setdefault(tuple([(span[s], x) for s, x in merged]), len(patterns)))
-        maps += [(None, merged), (v, ((0, 0), (i, 1)))]
+        kinds = (0, *[k for _, k in _by_support(((a, 1), (i, 2), (i ^ a, 3)))])
+        pattern.append(patterns.setdefault(kinds, len(patterns)))
         around.append(a)
 
     # Local keys (bit j for a component's j-th vertex) from a bit matrix with
@@ -591,8 +565,8 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     for code in codes.tolist():
         keys = (0, code & low, code >> size & low, (code ^ code >> size) & low)
         marginal: dict[int, list[int]] = {}
-        for k, index in by_id[code >> 2 * size]:
-            marginal.setdefault(keys[k], []).append(index)
+        for k in by_id[code >> 2 * size]:
+            marginal.setdefault(keys[k], []).append(min(k, 1))
         signature = (tuple(marginal), tuple(map(tuple, marginal.values())))
         ids.append(interned.setdefault(signature, len(interned)))
     dephasing = (li != 0).any(axis=0)  # the vertices whose dephasing map is a term
@@ -600,11 +574,9 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
         graph=g,
         qubits=frozenset(vertices),
         components=tuple(component_key(m) for m in members),
-        maps=tuple(maps),
         dephasing=tuple(verts[i] for i in np.flatnonzero(dephasing).tolist()),
         signatures=tuple(interned),
         term_component=comp,
-        term_map=2 * vertex + kind,
         term_source=np.where(kind, np.cumsum(dephasing)[vertex] - 1, -1),
         term_signature=np.array(ids, dtype=np.intp)[inverse],
     )
@@ -640,7 +612,7 @@ def _point_weights(
         for v in sorted(compiled.qubits):  # raise for the first vertex, as standard_noise does
             dephasing_probability(waits.get(v, t_ms), big_t_ms)
         raise
-    column = [0.0, p + w, w, (p + w) + w, w + w]
+    column = [0.0, p + w, w]
     if waits:
         qs = [q[waits[v]] if v in waits else uniform for v in compiled.dephasing]
         zero = _mask(v for v, x in zip(compiled.dephasing, qs) if x == 0.0)

@@ -225,6 +225,13 @@ def _require_specialized(state: GtlState, message: str = _NOT_SPECIALIZED) -> Gt
     return params
 
 
+def _side_vertex(state: GtlState, i: int, side: int, k: int = 0) -> int:
+    """Vertex k (mod its size, in id order) of step i's side on the state's chain; empty is refused."""
+    if not side:
+        raise ValueError(f"no admissible support for {state.orch[i]}; not a rollable GTL state")
+    return [*_bits(side)][k % side.bit_count()]
+
+
 def default_resolution_plan(state: GtlState, target: str = "bell") -> ResolutionPlan:
     """Canonical plan: full rolling, then Z isolation for the chosen target.
 
@@ -235,13 +242,7 @@ def default_resolution_plan(state: GtlState, target: str = "bell") -> Resolution
     if target not in ("bell", "ghz"):
         raise ValueError(f"unknown resolution target {target!r}")
     params = _require_specialized(state)
-
-    def lowest(i: int, side: int) -> int:
-        if not side:
-            raise ValueError(f"no admissible support for {state.orch[i]}; not a rollable GTL state")
-        return next(_bits(side))
-
-    trace = list(_roll(state.graph, state.orch, lowest))
+    trace = list(_roll(state.graph, state.orch, lambda i, side: _side_vertex(state, i, side)))
     last = trace[-1]
     if params.n_o == 1:
         # No carried set exists; designate the highest-id leaves as the set to
@@ -271,7 +272,7 @@ def bridge_pick_plans(state: GtlState, limit: int = 3) -> list[ResolutionPlan]:
     plans: list[ResolutionPlan] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
     for pattern in patterns:
-        trace = _roll(state.graph, state.orch, lambda i, side: [*_bits(side)][pattern(i) % side.bit_count()])
+        trace = _roll(state.graph, state.orch, lambda i, side: _side_vertex(state, i, side, pattern(i)))
         key = tuple((t.measured, t.support) for t in trace)
         if key not in seen:
             seen.add(key)

@@ -606,31 +606,48 @@ class TestStepwiseScorersAgree:
 
 
 def compiled_terms(compiled):
-    """Each component's terms as (source, restricted branch supports as sorted lists), in order.
+    """Each component's terms as (source, law at p = 0.5, t = 1, T = 2), in order.
 
-    Also checks each term's dephasing source and signature against its map's
-    branches restricted to the component.
+    A law lists (restricted support as a sorted list, probability) in its
+    signature's key order, each key summing its weights as the program sums
+    its marginal rows.  Every weight at this point is nonzero, and p + w, w,
+    1 - q and q are distinct.
     """
+    column, _ = noise._point_weights(compiled, 0.5, 1.0, 2.0)
     out = []
     for c, key in enumerate(compiled.components):
         comp = [int(v) for v in key.split("-")]
         terms = []
         chosen = compiled.term_component == c
-        for m, source, sid in zip(
-            compiled.term_map[chosen].tolist(),
-            compiled.term_source[chosen].tolist(),
-            compiled.term_signature[chosen].tolist(),
-        ):
-            origin, branches = compiled.maps[m]
-            assert source == (-1 if origin is None else compiled.dephasing.index(origin))
-            marginal = {}
-            for s, index in branches:
-                local = sum(1 << j for j, v in enumerate(comp) if s >> v & 1)
-                marginal.setdefault(local, []).append(index)
-            assert compiled.signatures[sid] == (tuple(marginal), tuple(map(tuple, marginal.values())))
-            terms.append((origin, [[v for v in comp if s >> v & 1] for s, _ in branches]))
+        for source, sid in zip(compiled.term_source[chosen].tolist(), compiled.term_signature[chosen].tolist()):
+            row = noise._DEPOLARIZING if source < 0 else noise._DEPHASING + 2 * source
+            law = []
+            for local, indices in zip(*compiled.signatures[sid]):
+                prob = column[row + indices[0]]
+                for index in indices[1:]:
+                    prob += column[row + index]
+                law.append(([v for j, v in enumerate(comp) if local >> j & 1], prob))
+            terms.append((None if source < 0 else compiled.dephasing[source], law))
         out.append(terms)
     return out
+
+
+def restricted_terms(maps, comp):
+    """The (source, branches) maps that touch the vertex set ``comp``, each with its law there.
+
+    A law lists (restricted support as a sorted list, probability), its
+    branches merged as _xor_convolve merges them: equal supports summed in
+    branch order, each in the place of its first branch.
+    """
+    comp, terms = sorted(comp), []
+    for source, branches in maps:
+        law = {}
+        for support, prob in branches:
+            local = tuple(v for v in comp if support >> v & 1)
+            law[local] = law.get(local, 0.0) + prob
+        if any(law):
+            terms.append((source, [(list(local), prob) for local, prob in law.items()]))
+    return terms
 
 
 def assert_compiled_equals_stepwise(g, plan, points):
@@ -638,19 +655,17 @@ def assert_compiled_equals_stepwise(g, plan, points):
 
     Each point is scored alone, and all of them in one batch, whatever
     branches their zero weights drop.  The tables also list, per component,
-    the stepwise maps that touch it, in order, each with the same branch
-    supports in the same order.
+    the stepwise maps that touch it, in order, each with the same law there
+    at p = 0.5, t = 1 and T = 2 (see :func:`compiled_terms`).
     """
     compiled = compile_plan(g, plan)
-    maps = propagate(standard_noise(g, 0.5, 1.0, 2.0), plan).maps  # no weight is zero here
+    stepwise = propagate(standard_noise(g, 0.5, 1.0, 2.0), plan).maps  # no weight is zero here
+    maps = [
+        (None if i % 2 == 0 else m.origin, [(op.mask, prob) for prob, op in m.branches])
+        for i, m in enumerate(stepwise)
+    ]
     for key, terms in zip(compiled.components, compiled_terms(compiled)):
-        comp = frozenset(int(v) for v in key.split("-"))
-        expected = [
-            (None if i % 2 == 0 else m.origin, [sorted(op.support & comp) for _, op in m.branches])
-            for i, m in enumerate(maps)
-            if any(op.support & comp for _, op in m.branches)
-        ]
-        assert terms == expected
+        assert terms == restricted_terms(maps, {int(v) for v in key.split("-")})
     batch = score_points(compiled, [(p, 1.0, big_t, times) for p, big_t, times in points])
     assert batch.shape == (len(points), len(compiled.components))
     for (p, big_t, times), row in zip(points, batch.tolist()):
@@ -676,9 +691,10 @@ def forward_terms(g, plan):
     Every image is pushed through each X step in turn (Z_a to Z on b0 and
     the old neighborhood of b0 without a, Z_b0 to Z on the new
     neighborhood of b0), the Z stage clears its targets, and each
-    standard-noise map is restricted to each component with plain masks.
-    A component maps to its terms, in map order: (source, restricted
-    supports as sorted lists).
+    standard-noise map at p = 0.5, t = 1 and T = 2 is merged on its final
+    supports and restricted to each component with plain masks.  A
+    component maps to its terms, in map order, as :func:`restricted_terms`
+    lists them.
     """
     images = {v: 1 << v for v in g.vertices()}
     graph = g
@@ -702,17 +718,10 @@ def forward_terms(g, plan):
                 support ^= images[v]
             weights[support] = weights.get(support, 0.0) + prob
         merged = NoiseMap.from_weights(m.origin, {ZOperator(s).support: x for s, x in weights.items()})
-        maps.append((None if i % 2 == 0 else m.origin, [op.mask for _, op in merged.branches]))
-    terms = {}
-    for comp in graph.components():
-        if len(comp) < 2:
-            continue
-        mask = sum(1 << v for v in comp)
-        terms["-".join(map(str, sorted(comp)))] = [
-            (source, [sorted(v for v in comp if s >> v & 1) for s in supports])
-            for source, supports in maps
-            if any(s & mask for s in supports)
-        ]
+        maps.append((None if i % 2 == 0 else m.origin, [(op.mask, prob) for prob, op in merged.branches]))
+    terms = {
+        component_key(comp): restricted_terms(maps, comp) for comp in graph.components() if len(comp) > 1
+    }
     return graph, terms
 
 
@@ -733,7 +742,7 @@ class TestLargeTermTables:
 
     def test_largest_component(self):
         # An empty plan on (2, 9) leaves one 29-qubit component, the largest
-        # compile_plan takes, whose codes use 62 bits.
+        # compile_plan takes, whose codes use 60 bits.
         state = build_gtl(GtlParams.specialized(2, 9))
         self.check(state.graph, ResolutionPlan(steps=()))
 
@@ -785,48 +794,34 @@ BENCH_INSTANCES = [
 ]
 
 
-def _merge_by_strings(branches):
-    """The merge with its supports sorted by their _support_order strings."""
-    merged: dict[int, int] = {}
-    for support, index in branches:
-        merged[support] = noise._MERGED[merged[support], index] if support in merged else index
-    return sorted(merged.items(), key=lambda branch: noise._support_order(branch[0]))
+def vertex_tuple(mask):
+    """A support's sorted vertex tuple, by whose order branches are defined to sort."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 class TestSupportOrder:
-    def test_precedes_matches_the_string_order(self, rng):
+    def test_precedes_and_sort_follow_sorted_vertex_tuples(self, rng):
         masks = {0, 1, 2, 3, 1 << 64, (1 << 64) | 1, (1 << 70) - 1, (1 << 130) | (1 << 3)}
         for _ in range(300):
             mask = rng.getrandbits(rng.choice((4, 8, 64, 130)))
             masks |= {mask, mask & ((1 << rng.randrange(1, 131)) - 1)}  # with a prefix of it
-        masks = sorted(masks)
-        by_strings = sorted(masks, key=noise._support_order)
-        for i, x in enumerate(by_strings):
-            for y in by_strings[i + 1 :]:
+        masks = sorted(masks, key=vertex_tuple)
+        for i, x in enumerate(masks):
+            assert not noise._precedes(x, x)
+            for y in masks[i + 1 :]:
                 assert noise._precedes(x, y) and not noise._precedes(y, x)
-        # compile_plan's inputs: the supports 0, A, I and I ^ A, not all 0,
-        # so that some coincide when A is 0 or I.
+        # Pairs with repeated supports, as compile_plan's A, I and I ^ A
+        # coincide when A is 0 or I: equal supports keep their given order.
         for _ in range(300):
-            i = rng.choice(masks[1:])
-            for a in (rng.choice(masks), 0, i):
-                for branches in (((0, 0), (a, 1), (i, 1), (i ^ a, 1)), ((0, 0), (i, 1), (a, 1), (i ^ a, 1))):
-                    assert noise._merge(branches) == _merge_by_strings(branches)
+            pairs = [(rng.choice(masks[:20] + masks[-20:]), j) for j in range(rng.randrange(12))]
+            assert noise._by_support(pairs) == sorted(pairs, key=lambda pair: vertex_tuple(pair[0]))
+            assert noise._by_support(pairs[::-1]) == sorted(pairs[::-1], key=lambda pair: vertex_tuple(pair[0]))
 
     @pytest.mark.parametrize("kb, n_o, target", BENCH_INSTANCES)
-    def test_bench_merges_match_the_string_order(self, monkeypatch, kb, n_o, target):
-        inputs = []
-
-        def recording(branches):
-            inputs.append(branches)
-            return merge(branches)
-
-        merge = noise._merge
-        monkeypatch.setattr(noise, "_merge", recording)
+    def test_bench_instances_compile_as_stepwise(self, kb, n_o, target):
         state = build_gtl(GtlParams.specialized(kb, n_o))
-        compile_plan(state.graph, default_resolution_plan(state, target))
-        assert inputs
-        for branches in inputs:
-            assert merge(branches) == _merge_by_strings(branches)
+        points = [(0.86, 2.0, None), (1.0, math.inf, None)]
+        assert_compiled_equals_stepwise(state.graph, default_resolution_plan(state, target), points)
 
 
 class TestTransition:
@@ -931,6 +926,29 @@ class TestCompiledPlan:
                     if state.graph.neighbors(m.origin) and m.weights().keys() == {frozenset()}
                 ]
                 assert folded
+
+    def test_random_graphs(self, rng):
+        # Random graphs, some with a deleted vertex, under random X steps
+        # (each on a vertex with neighbors, supported by one of them) and
+        # random Z targets among the vertices left.
+        points = [(0.86, 2.0, None), (1.0, 5.0, None), (0.7, math.inf, None)]
+        for _ in range(400):
+            n = rng.randint(2, 9)
+            g = random_graph(n, rng, density=rng.choice((0.3, 0.5, 0.8)))
+            if n > 2 and rng.random() < 0.3:
+                g.delete_vertex(rng.randrange(n))
+            walk, steps = g, []
+            for _ in range(rng.randrange(n)):
+                movable = [v for v in walk.vertices() if walk.neighbors(v)]
+                if not movable:
+                    break
+                a = rng.choice(movable)
+                b0 = rng.choice(sorted(walk.neighbors(a)))
+                walk, _ = measure_pauli(walk, a, "X", b0)
+                steps.append((a, b0))
+            left = walk.vertices()
+            plan = ResolutionPlan(steps=tuple(steps), isolation=tuple(rng.sample(left, rng.randrange(len(left) + 1))))
+            assert_compiled_equals_stepwise(g, plan, points)
 
     @pytest.mark.parametrize("measure_lone", [False, True], ids=["kept", "z-measured"])
     def test_isolated_start_vertex(self, measure_lone):

@@ -363,6 +363,20 @@ class TestPlans:
         assert len(plans) == 3
         assert len({p.steps for p in plans}) == 3
 
+    def test_empty_side_is_refused_alike_by_both_planners(self):
+        # Both bridges of pair (0, 1) cut from orchestration qubit 1: the
+        # first step shares no neighbor with the next, so its side is empty.
+        state = build_gtl(GtlParams.specialized(2, 2))
+        g = state.graph.copy()
+        for b in state.bridges[0, 1]:
+            g.remove_edge(1, b)
+        cut = GtlState(g, state.orch, state.peers, state.bridges, state.leaves, state.params)
+        message = "no admissible support for 0; not a rollable GTL state"
+        for planner in (lambda: default_resolution_plan(cut, "bell"), lambda: bridge_pick_plans(cut)):
+            with pytest.raises(ValueError) as info:
+                planner()
+            assert str(info.value) == message
+
     def test_hybrid_stop_leaves_orchestrators(self):
         state = build_gtl(GtlParams(2, 4, 3))
         _, right = bridge_neighborhoods(state, 0)
