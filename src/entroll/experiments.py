@@ -21,6 +21,7 @@ from .gtl import GtlParams, GtlState, bridge_neighborhoods, build_gtl, validate_
 from .noise import (
     CompiledPlan,
     NoiseState,
+    _check_depolarizing,
     closed_form_maps,
     compile_plan,
     depolarizing_map,
@@ -77,8 +78,7 @@ class ExperimentConfig:
         if not self.p_grid or not self.t_grid_ms:
             raise ValueError("parameter grids must be nonempty")
         for p in self.p_grid:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
+            _check_depolarizing(p)
         for t in self.t_grid_ms:
             if not t > 0:
                 raise ValueError(f"dephasing time {t} must be positive")
@@ -430,6 +430,8 @@ def verify(
     for name, count in counts.items():
         if count < 1:
             raise ValueError(f"verify {name} must be at least 1, got {count}")
+    if scope != "nsf":  # the largest instance structure or rolling builds, refused before any is built
+        GtlParams(max_kappa_b, 2 * max_kappa_b + 2, max_n_o if scope == "structure" else max(2, max_n_o))
     smallest = min(GtlParams.specialized(kb, n_o).n_qubits for kb, n_o in _CROSSCHECKS)
     if scope in ("nsf", "all") and max_qubits < smallest:
         raise ValueError(

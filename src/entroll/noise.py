@@ -46,21 +46,25 @@ Components whose term lists begin alike share that prefix's law, so each
 distinct prefix, a node of a prefix trie, is run once.  One numpy step
 applies one term to every node of one trie depth at every point.
 
-A map's supports are 0, A, I and I ^ A (0 and I if dephasing), a
-subspace, and so are their restrictions: a term's marginal keys are [0, a]
-or [0, a, b, a ^ b], the span of M = (a) or (a, b) in counting order (key x
-is the XOR of the basis vectors at the set bits of x).  Every law's keys
-are then the span of an ordered basis in counting order too, starting from
-the empty prefix's [0].  The reference visits the pairs (key, marginal key)
+A map's supports are 0, A, I and I ^ A (0 and I if dephasing), a subspace,
+and so are their restrictions.  A term's basis M is (I,) if dephasing; if
+its restricted keys in branch order are 0, m, n and m ^ n, M is (m, n) when
+m and n are nonzero and distinct, else the first nonzero one, the keys
+coinciding in pairs.  Its marginal keys are the span of M in counting order
+(key x is the XOR of the basis vectors at the set bits of x), weighing
+[p + w, w, w, w], [(p + w) + w, w + w] or [1 - q, q] for w = (1 - p) / 4:
+slot j reads weight row base + min(j, 1).  Every law's keys are then the
+span of an ordered basis in counting order too, starting from the empty
+prefix's [0].  The reference visits the pairs (key, marginal key)
 key-major and inserts each XOR at its first visit, so parent key i inserts
 its whole coset of span(M), in M's counting order, unless an earlier parent
 key lies in that coset.  The first keys of the cosets are the indices
 ``imin`` with no bit at a dependent position j (basis[j] in the span of M
 and basis[:j]), so the next basis is M followed by the independent basis
-vectors, and the rule holds again.  With s = len(M), w = 2**s and T the
-parent indices whose keys lie in span(M), ascending, next key x sums |T|
-products in visiting order: product k takes parent index ``imin[x >> s] ^
-T[k]`` and marginal slot ``(x & w - 1) ^ coord_M(key(T[k]))``.  No sort is
+vectors, and the rule holds again.  With s = len(M) and T the parent
+indices whose keys lie in span(M), ascending, next key x sums |T| products
+in visiting order: product k takes parent index ``imin[x >> s] ^ T[k]``
+and marginal slot ``(x & 2**s - 1) ^ coord_M(key(T[k]))``.  No sort is
 needed, and a law's size, 2**len(basis), is known before any table is
 made: a law of more than ``_MAX_LAW_KEYS`` keys is refused then.  The
 scores equal the reference bit for bit:
@@ -266,6 +270,12 @@ class NoiseState:
     maps: tuple[NoiseMap, ...]
 
 
+def _check_depolarizing(p: float) -> None:
+    """Refuse a depolarizing parameter outside [0, 1] (nan included)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
+
+
 def depolarizing_map(g: Graph, a: int, p: float) -> NoiseMap:
     """Single-qubit depolarizing channel written with Z-type operators.
 
@@ -273,8 +283,7 @@ def depolarizing_map(g: Graph, a: int, p: float) -> NoiseMap:
     of ``a``, and their product carry (1-p)/4 each.  Branches that coincide
     (isolated vertex) are merged.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
+    _check_depolarizing(p)
     g._require_live(a)
     return CanonicalForm.depolarizing(a, p)._realize(1 << a, g.neighbor_mask(a))
 
@@ -381,11 +390,11 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
     return ns
 
 
-# Rows of a point's weight column (see _point_weights): a padding row holding
-# 0.0, then the depolarizing weights p + w of the identity and w of every
-# other branch, then (1 - q, q) for each dephasing source in
-# CompiledPlan.dephasing order.
-_ZERO, _DEPOLARIZING, _DEPHASING = 0, 1, 3
+# Rows of a point's weight column (see _point_weights): 0.0 for padding; the
+# depolarizing p + w and w, then (p + w) + w and w + w for a term whose
+# branches coincide in pairs, summed as the reference merges them; then
+# (1 - q, q) for each dephasing source in CompiledPlan.dephasing order.
+_ZERO, _DEPOLARIZING, _MERGED, _DEPHASING = 0, 1, 3, 5
 
 # Marginal codes in a transition template: 0 multiplies by 0.0 (padding) and
 # 1 + s by slot s of the term's marginal.
@@ -415,14 +424,13 @@ class _Program:
     as ``width`` rows (keys in the reference's insertion order, then padding)
     by points; before step 1 it holds the empty prefix's law, key 0 at 1.0.
     Key 0 is the first key of every law, as each term lists its identity
-    branch first.  Marginal row i is ``weights[branch_rows[i, 0]] +
-    weights[branch_rows[i, 1]] + ...``.  Step ``(src, code, ends, read)``
-    has (contributions, rows) tables: next state row r is ``state[src[0, r]]
-    * marginal[code[0, r]] + state[src[1, r]] * marginal[code[1, r]] +
-    ...``, summed left to right over rows of the node's parent.  Then the
-    components ``ends`` copy their last nodes' key-0 rows ``read``; one with
-    no kept terms keeps 1.0.  ``cells`` is the largest step's contributions
-    x rows.
+    branch first.  Marginal row i is ``weights[branch_rows[i]]``.  Step
+    ``(src, code, ends, read)`` has (contributions, rows) tables: next state
+    row r is ``state[src[0, r]] * marginal[code[0, r]] + state[src[1, r]] *
+    marginal[code[1, r]] + ...``, summed left to right over rows of the
+    node's parent.  Then the components ``ends`` copy their last nodes' key-0
+    rows ``read``; one with no kept terms keeps 1.0.  ``cells`` is the
+    largest step's contributions x rows.
     """
 
     components: int
@@ -438,9 +446,7 @@ class _Program:
                 [self.run(weights[:, i : i + width]) for i in range(0, weights.shape[1], width)],
                 axis=1,
             )
-        marginal = weights.take(self.branch_rows[:, 0], axis=0)
-        for column in self.branch_rows.T[1:]:
-            marginal += weights.take(column, axis=0)
+        marginal = weights.take(self.branch_rows, axis=0)
         out = np.ones((self.components, weights.shape[1]))
         state = np.ones((1, weights.shape[1]))
         for src, code, ends, read in self.steps:
@@ -465,23 +471,21 @@ class CompiledPlan:
     that touch one.  A term is a map touching a component; the ``term_*``
     arrays list them component by component, in map order: component,
     dephasing source (index into ``dephasing``; -1 if depolarizing) and
-    signature (index into ``signatures``).  A signature is a term's marginal
-    keys on component-local bits (bit j for the j-th vertex) in insertion
-    order, with the weight indices each key sums in branch order, as
-    :func:`_xor_convolve` merges them: index 0 names the identity branch's
-    weight and 1 that of every other branch, so no table depends on the noise
-    parameters.  ``programs`` caches one compiled convolution per drop
-    pattern.
+    basis (index into ``bases``).  A basis is that of a term's marginal keys
+    on component-local bits (bit j for the j-th vertex; see the module
+    docstring); with the source and the basis size it gives the term's
+    marginal, so no table depends on the noise parameters.  ``programs``
+    caches one compiled convolution per drop pattern.
     """
 
     graph: Graph
     qubits: frozenset[int]
     components: tuple[str, ...]
     dephasing: tuple[int, ...]
-    signatures: tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]
+    bases: tuple[tuple[int, ...], ...]
     term_component: np.ndarray = field(compare=False, repr=False)
     term_source: np.ndarray = field(compare=False, repr=False)
-    term_signature: np.ndarray = field(compare=False, repr=False)
+    term_basis: np.ndarray = field(compare=False, repr=False)
     programs: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -521,18 +525,19 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     # component is linear, so their keys there are distinct or coincide in
     # pairs (all four on 0 is no term): a key sums at most two weights, alike
     # in either order, so merging coinciding supports first changes no score.
-    # A map's pattern is its kinds (0, 1, 2, 3 for 0, A, I, I ^ A) in branch
-    # order, 0 first as it precedes any other support, so restricting it needs
-    # only the local keys of I and A.  Pattern 0 is a dephasing map's.
+    # A map's pattern is the kinds (1, 2, 3 for A, I, I ^ A) of its second and
+    # third branches, 0 being first as it precedes any other support and the
+    # fourth their XOR, so restricting it needs only the local keys of I and
+    # A.  Pattern 0, (2, 2), is a dephasing map's: its keys are 0 and I.
     vertices, start_rows = start.vertices(), start._rows
     verts = [v for v in vertices if start_rows[v]]
     image = {v: rows.get(v, 1 << v) & kept for v in verts}
-    patterns = {(0, 2): 0}
+    patterns = {(2, 2): 0}
     around, pattern = [], []
     for v in verts:
         i, a = image[v], _compose(start_rows[v], image)
-        kinds = (0, *[k for _, k in _by_support(((a, 1), (i, 2), (i ^ a, 3)))])
-        pattern.append(patterns.setdefault(kinds, len(patterns)))
+        kinds = tuple(k for _, k in _by_support(((a, 1), (i, 2), (i ^ a, 3))))
+        pattern.append(patterns.setdefault(kinds[:2], len(patterns)))
         around.append(a)
 
     # Local keys (bit j for a component's j-th vertex) from a bit matrix with
@@ -559,26 +564,23 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     term_pattern = np.where(kind, 0, np.array(pattern, dtype=np.int64)[vertex])
     term_code = (term_pattern << size | li[comp, vertex]) << size | term_la  # in int64
     codes, inverse = np.unique(term_code, return_inverse=True)
-    # Each distinct code gets its signature once; equal signatures share an id.
+    # Each distinct code gets its basis once; equal bases share an id.
     interned: dict = {}
     ids, low, by_id = [], (1 << size) - 1, list(patterns)
     for code in codes.tolist():
         keys = (0, code & low, code >> size & low, (code ^ code >> size) & low)
-        marginal: dict[int, list[int]] = {}
-        for k in by_id[code >> 2 * size]:
-            marginal.setdefault(keys[k], []).append(min(k, 1))
-        signature = (tuple(marginal), tuple(map(tuple, marginal.values())))
-        ids.append(interned.setdefault(signature, len(interned)))
+        m, n = (keys[k] for k in by_id[code >> 2 * size])
+        ids.append(interned.setdefault((m, n) if m and n and m != n else (m or n,), len(interned)))
     dephasing = (li != 0).any(axis=0)  # the vertices whose dephasing map is a term
     return CompiledPlan(
         graph=g,
         qubits=frozenset(vertices),
         components=tuple(component_key(m) for m in members),
         dephasing=tuple(verts[i] for i in np.flatnonzero(dephasing).tolist()),
-        signatures=tuple(interned),
+        bases=tuple(interned),
         term_component=comp,
         term_source=np.where(kind, np.cumsum(dephasing)[vertex] - 1, -1),
-        term_signature=np.array(ids, dtype=np.intp)[inverse],
+        term_basis=np.array(ids, dtype=np.intp)[inverse],
     )
 
 
@@ -597,8 +599,7 @@ def _point_weights(
     The pattern names the maps dropped so: all depolarizing maps (w = 0),
     and the mask of dephasing sources with q = 0.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
+    _check_depolarizing(p)
     w = (1.0 - p) / 4.0
     # standard_noise reads a wait only for a vertex of the graph, and the
     # uniform wait only for a vertex without its own.
@@ -612,7 +613,7 @@ def _point_weights(
         for v in sorted(compiled.qubits):  # raise for the first vertex, as standard_noise does
             dephasing_probability(waits.get(v, t_ms), big_t_ms)
         raise
-    column = [0.0, p + w, w]
+    column = [0.0, p + w, w, p + w + w, w + w]
     if waits:
         qs = [q[waits[v]] if v in waits else uniform for v in compiled.dephasing]
         zero = _mask(v for v, x in zip(compiled.dephasing, qs) if x == 0.0)
@@ -665,16 +666,14 @@ def compiled_fidelities(
     return dict(zip(compiled.components, row.tolist()))
 
 
-def _transition(basis: tuple[int, ...], marginal: tuple[int, ...]):
+def _transition(basis: tuple[int, ...], m: tuple[int, ...]):
     """One step of _xor_convolve run on keys, in closed form over bases (see the module docstring).
 
+    ``basis`` is the law's and ``m`` the term's, which must be independent.
     Returns the next basis and a function making the (contributions, next
     keys) table pair: each product's parent index and marginal code.
     """
-    s = len(marginal).bit_length() - 1
-    assert len(set(marginal)) == len(marginal) == 1 << s, f"signature keys {marginal} span no basis"
-    assert all(marginal[x] == marginal[x & -x] ^ marginal[x & x - 1] for x in range(1 << s)), marginal
-    m = tuple(marginal[1 << j] for j in range(s))
+    s = len(m)
     # Reduce M, then the basis, by top bit; bit j of a tag names (m + basis)[j].
     pivots: dict[int, tuple[int, int]] = {}  # top bit -> (reduced key, tag)
     inside, dependent = [0], 0  # the tags of T, ascending
@@ -686,6 +685,7 @@ def _transition(basis: tuple[int, ...], marginal: tuple[int, ...]):
         if key:
             pivots[key.bit_length()] = (key, tag)
         else:  # basis[j - s] is dependent: its tag's other bits lie below j and on no dependent one
+            assert j >= s, f"term basis {m} is dependent"
             inside += [t ^ tag for t in inside]
             dependent |= 1 << j - s
     nxt = m + tuple(b for j, b in enumerate(basis) if not dependent >> j & 1)
@@ -701,7 +701,7 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     """Run the convolution over keys once per trie node, and lay the nodes out depth by depth.
 
     A node is a distinct prefix of some component's kept terms, a term's
-    kind being its (signature, weight row) pair.  Transitions are memoized
+    kind being its (basis, first weight row) pair.  Transitions are memoized
     on bases, so the nodes of a ladder share them.  The tables use the
     narrowest unsigned type that holds their entries: a wide star's tables
     hold as many entries as one point's convolution has products, and their
@@ -712,9 +712,11 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     dropped = np.array([zero >> v & 1 for v in compiled.dephasing] + [drop_depolarizing], dtype=bool)
     keep = ~dropped[compiled.term_source]
     source = compiled.term_source[keep]
+    term_basis = compiled.term_basis[keep]
+    first_row = np.array([_MERGED if len(m) == 1 else _DEPOLARIZING for m in compiled.bases], dtype=np.int64)
     n_rows = _DEPHASING + 2 * len(compiled.dephasing)
-    n_kinds = len(compiled.signatures) * n_rows
-    kinds = compiled.term_signature[keep] * n_rows + np.where(source < 0, _DEPOLARIZING, _DEPHASING + 2 * source)
+    n_kinds = len(compiled.bases) * n_rows
+    kinds = term_basis * n_rows + np.where(source < 0, first_row[term_basis], _DEPHASING + 2 * source)
     counts = np.bincount(compiled.term_component[keep], minlength=len(compiled.components))
     # The trie maps node * n_kinds + kind to the child node; node 0 is the
     # empty prefix, and a node's number is its place in creation order.
@@ -727,16 +729,16 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
         ends.append(node)
         at += count
     parent, kind = np.divmod(np.array([0, *trie], dtype=np.int64), max(n_kinds, 1))  # the root reads as 0
-    sid, base = np.divmod(kind, n_rows)
+    bid, base = np.divmod(kind, n_rows)
 
     # A parent precedes its children, so one pass gives each node its basis,
     # its depth and the template that makes it.
-    transitions: dict = {}  # (basis, signature id) -> (next basis, tables, template)
+    transitions: dict = {}  # (basis, term basis id) -> (next basis, tables, template)
     basis_of, depth, template = [()], [0], [0]
-    for p, s in zip(parent[1:].tolist(), sid[1:].tolist()):
-        memo = (basis_of[p], s)
+    for p, b in zip(parent[1:].tolist(), bid[1:].tolist()):
+        memo = (basis_of[p], b)
         if memo not in transitions:
-            transitions[memo] = (*_transition(basis_of[p], compiled.signatures[s][0]), len(transitions))
+            transitions[memo] = (*_transition(basis_of[p], compiled.bases[b]), len(transitions))
         basis, _, t = transitions[memo]
         basis_of.append(basis)
         depth.append(depth[p] + 1)
@@ -751,7 +753,7 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     level = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2))  # start of each depth
     place = np.empty_like(by_depth)  # a node's place among its depth's nodes
     place[by_depth] = np.arange(len(depth)) - level[depth[by_depth]]
-    codes = _CODE_SLOT + max([0] + [len(keys) for keys, _ in compiled.signatures])
+    codes = _CODE_SLOT + max([0] + [1 << len(m) for m in compiled.bases])
     index = np.min_scalar_type(max(width * int(np.diff(level).max()), len(depth) * codes))
 
     templates = [np.array(tables()) for _, tables, _ in transitions.values()]
@@ -760,14 +762,9 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     for t, pair in enumerate(templates):  # pads with source 0 and code _CODE_ZERO, both 0
         table[:, t, : pair.shape[1], : pair.shape[2]] = pair
 
-    # Node n's marginal rows are block n - 1: 0.0, then its term's slots.
-    per_slot = max([1] + [len(ix) for _, slots in compiled.signatures for ix in slots])
-    signature_table = np.full((len(compiled.signatures), codes, per_slot), -1, dtype=np.intp)
-    for i, (_, slots) in enumerate(compiled.signatures):
-        for j, indices in enumerate(slots, start=_CODE_SLOT):
-            signature_table[i, j, : len(indices)] = indices
-    weights = signature_table[sid[1:]]
-    branch_rows = np.where(weights >= 0, base[1:, None, None] + weights, _ZERO)
+    # Node n's marginal rows are block n - 1: 0.0, then slot j at row base + min(j, 1).
+    branch_rows = base[1:, None] + np.minimum(np.arange(codes) - _CODE_SLOT, 1)
+    branch_rows[:, _CODE_ZERO] = _ZERO
 
     # The steps' tables, one after another: a step's hold one row per
     # contribution and node, contribution-major, nodes in place order.
@@ -795,7 +792,7 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     return _Program(
         components=len(compiled.components),
         cells=int((widest * sizes).max(initial=0)) * width,
-        branch_rows=branch_rows.reshape(-1, per_slot),
+        branch_rows=branch_rows.ravel(),
         steps=steps,
     )
 
@@ -812,8 +809,7 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
     Orchestration maps collapse to two branches: identity and Z on the
     remaining support vertices.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
+    _check_depolarizing(p)
     _require_specialized(state, "closed forms need the specialized regime with kappa_b_hat >= 2")
     if plan.z_targets:
         raise ValueError("closed forms cover the rolling stage only; drop the isolation stage")

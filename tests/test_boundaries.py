@@ -644,6 +644,20 @@ class TestSizeBound:
         assert out == ""
         assert err == f"error: a resource of 300002 qubits exceeds the bound of {MAX_QUBITS} qubits\n"
 
+    @pytest.mark.parametrize(
+        "scope, kb, n_o, qubits",
+        # rolling draws n_o from 2 to max(2, max_n_o), so all with n_o 1 is refused at n_o 2
+        [("structure", "1", "5000", 20001), ("rolling", "1", "3000", 12001), ("all", "1364", "1", 4098)],
+    )
+    def test_verify_exits_before_building(self, capsys, scope, kb, n_o, qubits):
+        began = time.perf_counter()
+        args = ["verify", "--scope", scope, "--max-kappa-b", kb, "--max-n-o", n_o, "--trials", "1"]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert time.perf_counter() - began < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: a resource of {qubits} qubits exceeds the bound of {MAX_QUBITS} qubits\n"
+
     def test_law_above_the_key_bound_exits_before_scoring(self, capsys):
         # The (24, 2) GHZ star has 24 qubits, under the 29-qubit compile
         # limit, but its law would hold 2**24 keys.

@@ -608,9 +608,9 @@ class TestStepwiseScorersAgree:
 def compiled_terms(compiled):
     """Each component's terms as (source, law at p = 0.5, t = 1, T = 2), in order.
 
-    A law lists (restricted support as a sorted list, probability) in its
-    signature's key order, each key summing its weights as the program sums
-    its marginal rows.  Every weight at this point is nonzero, and p + w, w,
+    A law lists (restricted support as a sorted list, probability) in the
+    counting order of its basis, key j reading weight row base + min(j, 1).
+    Every weight at this point is nonzero, and p + w, w, (p + w) + w, w + w,
     1 - q and q are distinct.
     """
     column, _ = noise._point_weights(compiled, 0.5, 1.0, 2.0)
@@ -619,14 +619,16 @@ def compiled_terms(compiled):
         comp = [int(v) for v in key.split("-")]
         terms = []
         chosen = compiled.term_component == c
-        for source, sid in zip(compiled.term_source[chosen].tolist(), compiled.term_signature[chosen].tolist()):
-            row = noise._DEPOLARIZING if source < 0 else noise._DEPHASING + 2 * source
-            law = []
-            for local, indices in zip(*compiled.signatures[sid]):
-                prob = column[row + indices[0]]
-                for index in indices[1:]:
-                    prob += column[row + index]
-                law.append(([v for j, v in enumerate(comp) if local >> j & 1], prob))
+        for source, bid in zip(compiled.term_source[chosen].tolist(), compiled.term_basis[chosen].tolist()):
+            basis = compiled.bases[bid]
+            if source >= 0:
+                base = noise._DEPHASING + 2 * source
+            else:
+                base = noise._MERGED if len(basis) == 1 else noise._DEPOLARIZING
+            law = [
+                ([v for i, v in enumerate(comp) if local >> i & 1], column[base + min(j, 1)])
+                for j, local in enumerate(counting_order(basis))
+            ]
             terms.append((None if source < 0 else compiled.dephasing[source], law))
         out.append(terms)
     return out
@@ -841,16 +843,16 @@ class TestTransition:
                     for _ in range(s - overlap):
                         m.append(independent_vector(rng, None, basis + m))
                     rng.shuffle(m)
-                    marginal = tuple(counting_order(m))
-                    following, tables = noise._transition(tuple(basis), marginal)
+                    following, tables = noise._transition(tuple(basis), tuple(m))
                     src, code = tables()
-                    sums = replay_transition(counting_order(basis), marginal)
+                    sums = replay_transition(counting_order(basis), counting_order(m))
                     assert counting_order(following) == list(sums)
                     assert len(following) == len(basis) + s - overlap
                     assert src.shape == code.shape == (1 << overlap, len(sums))
                     assert [list(zip(*pair)) for pair in zip(src.T.tolist(), code.T.tolist())] == list(sums.values())
 
-    @pytest.mark.parametrize("marginal", [(0, 1, 2, 4), (0, 3, 5, 5), (1, 0), (0, 1, 1, 0), (0, 1, 2)])
+    # A marginal's basis must be independent: no zero vector, no repeat.
+    @pytest.mark.parametrize("marginal", [(0,), (1, 1), (0, 4), (4, 0), (3, 3)])
     def test_signature_outside_the_invariant_is_refused(self, marginal):
         with pytest.raises(AssertionError):
             noise._transition((1, 2), marginal)
@@ -859,10 +861,27 @@ class TestTransition:
     def test_bench_signatures_span_two_keys(self, kb, n_o, target):
         state = build_gtl(GtlParams.specialized(kb, n_o))
         compiled = compile_plan(state.graph, default_resolution_plan(state, target))
-        assert compiled.signatures
-        for keys, _ in compiled.signatures:
-            assert len(set(keys)) == len(keys)
-            assert keys in [(0, keys[1]), (0, keys[1], keys[-2], keys[1] ^ keys[-2])]
+        assert compiled.bases
+        for basis in compiled.bases:
+            assert len(basis) in (1, 2) and 0 not in basis and len(set(basis)) == len(basis)
+
+
+class TestBellLadderFormula:
+    # On the default Bell plan, with lambda = exp(-t / T), pair j along the
+    # chain has F_j = (1 + p^2 lambda^2 + p^(2 kb + 1 + j) lambda^(j + 1) (1 + lambda^2)) / 4,
+    # derived by hand, so this check reads none of the compiled term tables.
+    @pytest.mark.parametrize("kb, n_o", [(2, 160), (3, 40), (5, 20), (2, 1)])
+    def test_scores_match_the_closed_form(self, kb, n_o):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        compiled = compile_plan(state.graph, default_resolution_plan(state, "bell"))
+        assert len(compiled.components) == n_o
+        grid = [(p, t, big_t) for p in (0.0, 0.5, 0.9, 1.0) for t in (1.0, 7.0) for big_t in (0.5, 10.0, math.inf)]
+        points = [(p, t, big_t, None) for p, t, big_t in grid]
+        for (p, t, big_t, _), row in zip(points, score_points(compiled, points).tolist()):
+            lam = math.exp(-t / big_t)
+            for j, score in enumerate(row):
+                expected = (1 + p**2 * lam**2 + p ** (2 * kb + 1 + j) * lam ** (j + 1) * (1 + lam**2)) / 4
+                assert abs(score - expected) <= 1e-12, (compiled.components[j], p, t, big_t)
 
 
 class TestCompiledPlan:
