@@ -91,7 +91,9 @@ class ExperimentConfig:
             if v in seen:
                 raise ValueError(f"qubit_times_ms lists vertex {v} twice")
             seen.add(v)
-        GtlParams.specialized(self.kappa_b_hat, self.n_o)
+        n_qubits = GtlParams.specialized(self.kappa_b_hat, self.n_o).n_qubits
+        if outside := [v for v, _ in self.qubit_times_ms if not 0 <= v < n_qubits]:
+            raise ValueError(f"qubit_times_ms names vertex {outside[0]}, outside the resource's {n_qubits} qubits")
 
     @classmethod
     def from_json(cls, data: dict) -> ExperimentConfig:

@@ -41,7 +41,7 @@ follow from the order of its map's supports and two component-local keys.
 
 To score a batch, the convolutions are run once over keys instead of
 probabilities and recorded as a program of numpy steps: for each key a
-step inserts, the (earlier key, marginal slot) products it sums.
+step inserts, the (earlier key, weight row) products it sums.
 Components whose term lists begin alike share that prefix's law, so each
 distinct prefix, a node of a prefix trie, is run once.  One numpy step
 applies one term to every node of one trie depth at every point.
@@ -53,7 +53,7 @@ m and n are nonzero and distinct, else the first nonzero one, the keys
 coinciding in pairs.  Its marginal keys are the span of M in counting order
 (key x is the XOR of the basis vectors at the set bits of x), weighing
 [p + w, w, w, w], [(p + w) + w, w + w] or [1 - q, q] for w = (1 - p) / 4:
-slot j reads weight row base + min(j, 1).  Every law's keys are then the
+slot j reads weight row base + j.  Every law's keys are then the
 span of an ordered basis in counting order too, starting from the empty
 prefix's [0].  The reference visits the pairs (key, marginal key)
 key-major and inserts each XOR at its first visit, so parent key i inserts
@@ -78,8 +78,8 @@ scores equal the reference bit for bit:
 * every sum runs in the reference's order: a marginal adds its branches in
   branch order, and a key adds its products in the order the reference
   visits them, which follows each source key's insertion position in the
-  running law.  Padding adds an exact 0.0, which changes no value here, as
-  every value is finite and nonnegative;
+  running law.  Padding adds an exact 0.0 (the row below a term's base),
+  which changes no value here, as every value is finite and nonnegative;
 * which maps a point's zero weights drop (all depolarizing maps at p = 1, a
   dephasing map at q = 0) changes the insertion order, so each such drop
   pattern gets its own program, built on first use and cached on the plan.
@@ -390,15 +390,15 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
     return ns
 
 
-# Rows of a point's weight column (see _point_weights): 0.0 for padding; the
-# depolarizing p + w and w, then (p + w) + w and w + w for a term whose
-# branches coincide in pairs, summed as the reference merges them; then
-# (1 - q, q) for each dephasing source in CompiledPlan.dephasing order.
-_ZERO, _DEPOLARIZING, _MERGED, _DEPHASING = 0, 1, 3, 5
+# Rows of a point's weight column (see _point_weights): each term kind's
+# marginal from its base row on, after a 0.0 for padding.  The depolarizing
+# [p + w, w, w, w], [(p + w) + w, w + w] if its branches coincide in pairs
+# (summed as the reference merges them), then [1 - q, q] per dephasing source.
+_DEPOLARIZING, _MERGED, _DEPHASING = 1, 6, 9
 
 # Marginal codes in a transition template: 0 multiplies by 0.0 (padding) and
 # 1 + s by slot s of the term's marginal.
-_CODE_ZERO, _CODE_SLOT = 0, 1
+_CODE_SLOT = 1
 
 # Largest component compile_plan tables: a term's code packs its pattern
 # (under 8) and two local keys into an int64.  Scoring it takes 2**29 keys.
@@ -424,18 +424,17 @@ class _Program:
     as ``width`` rows (keys in the reference's insertion order, then padding)
     by points; before step 1 it holds the empty prefix's law, key 0 at 1.0.
     Key 0 is the first key of every law, as each term lists its identity
-    branch first.  Marginal row i is ``weights[branch_rows[i]]``.  Step
-    ``(src, code, ends, read)`` has (contributions, rows) tables: next state
-    row r is ``state[src[0, r]] * marginal[code[0, r]] + state[src[1, r]] *
-    marginal[code[1, r]] + ...``, summed left to right over rows of the
-    node's parent.  Then the components ``ends`` copy their last nodes' key-0
+    branch first.  Step ``(src, code, ends, read)`` has (contributions, rows)
+    tables: next state row r is ``state[src[0, r]] * weights[code[0, r]] +
+    state[src[1, r]] * weights[code[1, r]] + ...``, summed left to right
+    over rows of the node's parent, ``code`` indexing the weight column
+    itself.  Then the components ``ends`` copy their last nodes' key-0
     rows ``read``; one with no kept terms keeps 1.0.  ``cells`` is the
     largest step's contributions x rows.
     """
 
     components: int
     cells: int
-    branch_rows: np.ndarray
     steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
     def run(self, weights: np.ndarray) -> np.ndarray:
@@ -446,12 +445,12 @@ class _Program:
                 [self.run(weights[:, i : i + width]) for i in range(0, weights.shape[1], width)],
                 axis=1,
             )
-        marginal = weights.take(self.branch_rows, axis=0)
+        weights = np.ascontiguousarray(weights)  # score_points passes a transpose
         out = np.ones((self.components, weights.shape[1]))
         state = np.ones((1, weights.shape[1]))
         for src, code, ends, read in self.steps:
             terms = state.take(src, axis=0)
-            terms *= marginal.take(code, axis=0)
+            terms *= weights.take(code, axis=0)
             state = terms[0]
             for term in terms[1:]:
                 state += term
@@ -613,14 +612,14 @@ def _point_weights(
         for v in sorted(compiled.qubits):  # raise for the first vertex, as standard_noise does
             dephasing_probability(waits.get(v, t_ms), big_t_ms)
         raise
-    column = [0.0, p + w, w, p + w + w, w + w]
+    column = [0.0, p + w, w, w, w, 0.0, p + w + w, w + w]
     if waits:
         qs = [q[waits[v]] if v in waits else uniform for v in compiled.dephasing]
         zero = _mask(v for v, x in zip(compiled.dephasing, qs) if x == 0.0)
         for x in qs:
-            column += (1.0 - x, x)
+            column += (0.0, 1.0 - x, x)
     else:
-        column += [1.0 - uniform, uniform] * len(compiled.dephasing)
+        column += [0.0, 1.0 - uniform, uniform] * len(compiled.dephasing)
         zero = _mask(compiled.dephasing) if uniform == 0.0 else 0
     return column, (w == 0.0, zero)
 
@@ -644,7 +643,7 @@ def score_points(compiled: CompiledPlan, points) -> np.ndarray:
         program = compiled.programs.get(pattern)
         if program is None:
             program = compiled.programs[pattern] = _build_program(compiled, *pattern)
-        weights = np.array([columns[i] for i in indices]).T
+        weights = np.array([columns[i] for i in indices], dtype=np.float64).T
         out[indices] = program.run(weights).T
     return out
 
@@ -702,7 +701,8 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
 
     A node is a distinct prefix of some component's kept terms, a term's
     kind being its (basis, first weight row) pair.  Transitions are memoized
-    on bases, so the nodes of a ladder share them.  The tables use the
+    on bases, so the nodes of a ladder share them; a node's codes are its
+    template's, moved onto its kind's weight rows.  The tables use the
     narrowest unsigned type that holds their entries: a wide star's tables
     hold as many entries as one point's convolution has products, and their
     size sets the scoring's peak memory, so a law above _MAX_LAW_KEYS keys
@@ -714,9 +714,9 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     source = compiled.term_source[keep]
     term_basis = compiled.term_basis[keep]
     first_row = np.array([_MERGED if len(m) == 1 else _DEPOLARIZING for m in compiled.bases], dtype=np.int64)
-    n_rows = _DEPHASING + 2 * len(compiled.dephasing)
+    n_rows = _DEPHASING - 1 + 3 * len(compiled.dephasing)
     n_kinds = len(compiled.bases) * n_rows
-    kinds = term_basis * n_rows + np.where(source < 0, first_row[term_basis], _DEPHASING + 2 * source)
+    kinds = term_basis * n_rows + np.where(source < 0, first_row[term_basis], _DEPHASING + 3 * source)
     counts = np.bincount(compiled.term_component[keep], minlength=len(compiled.components))
     # The trie maps node * n_kinds + kind to the child node; node 0 is the
     # empty prefix, and a node's number is its place in creation order.
@@ -753,18 +753,13 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     level = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2))  # start of each depth
     place = np.empty_like(by_depth)  # a node's place among its depth's nodes
     place[by_depth] = np.arange(len(depth)) - level[depth[by_depth]]
-    codes = _CODE_SLOT + max([0] + [1 << len(m) for m in compiled.bases])
-    index = np.min_scalar_type(max(width * int(np.diff(level).max()), len(depth) * codes))
+    index = np.min_scalar_type(max(width * int(np.diff(level).max()), n_rows))
 
     templates = [np.array(tables()) for _, tables, _ in transitions.values()]
     contributions = np.array([pair.shape[1] for pair in templates] or [1])[template]
     src_table, code_table = table = np.zeros((2, len(templates), int(contributions.max()), width), dtype=index)
-    for t, pair in enumerate(templates):  # pads with source 0 and code _CODE_ZERO, both 0
+    for t, pair in enumerate(templates):  # pads with source 0 and code 0
         table[:, t, : pair.shape[1], : pair.shape[2]] = pair
-
-    # Node n's marginal rows are block n - 1: 0.0, then slot j at row base + min(j, 1).
-    branch_rows = base[1:, None] + np.minimum(np.arange(codes) - _CODE_SLOT, 1)
-    branch_rows[:, _CODE_ZERO] = _ZERO
 
     # The steps' tables, one after another: a step's hold one row per
     # contribution and node, contribution-major, nodes in place order.
@@ -778,7 +773,7 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     src = src_table[template[member], j]
     src += (place[parent[member]] * width).astype(index)[:, None]
     code = code_table[template[member], j]
-    code += ((member - 1) * codes).astype(index)[:, None]
+    code += (base[member] - 1).astype(index)[:, None]
     # Components by the depth of their last node, with that node's key-0 row.
     ends = np.array(ends, dtype=np.intp)
     by_end = np.argsort(depth[ends], kind="stable")
@@ -792,7 +787,6 @@ def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -
     return _Program(
         components=len(compiled.components),
         cells=int((widest * sizes).max(initial=0)) * width,
-        branch_rows=branch_rows.ravel(),
         steps=steps,
     )
 

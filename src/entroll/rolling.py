@@ -59,6 +59,9 @@ class ResolutionPlan:
         measured = [o for o, _ in self.steps]
         if len(set(measured)) != len(measured):
             raise ValueError("plan measures an orchestration qubit twice")
+        if len(set(self.isolation)) != len(self.isolation):
+            twice = next(v for i, v in enumerate(self.isolation) if v in self.isolation[:i])
+            raise ValueError(f"plan isolates qubit {twice} twice")
 
     @property
     def z_targets(self) -> tuple[int, ...]:

@@ -308,6 +308,24 @@ class TestBadIdErrorText:
         assert _error(lambda: resolve(STATE, plan)) == resolved
 
 
+class TestRepeatedIsolationTarget:
+    def test_plan_json_is_refused(self):
+        data = {"steps": [[0, 2], [1, 6]], "isolation": [2, 5, 2]}
+        assert _error(lambda: ResolutionPlan.from_json(data)) == "plan isolates qubit 2 twice"
+
+    def test_distinct_targets_are_accepted(self):
+        assert ResolutionPlan.from_json({"steps": [], "isolation": [2, 5]}).isolation == (2, 5)
+
+    def test_cli_resolve_prints_one_error_line(self, tmp_path, capsys):
+        state, plan = tmp_path / "state.json", tmp_path / "plan.json"
+        state.write_text(STATE_JSON)
+        plan.write_text('{"steps": [[0, 2], [1, 6]], "isolation": [2, 2]}')
+        assert cli.main(["resolve", str(state), "--plan", str(plan)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: plan isolates qubit 2 twice\n"
+
+
 def _violations(edges, n, orch, peers) -> list[Violation]:
     return list(validate_gtl(Graph.from_edges(n, edges), orch, frozenset(peers)).violations)
 
@@ -569,6 +587,26 @@ class TestQubitTimes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: qubit_times_ms lists vertex 1 twice\n"
+
+    # (2, 2) has the 8 qubits 0..7.
+    @pytest.mark.parametrize("vertex", [-1, 8, 4000])
+    def test_id_outside_the_resource_is_refused(self, vertex):
+        message = _error(lambda: ExperimentConfig(2, 2, qubit_times_ms=((vertex, 5.0),)))
+        assert message == f"qubit_times_ms names vertex {vertex}, outside the resource's 8 qubits"
+
+    @pytest.mark.parametrize("vertex", [0, 7])
+    def test_ids_at_the_resource_edges_are_accepted(self, vertex):
+        config = ExperimentConfig.from_json({"kappa_b_hat": 2, "n_o": 2, "qubit_times_ms": {str(vertex): 5.0}})
+        assert config.qubit_times_ms == ((vertex, 5.0),)
+
+    @pytest.mark.parametrize("vertex", [8, 4000])
+    def test_sweep_of_an_id_outside_the_resource_exits_1(self, tmp_path, capsys, vertex):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"kappa_b_hat": 2, "n_o": 2, "qubit_times_ms": {str(vertex): 5.0}}))
+        assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: qubit_times_ms names vertex {vertex}, outside the resource's 8 qubits\n"
 
 
 class TestConfigChecks:

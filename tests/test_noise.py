@@ -609,7 +609,7 @@ def compiled_terms(compiled):
     """Each component's terms as (source, law at p = 0.5, t = 1, T = 2), in order.
 
     A law lists (restricted support as a sorted list, probability) in the
-    counting order of its basis, key j reading weight row base + min(j, 1).
+    counting order of its basis, key j reading weight row base + j.
     Every weight at this point is nonzero, and p + w, w, (p + w) + w, w + w,
     1 - q and q are distinct.
     """
@@ -622,11 +622,11 @@ def compiled_terms(compiled):
         for source, bid in zip(compiled.term_source[chosen].tolist(), compiled.term_basis[chosen].tolist()):
             basis = compiled.bases[bid]
             if source >= 0:
-                base = noise._DEPHASING + 2 * source
+                base = noise._DEPHASING + 3 * source
             else:
                 base = noise._MERGED if len(basis) == 1 else noise._DEPOLARIZING
             law = [
-                ([v for i, v in enumerate(comp) if local >> i & 1], column[base + min(j, 1)])
+                ([v for i, v in enumerate(comp) if local >> i & 1], column[base + j])
                 for j, local in enumerate(counting_order(basis))
             ]
             terms.append((None if source < 0 else compiled.dephasing[source], law))
@@ -916,6 +916,22 @@ class TestCompiledPlan:
             widths.append(max(src.shape[1] for src, *_ in program.steps))
         assert widths[0] == widths[1]
 
+    @pytest.mark.parametrize("kb, n_o, target", [(2, 10, "bell"), (10, 2, "ghz")])
+    def test_padding_reads_a_zero_row_below_every_base(self, rng, kb, n_o, target):
+        # A step indexes the weight column directly, its padding reading the
+        # row below a term kind's base: that row is 0.0 at any point.
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        compiled = compile_plan(state.graph, default_resolution_plan(state, target))
+        sources = range(len(compiled.dephasing))
+        bases = [noise._DEPOLARIZING, noise._MERGED, *(noise._DEPHASING + 3 * s for s in sources)]
+        for _ in range(50):
+            waits = {v: rng.choice((0.0, rng.uniform(0.0, 5.0))) for v in state.graph.vertices() if rng.random() < 0.5}
+            p = rng.choice((0.0, 1.0, rng.random()))
+            big_t = rng.choice((math.inf, rng.uniform(0.1, 10.0)))
+            column, _ = noise._point_weights(compiled, p, rng.uniform(0.0, 5.0), big_t, waits or None)
+            assert len(column) == bases[-1] + 2  # the last triple ends the column
+            assert [column[base - 1] for base in bases] == [0.0] * len(bases)
+
     @pytest.mark.parametrize("kb, n_o", [(2, 2), (3, 2), (2, 3)])
     def test_rolling_only_plans(self, kb, n_o):
         state = build_gtl(GtlParams.specialized(kb, n_o))
@@ -987,11 +1003,12 @@ class TestCompiledPlan:
         state = build_gtl(GtlParams.specialized(2, 2))
         o = state.orch[0]
         far = next(v for v in state.graph.vertices() if v != o and v not in state.graph.neighbors(o))
+        near = min(state.graph.neighbors(o))
         isolated = Graph.from_edges(3, [(1, 2)])
         cases = [
             (state.graph, ResolutionPlan(steps=((o, far),))),
             (isolated, ResolutionPlan(steps=((0, 1),))),
-            (state.graph, ResolutionPlan(steps=(), isolation=(o, o))),
+            (state.graph, ResolutionPlan(steps=((o, near),), isolation=(o,))),  # a Z target already measured
         ]
         for g, plan in cases:
             message = _raised(lambda: compile_plan(g, plan))
