@@ -216,12 +216,17 @@ class NoiseMap:
         json_object("noise map", data)
         with json_field("noise map", "origin"):
             origin = json_int(data["origin"])
+            check_vertex_id(origin)
         with json_field("noise map", "branches"):
             weights: dict[frozenset[int], float] = {}
             for b in data["branches"]:
-                s = frozenset(json_int(v) for v in b["support"])
-                for v in s:
+                support: set[int] = set()
+                for v in [json_int(v) for v in b["support"]]:
                     check_vertex_id(v)
+                    if v in support:
+                        raise ValueError(f"support lists vertex {v} twice")
+                    support.add(v)
+                s = frozenset(support)
                 weights[s] = weights.get(s, 0.0) + json_float(b["p"])
             return cls.from_weights(origin, weights)
 
@@ -325,16 +330,18 @@ def standard_noise(
     return NoiseState(graph=g.copy(), maps=tuple(maps))
 
 
-def _image(mask: int, images: dict[int, int]) -> int:
-    """A support's image under one measurement.
+def _compose(mask: int, rows: dict[int, int]) -> int:
+    """XOR of ``rows[w]`` (Z_w itself when absent) over the set bits w of ``mask``.
 
-    Each measured vertex in the support as it was before the measurement is
-    replaced by its image; the images are not applied one after another.
+    The one support substitution.  Stepwise propagation passes one
+    measurement's images, so each measured vertex is replaced by its image
+    from before that measurement; :func:`compile_plan` composes whole plans.
     """
-    out = mask
-    for v, image in images.items():
-        if mask >> v & 1:
-            out ^= (1 << v) ^ image
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= rows.get(low.bit_length() - 1, low)
+        mask ^= low
     return out
 
 
@@ -344,7 +351,7 @@ def _apply_images(m: NoiseMap, images: dict[int, int]) -> NoiseMap:
         return m  # what the rebuild below would give
     out: dict[int, float] = {}
     for prob, op in m.branches:
-        key = _image(op.mask, images) if op.mask & measured else op.mask
+        key = _compose(op.mask, images) if op.mask & measured else op.mask
         out[key] = out.get(key, 0.0) + prob
     return NoiseMap._from_masks(m.origin, out)
 
@@ -486,16 +493,6 @@ class CompiledPlan:
     term_source: np.ndarray = field(compare=False, repr=False)
     term_basis: np.ndarray = field(compare=False, repr=False)
     programs: dict = field(default_factory=dict, compare=False, repr=False)
-
-
-def _compose(mask: int, rows: dict[int, int]) -> int:
-    """XOR of ``rows[w]`` (Z_w itself when absent) over the set bits w of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out ^= rows.get(low.bit_length() - 1, low)
-        mask ^= low
-    return out
 
 
 def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:

@@ -25,10 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphstate import Graph, MeasurementRecord, PauliString, component_key, measure_pauli
+from .graphstate import Graph, MeasurementRecord, PauliString, component_key
+# Unused here, but bench/tracing.py wraps it at this module's name.
+from .graphstate import measure_pauli  # noqa: F401
 from .gtl import GtlState
 from .noise import NoiseMap, component_fidelities, propagate, standard_noise
-from .rolling import ResolutionPlan
+from .rolling import ResolutionPlan, resolve
 
 __all__ = [
     "CORRECTION_UNITARIES",
@@ -215,8 +217,8 @@ def _channel_table(state: DenseState, noise_maps: tuple[NoiseMap, ...], dtype: n
     return table
 
 
-def _apply(data: np.ndarray, n: int, pos: int, mat: np.ndarray, density: bool) -> np.ndarray:
-    """Apply a k x 2 matrix (a 1 x 2 bra projects) to qubit ``pos`` of ``n``:
+def _apply(data: np.ndarray, pos: int, mat: np.ndarray, density: bool) -> np.ndarray:
+    """Apply a k x 2 matrix (a 1 x 2 bra projects) to qubit ``pos``:
     on the ket index and, for a density matrix, on the bra index as its conjugate.
 
     Seen as (lead, 2, rest), an index splits into the halves where the qubit is
@@ -274,7 +276,7 @@ def measure_dense(
             raise ValueError(f"unknown correction tag {tag!r}")
     bra = _BASIS_KETS[(basis, outcome)].conj()[None, :]
     density = state.mode == "density"
-    data = _apply(state.data, state.n, state.position(a), bra, density)
+    data = _apply(state.data, state.position(a), bra, density)
     if density:
         prob = norm = float(np.trace(data).real)
     else:
@@ -295,7 +297,7 @@ def measure_dense(
         if phase is not None:
             out.data = _scale(out.data, phase, density)
             phase = None
-        out.data = _apply(out.data, out.n, out.position(v), CORRECTION_UNITARIES[tag], density)
+        out.data = _apply(out.data, out.position(v), CORRECTION_UNITARIES[tag], density)
     if phase is None:
         out.data /= norm
     else:
@@ -376,21 +378,6 @@ class CrosscheckReport:
     def ok(self) -> bool:
         return self.max_delta < self.tolerance
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "max_delta": self.max_delta,
-            "entries": [
-                {
-                    "component": list(e.component),
-                    "fidelity_symbolic": e.fidelity_symbolic,
-                    "fidelity_dense": e.fidelity_dense,
-                    "delta": e.delta,
-                }
-                for e in self.entries
-            ],
-        }
-
 
 def crosscheck(
     state: GtlState,
@@ -403,15 +390,16 @@ def crosscheck(
 
     Both paths start from the same initial maps attached to the undisturbed
     resource and execute the same plan with forced "+" outcomes; the dense
-    path additionally applies the recorded local corrections so the two
-    trajectories describe the same state.
+    path replays the records of :func:`~entroll.rolling.resolve`, local
+    corrections included, so the two trajectories describe the same state and
+    a plan ``resolve`` refuses is refused before any dense matrix is built.
     """
     g = state.graph
     if g.n > MAX_CROSSCHECK_QUBITS:
         raise ValueError(f"crosscheck is limited to {MAX_CROSSCHECK_QUBITS} qubits, got {g.n}")
     ns0 = standard_noise(g, p, t_ms, big_t_ms)
-    ns = propagate(ns0, plan)
-    symbolic_fids = component_fidelities(ns)
+    symbolic_fids = component_fidelities(propagate(ns0, plan))
+    outcome = resolve(state, plan)
 
     # |G><G| is multiplied straight into the channel's table, so the noise
     # layer before the first record makes one full-size matrix, not two.
@@ -420,23 +408,18 @@ def crosscheck(
     rho *= ket.data[:, None]
     rho *= ket.data.conj()
     dense = DenseState("density", ket.qubits, rho)
-    sim = g.copy()
-    for o, b0 in plan.steps:
-        sim, rec = measure_pauli(sim, o, "X", b0)
-        dense = measure_with_record(dense, rec)
-    for v in plan.z_targets:
-        sim, rec = measure_pauli(sim, v, "Z")
+    for rec in outcome.records:
         dense = measure_with_record(dense, rec)
 
     entries = []
-    for comp in sim.components():
+    for comp in outcome.components:
         if len(comp) < 2:
             continue
         entries.append(
             CrosscheckEntry(
                 component=tuple(sorted(comp)),
                 fidelity_symbolic=symbolic_fids[component_key(comp)],
-                fidelity_dense=dense_component_fidelity(dense, sim, comp),
+                fidelity_dense=dense_component_fidelity(dense, outcome.graph, comp),
             )
         )
     return CrosscheckReport(entries=tuple(entries))

@@ -11,7 +11,9 @@ The default, bridge-pick and proximity plans and the closed-form noise maps
 all walk the chain on one stepper, :func:`_roll`.  Its side rule: a step's
 support side is what the measured qubit shares with the next one in the walk,
 or, at the last step, its leaves (:func:`_leaf_side`).  Executing an arbitrary
-plan resolves sides by the more general :func:`_support_side`.
+plan resolves sides by the more general :func:`_support_side`; :func:`resolve`
+is the one walk that turns a plan into measurement records, and the dense
+oracle's crosscheck replays those records.
 """
 
 from __future__ import annotations

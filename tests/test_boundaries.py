@@ -4,11 +4,13 @@ Every loader names the field an unusable value came from, and a bad support
 or target id gives the same error text through every path that measures it.
 """
 
+import dataclasses
 import json
 import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,16 @@ from hypothesis import strategies as st
 from entroll import cli
 from entroll.experiments import ExperimentConfig, find_threshold
 from entroll.graphstate import MAX_QUBITS, Graph, graph_from_json, measure_pauli
-from entroll.gtl import GtlParams, Violation, build_gtl, gtl_from_json, gtl_to_json, validate_gtl
-from entroll.noise import NoiseMap, closed_form_maps, compile_plan, propagate, standard_noise
-from entroll.rolling import STOP_AFTER_ROLLING, ResolutionPlan, resolve
+from entroll.gtl import (
+    GtlParams, GtlState, Violation, build_gtl, gtl_from_json, gtl_to_json, peer_proximity, validate_gtl
+)
+from entroll.noise import (
+    NoiseMap, ZOperator, closed_form_maps, compile_plan, propagate, propagate_measurement, standard_noise
+)
+from entroll.oracle import DenseState, dense_graph_state, graph_state_overlap
+from entroll.rolling import (
+    STOP_AFTER_ROLLING, ResolutionPlan, default_resolution_plan, plan_proximity_reduction, resolve
+)
 
 # (2, 2): orchestration 0 and 1, bridges 2 and 3, leaves 4, 5 (of 0) and 6, 7 (of 1).
 STATE = build_gtl(GtlParams.specialized(2, 2))
@@ -197,6 +206,22 @@ class TestStateFile:
             f"noise map field 'branches': vertex id {MAX_QUBITS} is above the largest supported id {MAX_QUBITS - 1}"
         )
 
+    @pytest.mark.parametrize(
+        "origin, message",
+        [
+            (-1, "vertex id -1 is negative"),
+            (5000, f"vertex id 5000 is above the largest supported id {MAX_QUBITS - 1}"),
+        ],
+    )
+    def test_noise_origin_out_of_bounds(self, origin, message):
+        data = {"origin": origin, "branches": [{"p": 1.0, "support": []}]}
+        assert _error(lambda: NoiseMap.from_json(data)) == f"noise map field 'origin': {message}"
+
+    def test_noise_support_repeating_a_vertex(self):
+        # Z_3 Z_3 is the identity, not Z_3: a support lists each vertex once.
+        data = {"origin": 0, "branches": [{"p": 1.0, "support": [3, 3]}]}
+        assert _error(lambda: NoiseMap.from_json(data)) == "noise map field 'branches': support lists vertex 3 twice"
+
     def test_non_object_is_rejected(self):
         assert _error(lambda: graph_from_json([1, 2])) == "graph must be a JSON object, got list"
         assert _error(lambda: gtl_from_json([1, 2])) == "GTL state must be a JSON object, got list"
@@ -324,6 +349,78 @@ class TestRepeatedIsolationTarget:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: plan isolates qubit 2 twice\n"
+
+
+def _edited(delete=(), cut=()) -> GtlState:
+    """STATE with the ``delete`` vertices gone and every edge of the ``cut`` vertices removed."""
+    g = STATE.graph.copy()
+    for v in delete:
+        g.delete_vertex(v)
+    for v in cut:
+        for w in sorted(g.neighbors(v)):
+            g.remove_edge(v, w)
+    return dataclasses.replace(STATE, graph=g)
+
+
+# (id, call, message): refusals of public calls, each with its one-line text.
+REFUSALS = [
+    ("measure-basis", lambda: measure_pauli(STATE.graph, 0, "W"), "unsupported measurement basis 'W'"),
+    (
+        "measure-z-support",
+        lambda: measure_pauli(STATE.graph, 2, "Z", support_choice=0),
+        "support_choice is only meaningful for X measurements",
+    ),
+    (
+        "propagate-basis",
+        lambda: propagate_measurement(standard_noise(STATE.graph, 0.9), 0, "W"),
+        "unsupported measurement basis 'W'",
+    ),
+    (
+        "negative-branch",
+        lambda: NoiseMap(0, ((-0.5, ZOperator(0)), (1.5, ZOperator(1)))),
+        "negative branch probability -0.5",
+    ),
+    (
+        "duplicate-branch",
+        lambda: NoiseMap(0, ((0.5, ZOperator(1)), (0.5, ZOperator(1)))),
+        "duplicate branch support; use from_weights to merge",
+    ),
+    ("resolve-dead", lambda: resolve(_edited(delete=(1,)), _plan(((1, 3),))), "step measures 1, which is no longer live"),
+    ("plan-target", lambda: default_resolution_plan(STATE, "w"), "unknown resolution target 'w'"),
+    ("proximity-orch", lambda: plan_proximity_reduction(STATE, 0, 7), "0 is not a peer qubit"),
+    ("peer-proximity-orch", lambda: peer_proximity(STATE, 0, 7), "0 is not a peer qubit"),
+    (
+        "proximity-disconnected",
+        lambda: plan_proximity_reduction(_edited(cut=(2,)), 2, 7),
+        "vertices 2 and 7 are disconnected",
+    ),
+    ("dense-mode", lambda: dense_graph_state(STATE.graph, "w"), "unknown dense mode 'w'"),
+    (
+        "overlap-order",
+        lambda: graph_state_overlap(dense_graph_state(Graph.empty(2)), Graph.empty(3)),
+        "graph vertices must match the dense state's qubit order",
+    ),
+    (
+        "density-trace",
+        lambda: DenseState("density", (0,), np.diag([0.6, 0.6])).validate(),
+        "density trace (1.2+0j) is not 1",
+    ),
+    (
+        "density-hermitian",
+        lambda: DenseState("density", (0,), np.array([[0.5, 0.5], [0.0, 0.5]])).validate(),
+        "density matrix is not Hermitian",
+    ),
+    (
+        "density-eigenvalue",
+        lambda: DenseState("density", (0,), np.diag([1.2, -0.2])).validate(),
+        "density matrix has negative eigenvalue -0.2",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*case[1:], id=case[0]) for case in REFUSALS])
+def test_refusal_names_its_input(call, message):
+    assert _error(call) == message
 
 
 def _violations(edges, n, orch, peers) -> list[Violation]:

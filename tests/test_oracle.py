@@ -21,7 +21,7 @@ from entroll.oracle import (
     partial_trace,
     vectors_equal_up_to_phase,
 )
-from entroll.rolling import default_resolution_plan
+from entroll.rolling import STOP_AFTER_ROLLING, ResolutionPlan, default_resolution_plan, resolve
 
 from conftest import random_graph
 
@@ -530,6 +530,23 @@ class TestCrosscheck:
             assert report.ok, f"p={p}: {report.max_delta}"
             if kb == 3:
                 assert any(len(e.component) == 3 for e in report.entries)
+
+    def test_refuses_what_resolve_refuses(self):
+        # Peer 1 has neighbour 0, so stepwise propagation runs this X step;
+        # resolve refuses it, and so must the crosscheck that replays it.
+        state = build_gtl(GtlParams.specialized(2, 1))
+        plan = ResolutionPlan(steps=((1, 0),), stop_stage=STOP_AFTER_ROLLING)
+        with pytest.raises(ValueError) as info:
+            crosscheck(state, plan, p=0.9)
+        assert str(info.value) == "step measures 1, which is not an orchestration qubit"
+
+    @pytest.mark.parametrize("target", ["bell", "ghz"])
+    def test_components_are_those_of_resolve(self, target):
+        state = build_gtl(GtlParams.specialized(3, 1))
+        plan = default_resolution_plan(state, target)
+        report = crosscheck(state, plan, p=0.9, t_ms=1.0, big_t_ms=10.0)
+        resolved = tuple(tuple(sorted(c)) for c in resolve(state, plan).components if len(c) > 1)
+        assert resolved and tuple(e.component for e in report.entries) == resolved
 
     def test_size_cap(self):
         for kb, n_o in ((3, 2), (5, 1)):  # 11 qubits each
