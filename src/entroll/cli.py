@@ -85,6 +85,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
+    if args.p is None and (args.dephasing_time is not None or args.protocol_time is not None):
+        raise ValueError("--dephasing-time and --protocol-time apply only with --p")
     state = gtl_from_json(_load_json(args.state))
     if args.plan:
         plan = ResolutionPlan.from_json(_load_json(args.plan))
@@ -115,7 +117,8 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     if args.p is not None:
         big_t = math.inf if args.dephasing_time is None else args.dephasing_time
         compiled = compile_plan(state.graph, plan)
-        report["fidelities"] = compiled_fidelities(compiled, args.p, args.protocol_time, big_t)
+        t_ms = 1.0 if args.protocol_time is None else args.protocol_time
+        report["fidelities"] = compiled_fidelities(compiled, args.p, t_ms, big_t)
     _write(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
@@ -137,8 +140,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         data["T_grid_ms"] = args.t_grid.split(",")
     if args.seed is not None:
         data["seed"] = args.seed
-    if "kappa_b_hat" not in data or "n_o" not in data:
-        raise ValueError("kappa_b_hat and n_o are required (config file or flags)")
     return ExperimentConfig.from_json(data)
 
 
@@ -205,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also report fidelities under depolarizing(p)")
     p_resolve.add_argument("--dephasing-time", type=float, default=None,
                            help="memory time T in ms for the fidelity report")
-    p_resolve.add_argument("--protocol-time", type=float, default=1.0)
+    p_resolve.add_argument("--protocol-time", type=float, default=None,
+                           help="uniform memory wait t in ms for the fidelity report (default 1)")
     p_resolve.add_argument("-o", "--out", default=None)
     p_resolve.set_defaults(func=_cmd_resolve)
 

@@ -22,6 +22,7 @@ from .noise import (
     CompiledPlan,
     NoiseState,
     _check_depolarizing,
+    _check_wait_ids,
     closed_form_maps,
     compile_plan,
     depolarizing_map,
@@ -92,8 +93,7 @@ class ExperimentConfig:
                 raise ValueError(f"qubit_times_ms lists vertex {v} twice")
             seen.add(v)
         n_qubits = GtlParams.specialized(self.kappa_b_hat, self.n_o).n_qubits
-        if outside := [v for v, _ in self.qubit_times_ms if not 0 <= v < n_qubits]:
-            raise ValueError(f"qubit_times_ms names vertex {outside[0]}, outside the resource's {n_qubits} qubits")
+        _check_wait_ids(dict(self.qubit_times_ms), range(n_qubits))
 
     @classmethod
     def from_json(cls, data: dict) -> ExperimentConfig:

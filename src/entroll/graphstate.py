@@ -21,7 +21,9 @@ id is ever shifted.
 Liveness is checked at the public entry points and where ``rolling`` and
 ``noise`` take a plan step; past those checks, internal walks read and write
 ``Graph._rows``.  One in-place X update, ``Graph._measure_x``, serves
-:func:`measure_pauli`, the rolling planner and the noise compiler.
+:func:`measure_pauli`, the rolling planner and the noise compiler.  It
+refuses a support that is not a live neighbor of the measured qubit, and is
+the one home of that rule.
 """
 
 from __future__ import annotations
@@ -225,14 +227,23 @@ class Graph:
             rows[low.bit_length() - 1] ^= nb ^ low ^ cut
             rest ^= low
 
-    def _measure_x(self, a: int, b0: int) -> None:
-        """X-measure ``a`` with support ``b0`` in place: LC(b0), LC(a), delete ``a``, LC(b0).
-        ``b0`` is a live neighbor of live ``a``, or any live vertex if ``a`` is isolated."""
+    def _measure_x(self, a: int, b0: int | None) -> int:
+        """X-measure live ``a`` with support ``b0`` in place, LC(b0), LC(a), delete ``a``, LC(b0),
+        and return the neighbors ``b0`` had before.  The one home of the support rule:
+        ``b0`` is a live neighbor of ``a``, or any live vertex if ``a`` is isolated."""
+        rows = self._rows
+        if nbrs := rows[a]:
+            if b0 is None:
+                raise ValueError(f"X measurement of {a} needs a support choice among {list(_bits(nbrs))}")
+            if not (b0 >= 0 and nbrs >> b0 & 1):
+                raise ValueError(f"support {b0} is not a neighbor of {a}")
+        before = rows[b0]
         self._local_complement(b0)
         self._local_complement(a, 1 << a)
-        self._rows[a] = 0
+        rows[a] = 0
         self._live ^= 1 << a
         self._local_complement(b0)
+        return before
 
     # -- dunder ------------------------------------------------------------
 
@@ -325,57 +336,39 @@ def measure_pauli(
     basis = basis.upper()
     if basis not in ("X", "Y", "Z"):
         raise ValueError(f"unsupported measurement basis {basis!r}")
-    nbrs = g._rows[a]
-    if basis == "X" and nbrs:
-        if support_choice is None:
-            raise ValueError(f"X measurement of {a} needs a support choice among {list(_bits(nbrs))}")
-        if not (g.is_live(support_choice) and nbrs >> support_choice & 1):
-            raise ValueError(f"support {support_choice} is not a neighbor of {a}")
     if basis != "X" and support_choice is not None:
         raise ValueError("support_choice is only meaningful for X measurements")
+    nbrs = g._rows[a]
+    h = g.copy()
+    if basis == "X" and nbrs:
+        nb0 = h._measure_x(a, support_choice)
+    else:
+        if basis == "Y":
+            h._local_complement(a)
+        h.delete_vertex(a)
 
+    # Drawn after the update, which refuses a bad support: the outcome only
+    # picks the corrections, and a refused call leaves ``rng`` as it was.
     outcome = 1
-    if rng is not None and not (basis == "X" and not nbrs):
+    if rng is not None and (basis != "X" or nbrs):
         outcome = rng.choice((1, -1))
 
-    h = g.copy()
     corrections: tuple[tuple[int, str], ...]
     if basis == "Z":
-        h.delete_vertex(a)
-        if outcome == 1:
-            corrections = ()
-        else:
-            corrections = tuple((b, "Z") for b in _bits(nbrs))
+        corrections = () if outcome == 1 else tuple((b, "Z") for b in _bits(nbrs))
     elif basis == "Y":
-        h._local_complement(a)
-        h.delete_vertex(a)
         tag = "SQRT_Z" if outcome == 1 else "SQRT_Z_DAG"
         corrections = tuple((b, tag) for b in _bits(nbrs))
     elif not nbrs:
         # X on an isolated vertex: the qubit is a bare |+>, deterministic "+".
-        h.delete_vertex(a)
         corrections = ()
         support_choice = None
     else:
         b0 = support_choice
-        assert b0 is not None
-        nb0 = g._rows[b0]
-        h._measure_x(a, b0)
-        if outcome == 1:
-            zs = nbrs & ~nb0 & ~(1 << b0)
-            corrections = ((b0, "SQRT_Y_DAG"), *((b, "Z") for b in _bits(zs)))
-        else:
-            zs = nb0 & ~nbrs & ~(1 << a) & ~(1 << b0)
-            corrections = ((b0, "SQRT_Y"), *((b, "Z") for b in _bits(zs)))
-
-    record = MeasurementRecord(
-        measured=a,
-        basis=basis,
-        support_choice=support_choice if basis == "X" else None,
-        outcome=outcome,
-        corrections=corrections,
-    )
-    return h, record
+        zs = nbrs & ~nb0 if outcome == 1 else nb0 & ~nbrs & ~(1 << a)
+        tag = "SQRT_Y_DAG" if outcome == 1 else "SQRT_Y"
+        corrections = ((b0, tag), *((b, "Z") for b in _bits(zs & ~(1 << b0))))
+    return h, MeasurementRecord(a, basis, support_choice, outcome, corrections)
 
 
 def stabilizer_generators(g: Graph) -> list[PauliString]:

@@ -293,16 +293,21 @@ def bridge_neighborhoods(state: GtlState, o_i: int) -> tuple[frozenset[int], fro
     return frozenset(_bits(left)), frozenset(_bits(right))
 
 
-def _bfs_predecessors(graph: Graph, src: int, dst: int) -> dict[int, list[int]]:
-    """Shortest-path predecessors from ``src`` of every vertex up to the layer
-    that reaches ``dst``, in breadth-first order."""
-    dist = {src: 0}
-    preds: dict[int, list[int]] = {src: []}
-    layer = [src]
-    while layer and dst not in dist:
+def _peer_predecessors(state: GtlState, c_i: int, c_j: int) -> dict[int, list[int]]:
+    """Shortest-path predecessors from peer ``c_i`` of every vertex up to the layer that
+    reaches peer ``c_j``; the one home of the peer-pair rule: two distinct, connected peers."""
+    if c_i == c_j:
+        raise ValueError("peer proximity needs two distinct peers")
+    for c in (c_i, c_j):
+        if c not in state.peers:
+            raise ValueError(f"{c} is not a peer qubit")
+    dist = {c_i: 0}
+    preds: dict[int, list[int]] = {c_i: []}
+    layer = [c_i]
+    while layer and c_j not in dist:
         nxt = []
         for u in layer:
-            for w in _bits(graph.neighbor_mask(u)):
+            for w in _bits(state.graph.neighbor_mask(u)):
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     preds[w] = [u]
@@ -310,6 +315,8 @@ def _bfs_predecessors(graph: Graph, src: int, dst: int) -> dict[int, list[int]]:
                 elif dist[w] == dist[u] + 1:
                     preds[w].append(u)
         layer = nxt
+    if c_j not in preds:
+        raise ValueError(f"peers {c_i} and {c_j} are disconnected")
     return preds
 
 
@@ -319,16 +326,9 @@ def peer_proximity(state: GtlState, c_i: int, c_j: int) -> int:
     All shortest paths in a valid GTL carry the same interior bridge count;
     this is asserted by a min/max dynamic program over the BFS layering.
     """
-    if c_i == c_j:
-        raise ValueError("peer proximity needs two distinct peers")
-    for c in (c_i, c_j):
-        if c not in state.peers:
-            raise ValueError(f"{c} is not a peer qubit")
+    preds = _peer_predecessors(state, c_i, c_j)
     g = state.graph
     orch = _mask(o for o in state.orch if g.is_live(o))
-    preds = _bfs_predecessors(g, c_i, c_j)
-    if c_j not in preds:
-        raise ValueError(f"peers {c_i} and {c_j} are disconnected")
 
     lo = {c_i: 0}
     hi = {c_i: 0}

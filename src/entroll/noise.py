@@ -281,6 +281,13 @@ def _check_depolarizing(p: float) -> None:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
 
 
+def _check_wait_ids(qubit_times_ms, qubits) -> None:
+    """Refuse a ``qubit_times_ms`` id that names none of the resource's ``qubits``."""
+    for v in qubit_times_ms:
+        if v not in qubits:
+            raise ValueError(f"qubit_times_ms names vertex {v}, outside the resource's {len(qubits)} qubits")
+
+
 def depolarizing_map(g: Graph, a: int, p: float) -> NoiseMap:
     """Single-qubit depolarizing channel written with Z-type operators.
 
@@ -320,8 +327,12 @@ def standard_noise(
     """Depolarizing(p) followed by dephasing(t, T) on every live qubit.
 
     ``t_ms`` is the uniform accumulated memory time (protocol duration);
-    individual qubits can be overridden through ``qubit_times_ms``.
+    individual qubits can be overridden through ``qubit_times_ms``, whose
+    ids must be live vertices.  Checked in order: ``p``, ids, waits.
     """
+    _check_depolarizing(p)
+    if qubit_times_ms:
+        _check_wait_ids(qubit_times_ms, frozenset(g.vertices()))
     maps: list[NoiseMap] = []
     for v in g.vertices():
         wait = qubit_times_ms.get(v, t_ms) if qubit_times_ms else t_ms
@@ -362,13 +373,10 @@ def _measure_x(g: Graph, a: int, b0: int | None) -> dict[int, int]:
     Z_a goes to Z on ``{b0}`` and the old neighborhood of ``b0`` without
     ``a``, and Z_b0 to Z on the new neighborhood of ``b0``.
     """
-    if not (nbrs := g.neighbor_mask(a)):
+    if not g.neighbor_mask(a):
         raise ValueError(f"noise propagation through X on isolated vertex {a} is undefined")
-    if b0 is None or not (g.is_live(b0) and nbrs >> b0 & 1):
-        raise ValueError(f"X measurement of {a} needs a support among its neighbors")
-    image = 1 << b0 | g._rows[b0] & ~(1 << a)
-    g._measure_x(a, b0)
-    return {a: image, b0: g._rows[b0]}
+    before = g._measure_x(a, b0)
+    return {a: 1 << b0 | before & ~(1 << a), b0: g._rows[b0]}
 
 
 def propagate_measurement(
@@ -596,10 +604,10 @@ def _point_weights(
     and the mask of dephasing sources with q = 0.
     """
     _check_depolarizing(p)
+    waits = qubit_times_ms or {}
+    _check_wait_ids(waits, compiled.qubits)
     w = (1.0 - p) / 4.0
-    # standard_noise reads a wait only for a vertex of the graph, and the
-    # uniform wait only for a vertex without its own.
-    waits = {v: t for v, t in (qubit_times_ms or {}).items() if v in compiled.qubits}
+    # standard_noise reads the uniform wait only for a vertex without its own.
     uniform = 0.0  # computed below only if some vertex has no wait of its own
     try:
         q = {t: dephasing_probability(t, big_t_ms) for t in waits.values()}

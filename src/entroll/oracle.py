@@ -397,9 +397,9 @@ def crosscheck(
     g = state.graph
     if g.n > MAX_CROSSCHECK_QUBITS:
         raise ValueError(f"crosscheck is limited to {MAX_CROSSCHECK_QUBITS} qubits, got {g.n}")
+    outcome = resolve(state, plan)
     ns0 = standard_noise(g, p, t_ms, big_t_ms)
     symbolic_fids = component_fidelities(propagate(ns0, plan))
-    outcome = resolve(state, plan)
 
     # |G><G| is multiplied straight into the channel's table, so the noise
     # layer before the first record makes one full-size matrix, not two.

@@ -7,6 +7,7 @@ or target id gives the same error text through every path that measures it.
 import dataclasses
 import json
 import math
+import random
 import time
 import tracemalloc
 
@@ -24,7 +25,7 @@ from entroll.gtl import (
 from entroll.noise import (
     NoiseMap, ZOperator, closed_form_maps, compile_plan, propagate, propagate_measurement, standard_noise
 )
-from entroll.oracle import DenseState, dense_graph_state, graph_state_overlap
+from entroll.oracle import DenseState, crosscheck, dense_graph_state, graph_state_overlap
 from entroll.rolling import (
     STOP_AFTER_ROLLING, ResolutionPlan, default_resolution_plan, plan_proximity_reduction, resolve
 )
@@ -251,7 +252,7 @@ NOT_ON_SIDE = (
     "support {} for step {} is not on the current bridge side; "
     "closed forms only cover canonical rolling sequences"
 )
-NEEDS_SUPPORT = "X measurement of {} needs a support among its neighbors"
+NOT_A_NEIGHBOR = "support {} is not a neighbor of {}"
 
 # (id, plan, error of propagate and compile_plan, of closed_form_maps, of resolve)
 PLAN_ERRORS = [
@@ -260,9 +261,9 @@ PLAN_ERRORS = [
         (
             f"support-{s}",
             _plan(((0, s), (1, 6))),
-            NEEDS_SUPPORT.format(0),
+            NOT_A_NEIGHBOR.format(s, 0),
             NOT_ON_SIDE.format(s, 0),
-            f"support {s} is not a current neighbor of 0",
+            NOT_A_NEIGHBOR.format(s, 0),
         )
         for s in (-1, 99, 6)
     ),
@@ -270,16 +271,16 @@ PLAN_ERRORS = [
     (
         "support-measured",
         _plan(((0, 2), (1, 2))),
-        NEEDS_SUPPORT.format(1),
+        NOT_A_NEIGHBOR.format(2, 1),
         NOT_ON_SIDE.format(2, 1),
-        "support 2 is not a current neighbor of 1",
+        NOT_A_NEIGHBOR.format(2, 1),
     ),
     # a negative, unknown or peer measured qubit
     *(
         (
             f"measured-{o}",
             _plan(((o, 2),)),
-            NEEDS_SUPPORT.format(o) if o == 4 else f"unknown or deleted vertex {o}",
+            NOT_A_NEIGHBOR.format(2, o) if o == 4 else f"unknown or deleted vertex {o}",
             "plan must roll the full chain in linear or reversed order",
             f"step measures {o}, which is not an orchestration qubit",
         )
@@ -313,7 +314,11 @@ class TestBadIdErrorText:
     def test_measure_pauli_support(self, support, message):
         g = STATE.graph.copy()
         g.delete_vertex(3)
-        assert _error(lambda: measure_pauli(g, 0, "X", support)) == message
+        rng, twin = random.Random(7), random.Random(7)
+        assert _error(lambda: measure_pauli(g, 0, "X", support, rng=rng)) == message
+        assert rng.random() == twin.random()  # refused before an outcome is drawn
+        # Stepwise noise propagation refuses through the same X update.
+        assert _error(lambda: propagate_measurement(standard_noise(g, 0.9), 0, "X", support)) == message
 
     @pytest.mark.parametrize("target", [-1, 3, 99])
     def test_measure_pauli_target(self, target):
@@ -331,6 +336,8 @@ class TestBadIdErrorText:
         assert _error(lambda: compile_plan(g, plan)) == stepwise
         assert _error(lambda: closed_form_maps(STATE, plan, 0.9)) == closed
         assert _error(lambda: resolve(STATE, plan)) == resolved
+        # The crosscheck resolves the plan before it propagates any noise.
+        assert _error(lambda: crosscheck(STATE, plan, 0.9)) == resolved
 
 
 class TestRepeatedIsolationTarget:
@@ -387,12 +394,20 @@ REFUSALS = [
     ),
     ("resolve-dead", lambda: resolve(_edited(delete=(1,)), _plan(((1, 3),))), "step measures 1, which is no longer live"),
     ("plan-target", lambda: default_resolution_plan(STATE, "w"), "unknown resolution target 'w'"),
+    # Both proximity calls refuse a peer pair through one rule, with one text.
     ("proximity-orch", lambda: plan_proximity_reduction(STATE, 0, 7), "0 is not a peer qubit"),
     ("peer-proximity-orch", lambda: peer_proximity(STATE, 0, 7), "0 is not a peer qubit"),
+    ("proximity-same", lambda: plan_proximity_reduction(STATE, 2, 2), "peer proximity needs two distinct peers"),
+    ("peer-proximity-same", lambda: peer_proximity(STATE, 2, 2), "peer proximity needs two distinct peers"),
     (
         "proximity-disconnected",
         lambda: plan_proximity_reduction(_edited(cut=(2,)), 2, 7),
-        "vertices 2 and 7 are disconnected",
+        "peers 2 and 7 are disconnected",
+    ),
+    (
+        "peer-proximity-disconnected",
+        lambda: peer_proximity(_edited(cut=(2,)), 2, 7),
+        "peers 2 and 7 are disconnected",
     ),
     ("dense-mode", lambda: dense_graph_state(STATE.graph, "w"), "unknown dense mode 'w'"),
     (

@@ -361,6 +361,23 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dephasing-time", "5"], ["--protocol-time", "-1"], ["--protocol-time", "2", "--dephasing-time", "5"]],
+    )
+    def test_resolve_noise_flags_need_p(self, tmp_path, capsys, flags):
+        state_file = tmp_path / "state.json"
+        state_file.write_text(json.dumps(gtl_to_json(build_gtl(GtlParams.specialized(2, 3)))))
+        assert cli.main(["resolve", str(state_file), *flags]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --dephasing-time and --protocol-time apply only with --p\n"
+
+    @pytest.mark.parametrize("flags, name", [(["--n-o", "2"], "kappa_b_hat"), (["--kappa-b", "2"], "n_o")])
+    def test_sweep_names_a_missing_required_field(self, capsys, flags, name):
+        assert cli.main(["sweep", *flags]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: config field {name!r} is required\n"
+
     def test_sweep_deterministic_bytes(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(

@@ -1029,13 +1029,35 @@ class TestCompiledPlan:
         message = _raised(lambda: compiled_fidelities(compiled, p, t_ms, big_t_ms, times))
         assert message == _raised(lambda: standard_noise(state.graph, p, t_ms, big_t_ms, times))
 
-    @pytest.mark.parametrize("times", [{999: -1.0}, {3: 2.0, 999: -1.0}, {-4: -1.0, 0: 0.5}])
-    def test_off_graph_waits_are_ignored(self, times):
-        # standard_noise reads a wait only for a vertex of the graph, so an
-        # entry for any other id, even a negative wait, changes nothing.
+    @pytest.mark.parametrize(
+        "times, bad",
+        [({999: -1.0}, 999), ({3: 2.0, 999: -1.0}, 999), ({-4: -1.0, 0: 0.5}, -4), ({4000: 5.0, -3: 9.0}, 4000)],
+    )
+    def test_off_graph_waits_are_refused(self, times, bad):
+        # An id that names no qubit is refused by every noise entry point,
+        # before any wait is read.
         state = build_gtl(GtlParams.specialized(2, 2))
-        plan = default_resolution_plan(state, "bell")
-        assert_compiled_equals_stepwise(state.graph, plan, [(0.9, 5.0, times), (1.0, math.inf, times)])
+        compiled = compile_plan(state.graph, default_resolution_plan(state, "bell"))
+        message = f"qubit_times_ms names vertex {bad}, outside the resource's 8 qubits"
+        for point in [(0.9, 1.0, 5.0, times), (1.0, 1.0, math.inf, times)]:
+            assert _raised(lambda: compiled_fidelities(compiled, *point)) == message
+            assert _raised(lambda: score_points(compiled, [point])) == message
+            assert _raised(lambda: standard_noise(state.graph, *point)) == message
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ((1.5, -1.0, 0.0, {999: -1.0}), "depolarizing parameter 1.5 outside [0, 1]"),
+            ((0.9, -1.0, 0.0, {3: -2.0, 999: -1.0}), "qubit_times_ms names vertex 999, outside the resource's 8 qubits"),
+            ((0.9, 1.0, 0.0, {3: 2.0}), "dephasing time must be positive, got 0.0"),
+        ],
+        ids=["p", "ids", "waits"],
+    )
+    def test_checks_run_p_then_ids_then_waits(self, point, message):
+        state = build_gtl(GtlParams.specialized(2, 2))
+        compiled = compile_plan(state.graph, default_resolution_plan(state, "bell"))
+        assert _raised(lambda: compiled_fidelities(compiled, *point)) == message
+        assert _raised(lambda: standard_noise(state.graph, *point)) == message
 
     def test_uniform_wait_unread_when_every_vertex_has_its_own(self):
         # standard_noise reads t_ms only for a vertex without its own wait, so

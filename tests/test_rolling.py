@@ -354,7 +354,7 @@ class TestPlans:
         # after measuring o_0 with support b1, b2 hangs off b1 and is no
         # longer adjacent to o_1
         plan = ResolutionPlan(steps=((0, b1), (1, b2)), stop_stage=STOP_AFTER_ROLLING)
-        with pytest.raises(ValueError, match="not a current neighbor"):
+        with pytest.raises(ValueError, match="not a neighbor"):
             resolve(state, plan)
 
     def test_bridge_pick_plans_distinct(self):
