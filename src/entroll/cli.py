@@ -35,6 +35,7 @@ from .gtl import (
 from .oracle import MAX_CROSSCHECK_QUBITS
 from .rolling import (
     ResolutionPlan,
+    _TARGETS,
     default_resolution_plan,
     resolve,
     schmidt_upper_bound,
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_resolve = sub.add_parser("resolve", help="execute a resolution plan")
     p_resolve.add_argument("state")
     p_resolve.add_argument("--plan", default=None, help="plan JSON file")
-    p_resolve.add_argument("--target", default="bell", choices=("bell", "ghz"))
+    p_resolve.add_argument("--target", default="bell", choices=_TARGETS)
     p_resolve.add_argument("--p", type=float, default=None,
                            help="also report fidelities under depolarizing(p)")
     p_resolve.add_argument("--dephasing-time", type=float, default=None,
@@ -216,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="experiment config JSON")
         p.add_argument("--kappa-b", type=int, default=None)
         p.add_argument("--n-o", type=int, default=None)
-        p.add_argument("--target", default=None, choices=("bell", "ghz"))
+        p.add_argument("--target", default=None, choices=_TARGETS)
         p.add_argument("--p-grid", default=None, help="comma-separated depolarizing parameters")
         p.add_argument("--t-grid", default=None, help="comma-separated dephasing times in ms (inf allowed)")
         p.add_argument("--seed", type=int, default=None)

@@ -33,6 +33,7 @@ from .noise import (
 from .noise import component_fidelities, standard_noise  # noqa: F401
 from .rolling import (
     ResolutionPlan,
+    _check_target,
     bridge_pick_plans,
     default_resolution_plan,
     resolve,
@@ -74,8 +75,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.target not in ("bell", "ghz"):
-            raise ValueError(f"unknown resource target {self.target!r}")
+        _check_target(self.target)
         if not self.p_grid or not self.t_grid_ms:
             raise ValueError("parameter grids must be nonempty")
         for p in self.p_grid:

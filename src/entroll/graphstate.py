@@ -312,6 +312,13 @@ def local_complement(g: Graph, a: int) -> Graph:
     return h
 
 
+def _pauli_basis(basis: str) -> str:
+    """``basis`` in upper case; a ValueError unless it names X, Y or Z."""
+    if (basis := basis.upper()) not in ("X", "Y", "Z"):
+        raise ValueError(f"unsupported measurement basis {basis!r}")
+    return basis
+
+
 def measure_pauli(
     g: Graph,
     a: int,
@@ -333,9 +340,7 @@ def measure_pauli(
     an isolated vertex.
     """
     g._require_live(a)
-    basis = basis.upper()
-    if basis not in ("X", "Y", "Z"):
-        raise ValueError(f"unsupported measurement basis {basis!r}")
+    basis = _pauli_basis(basis)
     if basis != "X" and support_choice is not None:
         raise ValueError("support_choice is only meaningful for X measurements")
     nbrs = g._rows[a]

@@ -69,9 +69,9 @@ needed, and a law's size, 2**len(basis), is known before any table is
 made: a law of more than ``_MAX_LAW_KEYS`` keys is refused then.  The
 scores equal the reference bit for bit:
 
-* each point's weights are computed in Python floats with the reference's
-  expressions (``math.exp`` through :func:`dephasing_probability`);
-* numpy only multiplies and adds, element by element, one point per column;
+* q is computed in Python floats (``math.exp`` through dephasing_probability),
+  the other weights by the reference's expressions, element by element;
+* the steps only multiply and add, element by element, one point per column;
   no ``sum``, ``add.reduce``, ``einsum`` or ``matmul``, which may reorder a
   sum.  Nor is Python's built-in ``sum()`` used, which compensates float
   sums from Python 3.12;
@@ -80,9 +80,9 @@ scores equal the reference bit for bit:
   visits them, which follows each source key's insertion position in the
   running law.  Padding adds an exact 0.0 (the row below a term's base),
   which changes no value here, as every value is finite and nonnegative;
-* which maps a point's zero weights drop (all depolarizing maps at p = 1, a
-  dephasing map at q = 0) changes the insertion order, so each such drop
-  pattern gets its own program, built on first use and cached on the plan.
+* a zero weight drops its branch, so a term whose non-identity weight is
+  0.0 (w at p = 1, or q = 0) is left out.  That changes the insertion order,
+  so each set of zeroed weight rows gets its own program, cached on the plan.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphstate import (
-    Graph, _bits, _mask, check_vertex_id, component_key, json_field, json_float, json_int, json_object,
-    measure_pauli,
+    Graph, _bits, _mask, _pauli_basis, check_vertex_id, component_key, json_field, json_float, json_int,
+    json_object, measure_pauli,
 )
 from .gtl import GtlState
 from .rolling import ResolutionPlan, _require_specialized, _roll
@@ -285,7 +285,7 @@ def _check_wait_ids(qubit_times_ms, qubits) -> None:
     """Refuse a ``qubit_times_ms`` id that names none of the resource's ``qubits``."""
     for v in qubit_times_ms:
         if v not in qubits:
-            raise ValueError(f"qubit_times_ms names vertex {v}, outside the resource's {len(qubits)} qubits")
+            raise ValueError(f"qubit_times_ms names vertex {v}, which is not a live qubit of the resource")
 
 
 def depolarizing_map(g: Graph, a: int, p: float) -> NoiseMap:
@@ -384,14 +384,12 @@ def propagate_measurement(
 ) -> NoiseState:
     """Advance the graph by one Pauli measurement and update every map."""
     g = ns.graph
-    basis = basis.upper()
+    basis = _pauli_basis(basis)
     if basis == "X":
         images = _measure_x(g2 := g.copy(), a, support_choice)
-    elif basis in ("Y", "Z"):
+    else:
         g2, _ = measure_pauli(g, a, basis)
         images = {a: g.neighbor_mask(a) if basis == "Y" else 0}
-    else:
-        raise ValueError(f"unsupported measurement basis {basis!r}")
     maps = tuple(_apply_images(m, images) for m in ns.maps)
     return NoiseState(graph=g2, maps=maps)
 
@@ -405,10 +403,10 @@ def propagate(ns: NoiseState, plan: ResolutionPlan) -> NoiseState:
     return ns
 
 
-# Rows of a point's weight column (see _point_weights): each term kind's
-# marginal from its base row on, after a 0.0 for padding.  The depolarizing
-# [p + w, w, w, w], [(p + w) + w, w + w] if its branches coincide in pairs
-# (summed as the reference merges them), then [1 - q, q] per dephasing source.
+# Rows of the weight table (see _weights): each term kind's marginal from
+# its base row on, after a 0.0 for padding.  The depolarizing [p + w, w, w, w],
+# [(p + w) + w, w + w] if its branches coincide in pairs (summed as the
+# reference merges them), then [1 - q, q] per dephasing source.
 _DEPOLARIZING, _MERGED, _DEPHASING = 1, 6, 9
 
 # Marginal codes in a transition template: 0 multiplies by 0.0 (padding) and
@@ -431,7 +429,7 @@ _PASS_CELLS = 1 << 21
 
 @dataclass(frozen=True)
 class _Program:
-    """The XOR convolutions of every component for one drop pattern, as numpy steps.
+    """The XOR convolutions of every component for one set of zeroed weight rows, as numpy steps.
 
     Components whose kept terms begin alike share that prefix's law, bit for
     bit, so the laws computed are those of the nodes of a prefix trie.  After
@@ -442,8 +440,8 @@ class _Program:
     branch first.  Step ``(src, code, ends, read)`` has (contributions, rows)
     tables: next state row r is ``state[src[0, r]] * weights[code[0, r]] +
     state[src[1, r]] * weights[code[1, r]] + ...``, summed left to right
-    over rows of the node's parent, ``code`` indexing the weight column
-    itself.  Then the components ``ends`` copy their last nodes' key-0
+    over rows of the node's parent, ``code`` indexing the weight table's
+    rows.  Then the components ``ends`` copy their last nodes' key-0
     rows ``read``; one with no kept terms keeps 1.0.  ``cells`` is the
     largest step's contributions x rows.
     """
@@ -456,11 +454,9 @@ class _Program:
         """Fidelities, components by points, from a weight table of rows by points."""
         width = max(1, _PASS_CELLS // max(1, self.cells))
         if weights.shape[1] > width:
-            return np.concatenate(
-                [self.run(weights[:, i : i + width]) for i in range(0, weights.shape[1], width)],
-                axis=1,
-            )
-        weights = np.ascontiguousarray(weights)  # score_points passes a transpose
+            slices = [self.run(weights[:, i : i + width]) for i in range(0, weights.shape[1], width)]
+            return np.concatenate(slices, axis=1)
+        weights = np.ascontiguousarray(weights)  # a slice of points is a strided view
         out = np.ones((self.components, weights.shape[1]))
         state = np.ones((1, weights.shape[1]))
         for src, code, ends, read in self.steps:
@@ -484,12 +480,12 @@ class CompiledPlan:
     ``graph``, and ``dephasing`` the sorted origins of the dephasing maps
     that touch one.  A term is a map touching a component; the ``term_*``
     arrays list them component by component, in map order: component,
-    dephasing source (index into ``dephasing``; -1 if depolarizing) and
-    basis (index into ``bases``).  A basis is that of a term's marginal keys
-    on component-local bits (bit j for the j-th vertex; see the module
-    docstring); with the source and the basis size it gives the term's
-    marginal, so no table depends on the noise parameters.  ``programs``
-    caches one compiled convolution per drop pattern.
+    first weight row (its marginal's base row) and basis (index into
+    ``bases``).  A basis is that of a term's marginal keys on component-local
+    bits (bit j for the j-th vertex; see the module docstring); with the row
+    it gives the term's marginal, so no table depends on the noise
+    parameters.  ``programs`` caches one compiled convolution per set of
+    zeroed weight rows, keyed by the bytes of its flags.
     """
 
     graph: Graph
@@ -498,7 +494,7 @@ class CompiledPlan:
     dephasing: tuple[int, ...]
     bases: tuple[tuple[int, ...], ...]
     term_component: np.ndarray = field(compare=False, repr=False)
-    term_source: np.ndarray = field(compare=False, repr=False)
+    term_row: np.ndarray = field(compare=False, repr=False)
     term_basis: np.ndarray = field(compare=False, repr=False)
     programs: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -576,6 +572,8 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
         m, n = (keys[k] for k in by_id[code >> 2 * size])
         ids.append(interned.setdefault((m, n) if m and n and m != n else (m or n,), len(interned)))
     dephasing = (li != 0).any(axis=0)  # the vertices whose dephasing map is a term
+    term_basis = np.array(ids, dtype=np.intp)[inverse]
+    first_row = np.array([_MERGED if len(m) == 1 else _DEPOLARIZING for m in interned], dtype=np.int64)
     return CompiledPlan(
         graph=g,
         qubits=frozenset(vertices),
@@ -583,73 +581,64 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
         dephasing=tuple(verts[i] for i in np.flatnonzero(dephasing).tolist()),
         bases=tuple(interned),
         term_component=comp,
-        term_source=np.where(kind, np.cumsum(dephasing)[vertex] - 1, -1),
-        term_basis=np.array(ids, dtype=np.intp)[inverse],
+        term_row=np.where(kind, _DEPHASING - 3 + 3 * np.cumsum(dephasing)[vertex], first_row[term_basis]),
+        term_basis=term_basis,
     )
 
 
-def _point_weights(
-    compiled: CompiledPlan,
-    p: float,
-    t_ms: float = 1.0,
-    big_t_ms: float = math.inf,
-    qubit_times_ms: dict[int, float] | None = None,
-) -> tuple[list[float], tuple[bool, int]]:
-    """Weight column of one point, and its drop pattern.
+def _weights(compiled: CompiledPlan, points) -> np.ndarray:
+    """Weight table of a batch of (p, t_ms, big_t_ms, qubit_times_ms) points, a column per point.
 
-    The weights come from the expressions :func:`standard_noise` uses, in
-    Python floats.  A zero weight drops its branch (NoiseMap.from_weights),
-    which leaves only a map's identity branch: the map then changes no law.
-    The pattern names the maps dropped so: all depolarizing maps (w = 0),
-    and the mask of dephasing sources with q = 0.
+    Each point is checked as :func:`standard_noise` checks its arguments: p,
+    then ids, then the waits it reads, raising for the first vertex in order.
     """
-    _check_depolarizing(p)
-    waits = qubit_times_ms or {}
-    _check_wait_ids(waits, compiled.qubits)
+    points = list(points)
+    q_row = {v: _DEPHASING + 1 + 3 * s for s, v in enumerate(compiled.dephasing)}
+    table = np.zeros((_DEPHASING - 1 + 3 * len(q_row), len(points)))
+    for j, (p, t_ms, big_t_ms, qubit_times_ms) in enumerate(points):
+        _check_depolarizing(p)
+        waits = qubit_times_ms or {}
+        _check_wait_ids(waits, compiled.qubits)
+        try:
+            q = {t: dephasing_probability(t, big_t_ms) for t in waits.values()}
+            if len(waits) < len(compiled.qubits):  # else standard_noise never reads t_ms
+                table[_DEPHASING + 1 :: 3, j] = dephasing_probability(t_ms, big_t_ms)
+        except ValueError:
+            for v in sorted(compiled.qubits):  # raise for the first vertex, as standard_noise does
+                dephasing_probability(waits.get(v, t_ms), big_t_ms)
+            raise
+        for v, t in waits.items():
+            if v in q_row:
+                table[q_row[v], j] = q[t]
+    p = np.array([point[0] for point in points], dtype=np.float64)
     w = (1.0 - p) / 4.0
-    # standard_noise reads the uniform wait only for a vertex without its own.
-    uniform = 0.0  # computed below only if some vertex has no wait of its own
-    try:
-        q = {t: dephasing_probability(t, big_t_ms) for t in waits.values()}
-        if len(waits) < len(compiled.qubits):
-            uniform = dephasing_probability(t_ms, big_t_ms)
-    except ValueError:
-        for v in sorted(compiled.qubits):  # raise for the first vertex, as standard_noise does
-            dephasing_probability(waits.get(v, t_ms), big_t_ms)
-        raise
-    column = [0.0, p + w, w, w, w, 0.0, p + w + w, w + w]
-    if waits:
-        qs = [q[waits[v]] if v in waits else uniform for v in compiled.dephasing]
-        zero = _mask(v for v, x in zip(compiled.dephasing, qs) if x == 0.0)
-        for x in qs:
-            column += (0.0, 1.0 - x, x)
-    else:
-        column += [0.0, 1.0 - uniform, uniform] * len(compiled.dephasing)
-        zero = _mask(compiled.dephasing) if uniform == 0.0 else 0
-    return column, (w == 0.0, zero)
+    table[_DEPOLARIZING] = p + w
+    table[_DEPOLARIZING + 1 : _DEPOLARIZING + 4] = w
+    table[_MERGED] = p + w + w
+    table[_MERGED + 1] = w + w
+    table[_DEPHASING::3] = 1.0 - table[_DEPHASING + 1 :: 3]
+    return table
 
 
 def score_points(compiled: CompiledPlan, points) -> np.ndarray:
-    """Fidelity of every extracted resource at many points, in one pass per drop pattern.
+    """Fidelity of every extracted resource at many points, in one pass per set of zeroed weight rows.
 
     Each point is ``(p, t_ms, big_t_ms, qubit_times_ms)``, the arguments of
     :func:`compiled_fidelities`.  Row i of the result holds point i's
     fidelities in ``compiled.components`` order, each equal, bit for bit, to
     the stepwise reference (see the module docstring).
     """
-    columns: list[list[float]] = []
-    groups: dict[tuple[bool, int], list[int]] = {}
-    for i, point in enumerate(points):
-        column, pattern = _point_weights(compiled, *point)
-        columns.append(column)
-        groups.setdefault(pattern, []).append(i)
-    out = np.empty((len(columns), len(compiled.components)))
-    for pattern, indices in groups.items():
-        program = compiled.programs.get(pattern)
+    table = _weights(compiled, points)
+    zeros = table == 0.0
+    groups: dict[bytes, list[int]] = {}
+    for j, zero in enumerate(zeros.T):
+        groups.setdefault(zero.tobytes(), []).append(j)
+    out = np.empty((table.shape[1], len(compiled.components)))
+    for key, indices in groups.items():
+        program = compiled.programs.get(key)
         if program is None:
-            program = compiled.programs[pattern] = _build_program(compiled, *pattern)
-        weights = np.array([columns[i] for i in indices], dtype=np.float64).T
-        out[indices] = program.run(weights).T
+            program = compiled.programs[key] = _build_program(compiled, zeros[:, indices[0]])
+        out[indices] = program.run(table[:, indices]).T
     return out
 
 
@@ -701,27 +690,24 @@ def _transition(basis: tuple[int, ...], m: tuple[int, ...]):
     return nxt, tables
 
 
-def _build_program(compiled: CompiledPlan, drop_depolarizing: bool, zero: int) -> _Program:
+def _build_program(compiled: CompiledPlan, zero: np.ndarray) -> _Program:
     """Run the convolution over keys once per trie node, and lay the nodes out depth by depth.
 
-    A node is a distinct prefix of some component's kept terms, a term's
-    kind being its (basis, first weight row) pair.  Transitions are memoized
-    on bases, so the nodes of a ladder share them; a node's codes are its
-    template's, moved onto its kind's weight rows.  The tables use the
-    narrowest unsigned type that holds their entries: a wide star's tables
-    hold as many entries as one point's convolution has products, and their
-    size sets the scoring's peak memory, so a law above _MAX_LAW_KEYS keys
-    raises a ValueError before any table is made.
+    ``zero`` flags the weight rows that are 0.0 at the points scored; a term
+    is kept unless it flags the row after the term's first, its non-identity
+    weight.  A node is a distinct prefix of some component's kept terms, a
+    term's kind being its (basis, first weight row) pair.  Transitions are
+    memoized on bases, so the nodes of a ladder share them; a node's codes
+    are its template's, moved onto its kind's weight rows.  The tables use
+    the narrowest unsigned type that holds their entries: a wide star's
+    tables hold as many entries as one point's convolution has products, and
+    their size sets the scoring's peak memory, so a law above _MAX_LAW_KEYS
+    keys raises a ValueError before any table is made.
     """
-    # Source -1 (depolarizing) reads the last entry.
-    dropped = np.array([zero >> v & 1 for v in compiled.dephasing] + [drop_depolarizing], dtype=bool)
-    keep = ~dropped[compiled.term_source]
-    source = compiled.term_source[keep]
-    term_basis = compiled.term_basis[keep]
-    first_row = np.array([_MERGED if len(m) == 1 else _DEPOLARIZING for m in compiled.bases], dtype=np.int64)
-    n_rows = _DEPHASING - 1 + 3 * len(compiled.dephasing)
+    keep = ~zero[compiled.term_row + 1]
+    n_rows = len(zero)
     n_kinds = len(compiled.bases) * n_rows
-    kinds = term_basis * n_rows + np.where(source < 0, first_row[term_basis], _DEPHASING + 3 * source)
+    kinds = compiled.term_basis[keep] * n_rows + compiled.term_row[keep]
     counts = np.bincount(compiled.term_component[keep], minlength=len(compiled.components))
     # The trie maps node * n_kinds + kind to the child node; node 0 is the
     # empty prefix, and a node's number is its place in creation order.

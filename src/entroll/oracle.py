@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphstate import Graph, MeasurementRecord, PauliString, component_key
+from .graphstate import Graph, MeasurementRecord, PauliString, _pauli_basis, component_key
 # Unused here, but bench/tracing.py wraps it at this module's name.
 from .graphstate import measure_pauli  # noqa: F401
 from .gtl import GtlState
@@ -263,9 +263,7 @@ def measure_dense(
     gathered so far first, which keeps the order of two tags on one qubit.
     A bad basis, outcome, qubit or tag raises a ValueError naming it.
     """
-    basis = basis.upper()
-    if basis not in ("X", "Y", "Z"):
-        raise ValueError(f"unsupported measurement basis {basis!r}")
+    basis = _pauli_basis(basis)
     if outcome not in (1, -1):
         raise ValueError(f"measurement outcome must be +1 or -1, got {outcome!r}")
     for v in (a, *(c for c, _ in corrections)):

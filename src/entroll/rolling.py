@@ -235,6 +235,15 @@ def _side_vertex(state: GtlState, i: int, side: int, k: int = 0) -> int:
     return [*_bits(side)][k % side.bit_count()]
 
 
+_TARGETS = ("bell", "ghz")  # disjoint pairs or disjoint stars
+
+
+def _check_target(target: str) -> None:
+    """Refuse a resolution target not in :data:`_TARGETS`."""
+    if target not in _TARGETS:
+        raise ValueError(f"unknown resolution target {target!r}")
+
+
 def default_resolution_plan(state: GtlState, target: str = "bell") -> ResolutionPlan:
     """Canonical plan: full rolling, then Z isolation for the chosen target.
 
@@ -242,8 +251,7 @@ def default_resolution_plan(state: GtlState, target: str = "bell") -> Resolution
     Z-measures the final rolled set; for Bell extraction each remaining star
     is then trimmed to its center and lowest-id leaf.
     """
-    if target not in ("bell", "ghz"):
-        raise ValueError(f"unknown resolution target {target!r}")
+    _check_target(target)
     params = _require_specialized(state)
     trace = list(_roll(state.graph, state.orch, lambda i, side: _side_vertex(state, i, side)))
     last = trace[-1]

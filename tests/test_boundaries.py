@@ -704,7 +704,7 @@ class TestQubitTimes:
     @pytest.mark.parametrize("vertex", [-1, 8, 4000])
     def test_id_outside_the_resource_is_refused(self, vertex):
         message = _error(lambda: ExperimentConfig(2, 2, qubit_times_ms=((vertex, 5.0),)))
-        assert message == f"qubit_times_ms names vertex {vertex}, outside the resource's 8 qubits"
+        assert message == f"qubit_times_ms names vertex {vertex}, which is not a live qubit of the resource"
 
     @pytest.mark.parametrize("vertex", [0, 7])
     def test_ids_at_the_resource_edges_are_accepted(self, vertex):
@@ -718,13 +718,13 @@ class TestQubitTimes:
         assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: qubit_times_ms names vertex {vertex}, outside the resource's 8 qubits\n"
+        assert err == f"error: qubit_times_ms names vertex {vertex}, which is not a live qubit of the resource\n"
 
 
 class TestConfigChecks:
     def test_unknown_resource_target(self):
         data = {"kappa_b_hat": 2, "n_o": 2, "target": "w"}
-        assert _error(lambda: ExperimentConfig.from_json(data)) == "unknown resource target 'w'"
+        assert _error(lambda: ExperimentConfig.from_json(data)) == "unknown resolution target 'w'"
 
     def test_dephasing_time_must_be_positive(self):
         data = {"kappa_b_hat": 2, "n_o": 2, "T_grid_ms": [5, 0]}

@@ -613,23 +613,19 @@ def compiled_terms(compiled):
     Every weight at this point is nonzero, and p + w, w, (p + w) + w, w + w,
     1 - q and q are distinct.
     """
-    column, _ = noise._point_weights(compiled, 0.5, 1.0, 2.0)
+    column = noise._weights(compiled, [(0.5, 1.0, 2.0, None)])[:, 0].tolist()
     out = []
     for c, key in enumerate(compiled.components):
         comp = [int(v) for v in key.split("-")]
         terms = []
         chosen = compiled.term_component == c
-        for source, bid in zip(compiled.term_source[chosen].tolist(), compiled.term_basis[chosen].tolist()):
-            basis = compiled.bases[bid]
-            if source >= 0:
-                base = noise._DEPHASING + 3 * source
-            else:
-                base = noise._MERGED if len(basis) == 1 else noise._DEPOLARIZING
+        for base, bid in zip(compiled.term_row[chosen].tolist(), compiled.term_basis[chosen].tolist()):
             law = [
                 ([v for i, v in enumerate(comp) if local >> i & 1], column[base + j])
-                for j, local in enumerate(counting_order(basis))
+                for j, local in enumerate(counting_order(compiled.bases[bid]))
             ]
-            terms.append((None if source < 0 else compiled.dephasing[source], law))
+            source = None if base < noise._DEPHASING else compiled.dephasing[(base - noise._DEPHASING) // 3]
+            terms.append((source, law))
         out.append(terms)
     return out
 
@@ -898,10 +894,12 @@ class TestCompiledPlan:
         staggered = {v: 0.5 * (v % 3) for v in g.vertices()}
         # Only the last qubit waits: at p = 1 one component keeps one term and the others none.
         last = dict.fromkeys(g.vertices(), 0.0) | {max(g.vertices()): 2.0}
+        # exp(-1e-20) rounds to 1.0, so at T = 1 the odd qubits' q is exactly 0.0 although they wait.
+        tiny = {v: 1e-20 for v in g.vertices() if v % 2}
         # Under each drop pattern (p = 1, T = inf, both) the components keep
         # term lists of different lengths, so they end at different depths.
         points = [(p, t, None) for p in (0.0, 0.86, 1.0) for t in (2.0, math.inf)]
-        points += [(0.86, 2.0, staggered), (1.0, 2.0, staggered), (1.0, 2.0, last)]
+        points += [(0.86, 2.0, staggered), (1.0, 2.0, staggered), (1.0, 2.0, last), (0.86, 1.0, tiny)]
         assert_compiled_equals_stepwise(g, plan, points)
 
     def test_program_width_does_not_grow_with_the_ladder(self):
@@ -928,7 +926,7 @@ class TestCompiledPlan:
             waits = {v: rng.choice((0.0, rng.uniform(0.0, 5.0))) for v in state.graph.vertices() if rng.random() < 0.5}
             p = rng.choice((0.0, 1.0, rng.random()))
             big_t = rng.choice((math.inf, rng.uniform(0.1, 10.0)))
-            column, _ = noise._point_weights(compiled, p, rng.uniform(0.0, 5.0), big_t, waits or None)
+            column = noise._weights(compiled, [(p, rng.uniform(0.0, 5.0), big_t, waits or None)])[:, 0].tolist()
             assert len(column) == bases[-1] + 2  # the last triple ends the column
             assert [column[base - 1] for base in bases] == [0.0] * len(bases)
 
@@ -1038,17 +1036,30 @@ class TestCompiledPlan:
         # before any wait is read.
         state = build_gtl(GtlParams.specialized(2, 2))
         compiled = compile_plan(state.graph, default_resolution_plan(state, "bell"))
-        message = f"qubit_times_ms names vertex {bad}, outside the resource's 8 qubits"
+        message = f"qubit_times_ms names vertex {bad}, which is not a live qubit of the resource"
         for point in [(0.9, 1.0, 5.0, times), (1.0, 1.0, math.inf, times)]:
             assert _raised(lambda: compiled_fidelities(compiled, *point)) == message
             assert _raised(lambda: score_points(compiled, [point])) == message
             assert _raised(lambda: standard_noise(state.graph, *point)) == message
 
+    def test_wait_on_a_deleted_vertex_is_refused(self):
+        # Vertex 3 lies below the id of a live qubit but is not one itself.
+        g = build_gtl(GtlParams.specialized(2, 2)).graph.copy()
+        g.delete_vertex(3)
+        compiled = compile_plan(g, ResolutionPlan(steps=()))
+        point = (0.9, 1.0, 5.0, {3: 1.0})
+        message = "qubit_times_ms names vertex 3, which is not a live qubit of the resource"
+        assert _raised(lambda: standard_noise(g, *point)) == message
+        assert _raised(lambda: score_points(compiled, [point])) == message
+
     @pytest.mark.parametrize(
         "point, message",
         [
             ((1.5, -1.0, 0.0, {999: -1.0}), "depolarizing parameter 1.5 outside [0, 1]"),
-            ((0.9, -1.0, 0.0, {3: -2.0, 999: -1.0}), "qubit_times_ms names vertex 999, outside the resource's 8 qubits"),
+            (
+                (0.9, -1.0, 0.0, {3: -2.0, 999: -1.0}),
+                "qubit_times_ms names vertex 999, which is not a live qubit of the resource",
+            ),
             ((0.9, 1.0, 0.0, {3: 2.0}), "dephasing time must be positive, got 0.0"),
         ],
         ids=["p", "ids", "waits"],
