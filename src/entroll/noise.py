@@ -41,10 +41,20 @@ follow from the order of its map's supports and two component-local keys.
 
 To score a batch, the convolutions are run once over keys instead of
 probabilities and recorded as a program of numpy steps: for each key a
-step inserts, the (earlier key, weight row) products it sums.
+step keeps, the (earlier key, weight row) products it sums.
 Components whose term lists begin alike share that prefix's law, so each
 distinct prefix, a node of a prefix trie, is run once.  One numpy step
 applies one term to every node of one trie depth at every point.
+
+Only key 0 of a component's last law is read, and a key can reach it only
+if it lies in the span of the marginal keys of the terms still to come.  So
+each node keeps only the keys of its law in its needed subspace: over its
+children c, the sum of span(M_c) and c's own needed subspace (M_c being the
+basis of c's term, below); key 0 is always kept.  No kept key loses a
+product: a parent of a kept key y of child c is y ^ k for k in span(M_c),
+which lies in c's parent's needed subspace and is kept too.  A dropped key
+feeds only dropped keys, so the kept keys of a law keep their relative
+insertion order, and each kept sum its products in their order.
 
 A map's supports are 0, A, I and I ^ A (0 and I if dephasing), a subspace,
 and so are their restrictions.  A term's basis M is (I,) if dephasing; if
@@ -53,7 +63,7 @@ m and n are nonzero and distinct, else the first nonzero one, the keys
 coinciding in pairs.  Its marginal keys are the span of M in counting order
 (key x is the XOR of the basis vectors at the set bits of x), weighing
 [p + w, w, w, w], [(p + w) + w, w + w] or [1 - q, q] for w = (1 - p) / 4:
-slot j reads weight row base + j.  Every law's keys are then the
+slot j reads weight row base + j.  Every kept law's keys are then the
 span of an ordered basis in counting order too, starting from the empty
 prefix's [0].  The reference visits the pairs (key, marginal key)
 key-major and inserts each XOR at its first visit, so parent key i inserts
@@ -61,13 +71,16 @@ its whole coset of span(M), in M's counting order, unless an earlier parent
 key lies in that coset.  The first keys of the cosets are the indices
 ``imin`` with no bit at a dependent position j (basis[j] in the span of M
 and basis[:j]), so the next basis is M followed by the independent basis
-vectors, and the rule holds again.  With s = len(M) and T the parent
-indices whose keys lie in span(M), ascending, next key x sums |T| products
-in visiting order: product k takes parent index ``imin[x >> s] ^ T[k]``
-and marginal slot ``(x & 2**s - 1) ^ coord_M(key(T[k]))``.  No sort is
-needed, and a law's size, 2**len(basis), is known before any table is
-made: a law of more than ``_MAX_LAW_KEYS`` keys is refused then.  The
-scores equal the reference bit for bit:
+vectors.  With s = len(M) and T the parent indices whose keys lie in
+span(M), ascending, next key x sums |T| products in visiting order:
+product k takes parent index ``imin[x >> s] ^ T[k]`` and marginal slot
+``(x & 2**s - 1) ^ coord_M(key(T[k]))``.  The indices of the next keys in
+the needed subspace form a subspace of the index space.  Ascending index
+order is the counting order of its echelon basis by top bit, so the kept
+keys are the span of those basis indices' keys in counting order, and the
+rule holds again.  No sort is needed, and a law's size, 2**len(basis), is
+known before any table is made: a law of more than ``_MAX_LAW_KEYS`` keys
+is refused then.  The scores equal the reference bit for bit:
 
 * q is computed in Python floats (``math.exp`` through dephasing_probability),
   the other weights by the reference's expressions, element by element;
@@ -76,10 +89,11 @@ scores equal the reference bit for bit:
   sum.  Nor is Python's built-in ``sum()`` used, which compensates float
   sums from Python 3.12;
 * every sum runs in the reference's order: a marginal adds its branches in
-  branch order, and a key adds its products in the order the reference
-  visits them, which follows each source key's insertion position in the
-  running law.  Padding adds an exact 0.0 (the row below a term's base),
-  which changes no value here, as every value is finite and nonnegative;
+  branch order, and a kept key adds all its products in the order the
+  reference visits them, which follows each source key's insertion
+  position in the running law.  Padding adds an exact 0.0 (the row below a
+  term's base), which changes no value here, as every value is finite and
+  nonnegative;
 * a zero weight drops its branch, so a term whose non-identity weight is
   0.0 (w at p = 1, or q = 0) is left out.  That changes the insertion order,
   so each set of zeroed weight rows gets its own program, cached on the plan.
@@ -414,12 +428,14 @@ _DEPOLARIZING, _MERGED, _DEPHASING = 1, 6, 9
 _CODE_SLOT = 1
 
 # Largest component compile_plan tables: a term's code packs its pattern
-# (under 8) and two local keys into an int64.  Scoring it takes 2**29 keys.
+# (under 8) and two local keys into an int64.
 _MAX_COMPONENT_QUBITS = 29
 
-# Most keys a scored law may hold; the program's tables grow with it.  A
-# one-point sweep of the (d, 2) GHZ star, whose law ends with 2**d keys,
-# peaked at 54, 227 and 784 MB RSS for d = 14, 16 and 18 (x86-64, numpy 2.4).
+# Most keys a kept law may hold; the program's tables grow with it.  A
+# one-point sweep of the (d, 2) GHZ star keeps at most 2**3 keys a law and
+# peaked at 31 MB RSS for d = 16, 24 and 29.  An empty plan on (2, n_o)
+# leaves one component whose widest kept law holds 2**15 keys at n_o = 7 and
+# 2**17 at n_o = 8: one-point sweeps peaked at 74 and 382 MB (x86-64, numpy 2.4).
 _MAX_LAW_KEYS = 1 << 18
 
 # Largest contributions x state rows x points one pass of a program holds;
@@ -434,11 +450,12 @@ class _Program:
     Components whose kept terms begin alike share that prefix's law, bit for
     bit, so the laws computed are those of the nodes of a prefix trie.  After
     step d the state holds the laws of the depth-d nodes side by side, each
-    as ``width`` rows (keys in the reference's insertion order, then padding)
-    by points; before step 1 it holds the empty prefix's law, key 0 at 1.0.
-    Key 0 is the first key of every law, as each term lists its identity
-    branch first.  Step ``(src, code, ends, read)`` has (contributions, rows)
-    tables: next state row r is ``state[src[0, r]] * weights[code[0, r]] +
+    as ``width`` rows (the keys the node keeps, in the reference's insertion
+    order, then padding) by points; before step 1 it holds the empty
+    prefix's law, key 0 at 1.0.  Key 0 is the first key of every law, as
+    each term lists its identity branch first, and every node keeps it.
+    Step ``(src, code, ends, read)`` has (contributions, rows) tables: next
+    state row r is ``state[src[0, r]] * weights[code[0, r]] +
     state[src[1, r]] * weights[code[1, r]] + ...``, summed left to right
     over rows of the node's parent, ``code`` indexing the weight table's
     rows.  Then the components ``ends`` copy their last nodes' key-0
@@ -659,50 +676,113 @@ def compiled_fidelities(
     return dict(zip(compiled.components, row.tolist()))
 
 
-def _transition(basis: tuple[int, ...], m: tuple[int, ...]):
-    """One step of _xor_convolve run on keys, in closed form over bases (see the module docstring).
+def _relations(vectors) -> list[int]:
+    """A basis of the linear relations among ``vectors``, as tags: the vectors at a tag's set bits XOR to 0.
 
-    ``basis`` is the law's and ``m`` the term's, which must be independent.
-    Returns the next basis and a function making the (contributions, next
-    keys) table pair: each product's parent index and marginal code.
+    The k-th tag's top bit names the k-th vector in the span of those
+    before it, and its other bits name vectors in the span of none before
+    them, so the tops ascend and the tags' span in counting order ascends.
     """
-    s = len(m)
-    # Reduce M, then the basis, by top bit; bit j of a tag names (m + basis)[j].
-    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (reduced key, tag)
-    inside, dependent = [0], 0  # the tags of T, ascending
-    for j, key in enumerate(m + basis):
+    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (reduced vector, tag)
+    out = []
+    for j, key in enumerate(vectors):
         tag = 1 << j
         while key.bit_length() in pivots:
             k, t = pivots[key.bit_length()]
             key, tag = key ^ k, tag ^ t
         if key:
             pivots[key.bit_length()] = (key, tag)
-        else:  # basis[j - s] is dependent: its tag's other bits lie below j and on no dependent one
-            assert j >= s, f"term basis {m} is dependent"
-            inside += [t ^ tag for t in inside]
-            dependent |= 1 << j - s
+        else:
+            out.append(tag)
+    return out
+
+
+def _counting(basis) -> list[int]:
+    """The span of ``basis`` in counting order: entry x is the XOR of basis[j] over the set bits j of x."""
+    keys = [0]
+    for b in basis:
+        keys += [k ^ b for k in keys]
+    return keys
+
+
+def _transition(basis: tuple[int, ...], m: tuple[int, ...]):
+    """One step of _xor_convolve run on keys, in closed form over bases (see the module docstring).
+
+    ``basis`` is the law's and ``m`` the term's, which must be independent.
+    Returns the next basis and a :func:`_tables` partial making the
+    (contributions, next keys) table pair: each product's parent index and
+    marginal code.
+    """
+    s = len(m)
+    relations = _relations(m + basis)  # bit j names (m + basis)[j]; the top bit, a dependent basis vector
+    assert all(t >> s for t in relations), f"term basis {m} is dependent"
+    dependent = sum(1 << t.bit_length() - 1 - s for t in relations)
     nxt = m + tuple(b for j, b in enumerate(basis) if not dependent >> j & 1)
+    return nxt, functools.partial(_tables, len(basis), s, dependent, tuple(_counting(relations)))
 
-    def tables() -> tuple[np.ndarray, np.ndarray]:
-        i, x, t = np.arange(1 << len(basis)), np.arange(1 << len(nxt)), np.array(inside)[:, None]
-        return i[i & dependent == 0][x >> s] ^ t >> s, _CODE_SLOT + ((x ^ t) & (1 << s) - 1)
 
-    return nxt, tables
+@functools.lru_cache(maxsize=16)
+def _tables(dim: int, s: int, dependent: int, inside: tuple[int, ...], kept=None) -> np.ndarray:
+    """A transition's table pair, read-only, over the next indices that the tags ``kept`` span, in
+    counting order; all of them if None.
+
+    The tables depend on these arguments only: the parent law's dimension,
+    the term's, the parent's dependent positions and the tags of T,
+    ascending.  The default plans' programs use the same dozen or fewer, so
+    they are cached.
+    """
+    i, t = np.arange(1 << dim), np.array(inside)[:, None]
+    x = np.arange(1 << dim + s - dependent.bit_count()) if kept is None else np.array(_counting(kept))
+    pair = np.array((i[i & dependent == 0][x >> s] ^ t >> s, _CODE_SLOT + ((x ^ t) & (1 << s) - 1)))
+    pair.flags.writeable = False
+    return pair
+
+
+@functools.lru_cache(maxsize=4096)
+def _span(basis: tuple[int, ...], vectors) -> tuple[int, ...]:
+    """The reduced echelon basis of span(``basis`` + ``vectors``), ascending, for ``basis`` such a basis.
+
+    Each vector's top bit is set in no other, so a subspace has one such name.
+    """
+    pivots = list(basis)
+    for v in vectors:
+        for p in pivots:
+            v = min(v, v ^ p)
+        if v:
+            pivots = [min(p, p ^ v) for p in pivots] + [v]
+    return tuple(sorted(pivots))
+
+
+@functools.lru_cache(maxsize=4096)
+def _step(basis: tuple[int, ...], m: tuple[int, ...], needed: tuple[int, ...]):
+    """The kept basis of the child of a law with ``basis`` under a term with basis ``m``, and the
+    :func:`_tables` arguments of its tables, the child keeping the keys in the subspace ``needed``.
+
+    The kept indices, those of the next keys in the span of ``needed``, form
+    a subspace of the index space: the relations of ``needed + nxt`` without
+    their bits on ``needed``.  Its echelon basis (:func:`_relations`) gives
+    the kept basis, whose counting order is the ascending order of those
+    indices.
+    """
+    nxt, tables = _transition(basis, m)
+    tags = tuple(t >> len(needed) for t in _relations(needed + nxt))
+    return tuple(_compose(t, dict(enumerate(nxt))) for t in tags), (*tables.args, tags)
 
 
 def _build_program(compiled: CompiledPlan, zero: np.ndarray) -> _Program:
-    """Run the convolution over keys once per trie node, and lay the nodes out depth by depth.
+    """Run the convolution over the needed keys once per trie node, and lay the nodes out depth by depth.
 
     ``zero`` flags the weight rows that are 0.0 at the points scored; a term
     is kept unless it flags the row after the term's first, its non-identity
     weight.  A node is a distinct prefix of some component's kept terms, a
-    term's kind being its (basis, first weight row) pair.  Transitions are
-    memoized on bases, so the nodes of a ladder share them; a node's codes
-    are its template's, moved onto its kind's weight rows.  The tables use
-    the narrowest unsigned type that holds their entries: a wide star's
-    tables hold as many entries as one point's convolution has products, and
-    their size sets the scoring's peak memory, so a law above _MAX_LAW_KEYS
-    keys raises a ValueError before any table is made.
+    term's kind being its (basis, first weight row) pair.  A node keeps the
+    keys of its law in its needed subspace, the span of the terms below it
+    (see the module docstring).  Transitions are memoized on the parent's
+    basis, the term's and the node's needed subspace, so the nodes of a
+    ladder share them; a node's codes are its template's, moved onto its
+    kind's weight rows.  The tables use the narrowest unsigned type that
+    holds their entries.  Their size sets the scoring's peak memory, so a
+    law above _MAX_LAW_KEYS keys raises a ValueError before any table is made.
     """
     keep = ~zero[compiled.term_row + 1]
     n_rows = len(zero)
@@ -716,29 +796,41 @@ def _build_program(compiled: CompiledPlan, zero: np.ndarray) -> _Program:
     for count in counts.tolist():
         node = 0
         for kind in walk[at : at + count]:
-            node = trie.setdefault(node * n_kinds + kind, len(trie) + 1)
+            key = node * n_kinds + kind
+            node = trie.get(key) or trie.setdefault(key, len(trie) + 1)  # no node is 0
         ends.append(node)
         at += count
     parent, kind = np.divmod(np.array([0, *trie], dtype=np.int64), max(n_kinds, 1))  # the root reads as 0
     bid, base = np.divmod(kind, n_rows)
+    parents, bids = parent.tolist(), bid.tolist()
 
-    # A parent precedes its children, so one pass gives each node its basis,
-    # its depth and the template that makes it.
-    transitions: dict = {}  # (basis, term basis id) -> (next basis, tables, template)
+    # A parent precedes its children: one pass back gives each node its
+    # needed subspace, and one pass forward its kept basis, its depth and
+    # the template that makes it.
+    bases, transitions, shapes = compiled.bases, {}, {}
+    needed = [()] * len(parents)
+    for c, p, b in zip(range(len(parents) - 1, 0, -1), reversed(parents), reversed(bids)):
+        needed[p] = _span(needed[c], bases[b] + needed[p])
+    # transitions: (basis, term basis id, needed) -> (kept basis, template);
+    # shapes: _tables arguments -> template.
     basis_of, depth, template = [()], [0], [0]
-    for p, b in zip(parent[1:].tolist(), bid[1:].tolist()):
-        memo = (basis_of[p], b)
-        if memo not in transitions:
-            transitions[memo] = (*_transition(basis_of[p], compiled.bases[b]), len(transitions))
-        basis, _, t = transitions[memo]
-        basis_of.append(basis)
+    for c, p, b in zip(range(1, len(parents)), parents[1:], bids[1:]):
+        key = (basis_of[p], b, needed[c])
+        if (hit := transitions.get(key)) is None:
+            kept, shape = _step(basis_of[p], bases[b], needed[c])
+            hit = transitions[key] = kept, shapes.setdefault(shape, len(shapes))
+        basis_of.append(hit[0])
         depth.append(depth[p] + 1)
-        template.append(t)
-    for name, node in zip(compiled.components, ends):  # a law never shrinks along its path
-        if (keys := 1 << len(basis_of[node])) > _MAX_LAW_KEYS:
-            raise ValueError(f"scoring component {name} takes {keys:,} keys (at most {_MAX_LAW_KEYS:,})")
+        template.append(hit[1])
+    width = 1 << max((len(kept) for kept, _ in transitions.values()), default=0)
+    if width > _MAX_LAW_KEYS:  # name the first component whose path holds a law above the bound
+        for name, node in zip(compiled.components, ends):
+            dim = 0
+            while node:
+                dim, node = max(dim, len(basis_of[node])), parents[node]
+            if (keys := 1 << dim) > _MAX_LAW_KEYS:
+                raise ValueError(f"scoring component {name} takes {keys:,} keys (at most {_MAX_LAW_KEYS:,})")
 
-    width = 1 << max(map(len, basis_of))
     depth, template = np.array(depth), np.array(template)
     by_depth = np.argsort(depth, kind="stable")
     level = np.searchsorted(depth[by_depth], np.arange(depth.max() + 2))  # start of each depth
@@ -746,7 +838,7 @@ def _build_program(compiled: CompiledPlan, zero: np.ndarray) -> _Program:
     place[by_depth] = np.arange(len(depth)) - level[depth[by_depth]]
     index = np.min_scalar_type(max(width * int(np.diff(level).max()), n_rows))
 
-    templates = [np.array(tables()) for _, tables, _ in transitions.values()]
+    templates = [_tables(*shape) for shape in shapes]
     contributions = np.array([pair.shape[1] for pair in templates] or [1])[template]
     src_table, code_table = table = np.zeros((2, len(templates), int(contributions.max()), width), dtype=index)
     for t, pair in enumerate(templates):  # pads with source 0 and code 0

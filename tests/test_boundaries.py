@@ -808,13 +808,14 @@ class TestSizeBound:
         assert out == ""
         assert err == f"error: a resource of {qubits} qubits exceeds the bound of {MAX_QUBITS} qubits\n"
 
-    def test_law_above_the_key_bound_exits_before_scoring(self, capsys):
-        # The (24, 2) GHZ star has 24 qubits, under the 29-qubit compile
-        # limit, but its law would hold 2**24 keys.
+    def test_law_above_the_key_bound_exits_before_scoring(self, capsys, tmp_path):
+        # An empty plan on (2, 9) leaves one 29-qubit component, within the
+        # compile limit, whose pruned law would still hold 2**19 keys.
+        config = tmp_path / "config.json"
+        config.write_text('{"kappa_b_hat": 2, "n_o": 9, "p_grid": [0.9], "T_grid_ms": [10], "plan": {"steps": []}}')
         tracemalloc.start()
         try:
-            status = cli.main(["sweep", "--kappa-b", "24", "--n-o", "2", "--target", "ghz",
-                               "--p-grid", "0.9", "--t-grid", "10"])
+            status = cli.main(["sweep", "--config", str(config)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -822,5 +823,5 @@ class TestSizeBound:
         assert peak < 4 << 20
         out, err = capsys.readouterr()
         assert out == ""
-        star = "-".join(map(str, range(2, 26)))
-        assert err == f"error: scoring component {star} takes 16,777,216 keys (at most 262,144)\n"
+        component = "-".join(map(str, range(29)))
+        assert err == f"error: scoring component {component} takes 524,288 keys (at most 262,144)\n"

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from entroll.graphstate import Graph, component_key, measure_pauli
@@ -753,6 +754,124 @@ class TestLargeTermTables:
         assert compiled_terms(compiled) == list(expected.values())
 
 
+def reduce_by(key, pivots):
+    """``key`` modulo the span of an echelon basis held as top bit -> vector: 0 iff it lies in that span."""
+    while key and key.bit_length() in pivots:
+        key ^= pivots[key.bit_length()]
+    return key
+
+
+def pruned_key0_mass(laws):
+    """Key-0 mass of the XOR convolution of ``laws``, merged (key, probability) lists, summed as
+    _xor_convolve sums it, but keeping after each law only the keys in the span of the later laws'
+    keys, as only those can still reach key 0."""
+    later, pivots = [], {}
+    for law in reversed(laws):
+        later.append(dict(pivots))
+        for key, _ in law:
+            if key := reduce_by(key, pivots):
+                pivots[key.bit_length()] = key
+    dist = {0: 1.0}
+    for law, pivots in zip(laws, reversed(later)):
+        nxt = {}
+        for s0, p0 in dist.items():
+            for s1, p1 in law:
+                if not reduce_by(s0 ^ s1, pivots):
+                    nxt[s0 ^ s1] = nxt.get(s0 ^ s1, 0.0) + p0 * p1
+        dist = nxt
+    return dist.get(0, 0.0)
+
+
+def forward_laws(g, plan):
+    """Each final component's laws at p = 0.5, t = 1 and T = 2, from :func:`forward_terms`, keyed by bitmask."""
+    _, terms = forward_terms(g, plan)
+    return {
+        key: [[(sum(1 << v for v in support), prob) for support, prob in law] for _, law in component]
+        for key, component in terms.items()
+    }
+
+
+class TestPrunedLaws:
+    # Checks of the pruned scorer.  On resources they read no compiled table:
+    # images are composed forward, then a dict convolution drops the keys
+    # that cannot reach key 0.
+    def test_pruned_convolution_equals_the_reference(self, rng):
+        # The graphs and plans of test_random_graphs: random X steps, then random Z targets.
+        for _ in range(400):
+            n = rng.randint(2, 9)
+            g = random_graph(n, rng, density=rng.choice((0.3, 0.5, 0.8)))
+            if n > 2 and rng.random() < 0.3:
+                g.delete_vertex(rng.randrange(n))
+            walk, steps = g, []
+            for _ in range(rng.randrange(n)):
+                movable = [v for v in walk.vertices() if walk.neighbors(v)]
+                if not movable:
+                    break
+                a = rng.choice(movable)
+                b0 = rng.choice(sorted(walk.neighbors(a)))
+                walk, _ = measure_pauli(walk, a, "X", b0)
+                steps.append((a, b0))
+            left = walk.vertices()
+            isolation = tuple(rng.sample(left, rng.randrange(len(left) + 1)))
+            plan = ResolutionPlan(steps=tuple(steps), isolation=isolation)
+            for laws in forward_laws(g, plan).values():
+                assert pruned_key0_mass(laws).hex() == noise._xor_convolve(laws).get(0, 0.0).hex()
+
+    @pytest.mark.parametrize("kb", [16, 24])
+    def test_scores_equal_the_pruned_convolution(self, kb):
+        # Stepwise propagation would hold 2**kb keys per star.
+        state = build_gtl(GtlParams.specialized(kb, 2))
+        plan = default_resolution_plan(state, "ghz")
+        compiled = compile_plan(state.graph, plan)
+        expected = {key: pruned_key0_mass(laws) for key, laws in forward_laws(state.graph, plan).items()}
+        row = score_points(compiled, [(0.5, 1.0, 2.0, None)])[0].tolist()
+        assert dict(zip(compiled.components, row)) == expected
+        assert len(expected) == 2
+
+    def test_tries_whose_children_need_different_keys(self, rng):
+        # Made-up term lists on 5-bit keys: each component takes a prefix of
+        # an earlier one's terms and then its own, so a trie node's children
+        # can need different keys of its law.  The reference convolves the
+        # same marginals, read from the weight column, with zero weights dropped.
+        points = [(0.86, 1.0, 2.0, {0: 0.0}), (0.7, 1.0, 5.0, None), (1.0, 1.0, 3.0, None)]
+        for _ in range(150):
+            bases = [tuple(rng.sample(range(1, 32), rng.choice((1, 2)))) for _ in range(6)]
+            lists = []
+            for _ in range(rng.randint(1, 6)):
+                prefix = rng.choice(lists)[: rng.randint(0, 6)] if lists else []
+                lists.append(prefix + [rng.randrange(6) for _ in range(rng.randint(0, 4))])
+            one = [noise._MERGED, *(noise._DEPHASING + 3 * s for s in range(3))]  # two-slot marginals
+            row_of = [rng.choice(one) if len(basis) == 1 else noise._DEPOLARIZING for basis in bases]
+            compiled = noise.CompiledPlan(
+                graph=Graph.empty(0), qubits=frozenset(range(3)), components=tuple(map(str, range(len(lists)))),
+                dephasing=(0, 1, 2), bases=tuple(bases),
+                term_component=np.array([k for k, terms in enumerate(lists) for _ in terms], dtype=np.intp),
+                term_row=np.array([row_of[b] for terms in lists for b in terms], dtype=np.int64),
+                term_basis=np.array([b for terms in lists for b in terms], dtype=np.intp),
+            )
+            for point, row in zip(points, score_points(compiled, points).tolist()):
+                column = noise._weights(compiled, [point])[:, 0].tolist()
+                expected = []
+                for terms in lists:
+                    laws = [
+                        [(key, column[row_of[b] + j]) for j, key in enumerate(counting_order(bases[b]))]
+                        for b in terms
+                    ]
+                    laws = [[(key, w) for key, w in law if w != 0.0] for law in laws]
+                    expected.append(noise._xor_convolve(laws).get(0, 0.0))
+                assert row == expected
+
+    def test_program_holds_only_the_needed_keys(self):
+        # Unpruned, the (16, 2) stars' laws would grow to 2**16 keys, and the
+        # program's states would hold 6.55 million rows over its steps
+        # (1.8 million keys, padded to the widest law).
+        state = build_gtl(GtlParams.specialized(16, 2))
+        compiled = compile_plan(state.graph, default_resolution_plan(state, "ghz"))
+        score_points(compiled, [(0.9, 1.0, 5.0, None)])
+        (program,) = compiled.programs.values()
+        assert sum(src.shape[1] for src, *_ in program.steps) <= 1000
+
+
 def _raised(fn) -> str:
     with pytest.raises(ValueError) as info:
         fn()
@@ -1106,16 +1225,16 @@ class TestCompiledPlan:
         assert message == "a component of 32 qubits is too large to score (at most 29)"
 
     def test_law_above_the_key_bound(self, monkeypatch):
-        # Each (8, 3) GHZ star's law ends with 2**8 keys.
+        # Each (8, 3) GHZ star's widest pruned law holds 2**3 keys.
         state = build_gtl(GtlParams.specialized(8, 3))
         compiled = compile_plan(state.graph, default_resolution_plan(state, "ghz"))
         points = [(0.9, 1.0, 5.0, None)]
-        monkeypatch.setattr(noise, "_MAX_LAW_KEYS", 256)
+        monkeypatch.setattr(noise, "_MAX_LAW_KEYS", 8)
         assert score_points(compiled, points).shape == (1, 3)
         compiled.programs.clear()
-        monkeypatch.setattr(noise, "_MAX_LAW_KEYS", 255)
+        monkeypatch.setattr(noise, "_MAX_LAW_KEYS", 7)
         message = _raised(lambda: score_points(compiled, points))
-        assert message == f"scoring component {compiled.components[0]} takes 256 keys (at most 255)"
+        assert message == f"scoring component {compiled.components[0]} takes 8 keys (at most 7)"
         # At p = 1 and T = inf every branch is dropped: nothing is left to score.
         assert score_points(compiled, [(1.0, 1.0, math.inf, None)]).tolist() == [[1.0] * 3]
 
