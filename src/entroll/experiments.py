@@ -395,7 +395,7 @@ def _verify_nsf(max_qubits: int) -> list[tuple[str, bool, str]]:
             )
             stepwise = propagate(start, plan).maps
             for cf, sw in zip(closed, stepwise):
-                if cf.weights() != sw.weights():
+                if cf != sw:  # both from NoiseMap._from_masks: equal weights, equal branches
                     bad.append(f"{state.params}: closed form differs on qubit {cf.origin}")
     checks.append(("closed forms vs stepwise", not bad, "exact equality" if not bad else "; ".join(bad[:3])))
 

@@ -4,7 +4,17 @@ import random
 import numpy as np
 import pytest
 
-from entroll.graphstate import CORRECTION_TAGS, Graph, PauliString, measure_pauli, stabilizer_generators
+import tracemalloc
+
+from entroll import oracle
+from entroll.graphstate import (
+    CORRECTION_TAGS,
+    Graph,
+    MeasurementRecord,
+    PauliString,
+    measure_pauli,
+    stabilizer_generators,
+)
 from entroll.gtl import GtlParams, build_gtl
 from entroll.noise import NoiseMap, depolarizing_map, dephasing_map, standard_noise
 from entroll.oracle import (
@@ -21,7 +31,13 @@ from entroll.oracle import (
     partial_trace,
     vectors_equal_up_to_phase,
 )
-from entroll.rolling import STOP_AFTER_ROLLING, ResolutionPlan, default_resolution_plan, resolve
+from entroll.rolling import (
+    STOP_AFTER_ROLLING,
+    ResolutionPlan,
+    bridge_pick_plans,
+    default_resolution_plan,
+    resolve,
+)
 
 from conftest import random_graph
 
@@ -290,6 +306,18 @@ def assert_matches_kron(state, a, basis, outcome, corrections):
     assert np.max(np.abs(out.data - kron_measure(state, a, basis, outcome, corrections))) < 1e-12
 
 
+# Orders that matter: two tags on one qubit that do not commute.
+HAND_WRITTEN_TAG_LISTS = [
+    [(1, "Z"), (1, "SQRT_Y")],
+    [(1, "SQRT_Y"), (1, "Z")],
+    [(2, "SQRT_Z"), (2, "SQRT_Y_DAG"), (2, "SQRT_Z_DAG")],
+    [(2, "SQRT_Y_DAG"), (2, "SQRT_Z"), (0, "Z"), (2, "SQRT_Y")],
+    [(v, "Z") for v in (1, 2, 3, 4)],
+    [(1, "SQRT_Y_DAG")] + [(v, "Z") for v in (2, 3, 4)],
+    [(0, "SQRT_Y"), (3, "SQRT_Z")],
+]
+
+
 class TestMeasureDenseAgainstKron:
     """measure_dense against full-matrix projectors and correction unitaries."""
 
@@ -320,18 +348,7 @@ class TestMeasureDenseAgainstKron:
             assert_matches_kron(s, a, rng.choice("XYZ"), rng.choice((1, -1)), tags)
 
     @pytest.mark.parametrize("mode", ["vector", "density"])
-    @pytest.mark.parametrize(
-        "tags",
-        [
-            [(1, "Z"), (1, "SQRT_Y")],
-            [(1, "SQRT_Y"), (1, "Z")],
-            [(2, "SQRT_Z"), (2, "SQRT_Y_DAG"), (2, "SQRT_Z_DAG")],
-            [(2, "SQRT_Y_DAG"), (2, "SQRT_Z"), (0, "Z"), (2, "SQRT_Y")],
-            [(v, "Z") for v in (1, 2, 3, 4)],
-            [(1, "SQRT_Y_DAG")] + [(v, "Z") for v in (2, 3, 4)],
-            [(0, "SQRT_Y"), (3, "SQRT_Z")],
-        ],
-    )
+    @pytest.mark.parametrize("tags", HAND_WRITTEN_TAG_LISTS)
     def test_hand_written_tag_lists(self, mode, tags, rng):
         s = random_dense(5, mode, rng)
         for basis in "XYZ":
@@ -481,6 +498,80 @@ class TestGraphRuleSoundness:
             assert vectors_equal_up_to_phase(dense.data, dense_graph_state(g).data, tol=1e-10)
 
 
+def forward_replay(ket, maps, records):
+    dense = apply_channel(ket.to_density(), *maps)
+    for rec in records:
+        dense = measure_with_record(dense, rec)
+    return dense
+
+
+def assert_adjoint_matches_forward(ket, maps, records):
+    adjoint = oracle._replay_adjoint(ket, tuple(records), oracle._channel_factor(ket, tuple(maps)))
+    forward = forward_replay(ket, maps, records)
+    assert adjoint.mode == "density" and adjoint.qubits == forward.qubits
+    assert adjoint.data.dtype == forward.data.dtype
+    assert np.max(np.abs(adjoint.data - forward.data)) < 1e-12
+    return adjoint
+
+
+class TestAdjointReplay:
+    """The records replayed backward from the surviving qubits give the final
+    state of the forward replay, apply_channel then measure_with_record."""
+
+    @pytest.mark.parametrize("kb,n_o", [(2, 1), (3, 1), (2, 2), (4, 1)])
+    def test_default_and_bridge_pick_plans(self, kb, n_o):
+        state = build_gtl(GtlParams.specialized(kb, n_o))
+        g = state.graph
+        plans = [default_resolution_plan(state, t) for t in ("bell", "ghz")] + bridge_pick_plans(state)
+        maps = standard_noise(g, 0.86, 1.0, 2.0).maps
+        for plan in plans:
+            out = assert_adjoint_matches_forward(dense_graph_state(g), maps, resolve(state, plan).records)
+            assert out.data.dtype == np.float64
+
+    def test_random_measurement_sequences(self, rng):
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            g = random_graph(n, rng)
+            ket, maps = dense_graph_state(g), random_maps(g, rng)
+            records = []
+            for _ in range(rng.randint(1, n - 1)):
+                a = rng.choice(g.vertices())
+                basis = rng.choice(("X", "Y", "Z"))
+                support = None
+                if basis == "X" and g.neighbors(a):
+                    support = rng.choice(sorted(g.neighbors(a)))
+                g, rec = measure_pauli(g, a, basis, support, rng=rng)
+                records.append(rec)
+                seen |= {rec.basis, *(tag for _, tag in rec.corrections)}
+            assert_adjoint_matches_forward(ket, maps, records)
+        assert seen == {"X", "Y", "Z", *CORRECTION_TAGS}
+
+    @pytest.mark.parametrize("tags", HAND_WRITTEN_TAG_LISTS)
+    def test_hand_written_tag_lists(self, tags, rng):
+        # measure_pauli never puts two tags on one qubit; these lists do, so the
+        # order of the adjoint corrections shows.  The second record's tag on
+        # the qubit it measures is dropped, as measure_dense drops it.
+        ket = random_dense(6, "vector", rng)
+        maps = random_maps(random_graph(6, rng), rng)
+        for basis in "XYZ":
+            for outcome in (1, -1):
+                records = [
+                    MeasurementRecord(5, basis, None, outcome, tuple(tags)),
+                    MeasurementRecord(0, "XYZ"[("XYZ".index(basis) + 1) % 3], None, -outcome, ((0, "SQRT_Y"),)),
+                ]
+                assert_adjoint_matches_forward(ket, maps, records)
+
+    def test_zero_probability_record(self):
+        # X on a bare |+> qubit: the "-" outcome cannot occur.
+        ket = dense_graph_state(Graph.from_edges(3, [(1, 2)]))
+        records = (MeasurementRecord(0, "X", None, -1, ()),)
+        with pytest.raises(ZeroProbabilityError):
+            forward_replay(ket, (), records)
+        with pytest.raises(ZeroProbabilityError):
+            oracle._replay_adjoint(ket, records, oracle._channel_factor(ket, ()))
+
+
 class TestPartialTrace:
     def test_product_state_reduction(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -565,6 +656,39 @@ class TestCrosscheck:
                 assert report.entries, "no multi-qubit components"
                 assert report.ok, f"p={p} T={big_t}: {report.max_delta}"
 
+
+    @pytest.mark.parametrize("target", ["bell", "ghz"])
+    @pytest.mark.parametrize("stage,adjoint", [("default", True), ("rolling-only", False), ("empty", False)])
+    def test_both_sides_of_the_size_rule(self, target, stage, adjoint, monkeypatch):
+        # Replayed backward when at most half the qubits survive (2 of 9 or 4 of 9
+        # here), forward on the density matrix otherwise (8 of 9, 9 of 9).
+        state = build_gtl(GtlParams.specialized(4, 1))
+        plan = default_resolution_plan(state, target)
+        plan = {
+            "default": plan,
+            "rolling-only": ResolutionPlan(steps=plan.steps, stop_stage=STOP_AFTER_ROLLING),
+            "empty": ResolutionPlan(steps=()),
+        }[stage]
+        calls = []
+        replay = oracle._replay_adjoint
+        monkeypatch.setattr(oracle, "_replay_adjoint", lambda *args: calls.append(args) or replay(*args))
+        report = crosscheck(state, plan, p=0.86, t_ms=1.0, big_t_ms=2.0)
+        assert report.entries and report.ok
+        assert bool(calls) == adjoint
+
+    def test_nine_qubit_ghz_memory(self):
+        # The forward replay of this plan, through 512 x 512 density matrices, peaks at 4.3 MB.
+        state = build_gtl(GtlParams.specialized(4, 1))
+        plan = default_resolution_plan(state, "ghz")
+        crosscheck(state, plan, p=0.86, t_ms=1.0, big_t_ms=2.0)  # warm caches outside the count
+        tracemalloc.start()
+        try:
+            report = crosscheck(state, plan, p=0.86, t_ms=1.0, big_t_ms=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 1.5e6, peak
 
 def test_fidelity_invariant_under_corrections_on_non_targets(rng):
     # Sampled outcomes change the recorded corrections but not the extracted
