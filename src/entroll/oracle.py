@@ -16,9 +16,10 @@ the qubit is 0 and 1 (``_apply``, on the ket index and for a density matrix
 on the bra index too); the diagonal corrections of a record, with its
 renormalization, fold into one factor per index.
 
-:func:`crosscheck` keeps n_f of n qubits.  When n_f <= n / 2 it replays the
-records backward from them (``_replay_adjoint``), with no 2^n x 2^n matrix, in
-O(n 2^(n + n_f) + 2^(n + 2 n_f)) time against the forward O(records 4^n).
+:func:`crosscheck` does not replay records forward like this.  It replays
+them backward from the n_f of n qubits they leave (``_replay_adjoint``), on a
+2^n x 2^n_f array, in O(n 2^(n + n_f) + 2^(n + 2 n_f)) time against O(4^n)
+forward: faster for every default plan, slower when most qubits are left.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphstate import Graph, MeasurementRecord, PauliString, _bits, _pauli_basis, component_key
+from .graphstate import Graph, MeasurementRecord, PauliString, _pauli_basis, component_key
 # Unused here, but bench/tracing.py wraps it at this module's name.
 from .graphstate import measure_pauli  # noqa: F401
 from .gtl import GtlState
@@ -120,9 +121,11 @@ class DenseState:
         return {v: 1 << (self.n - 1 - i) for i, v in enumerate(self.qubits)}
 
     def local_mask(self, vertices: Iterable[int]) -> int:
-        """The bits of ``vertices`` in an index, the first listed qubit owning the top
-        bit; vertices absent from the state are ignored."""
-        return sum(self._bit.get(v, 0) for v in vertices)
+        """The bits of ``vertices`` in an index, the first listed qubit owning the top bit."""
+        try:
+            return sum(self._bit[v] for v in vertices)
+        except KeyError as err:
+            raise ValueError(f"qubit {err.args[0]!r} is not in the dense state") from None
 
     def copy(self) -> DenseState:
         return DenseState(self.mode, self.qubits, self.data.copy())
@@ -202,15 +205,13 @@ def apply_channel(state: DenseState, *noise_maps: NoiseMap) -> DenseState:
 
 
 def _channel_factor(state: DenseState, noise_maps: tuple[NoiseMap, ...]) -> np.ndarray:
-    """f(k) = prod_m sum_b p_b (-1)^{|s_b & k|} over the 2^n indices k: one gather of
-    every branch's signs, summed per map."""
-    branches = [(prob, state.local_mask(_bits(op.mask))) for m in noise_maps for prob, op in m.branches]
-    if not branches:
-        return np.ones(2 ** state.n)
-    probs, masks = np.array(branches).T
-    signs = _PARITY[_INDEX[: 2 ** state.n] & masks.astype(int)[:, None]] * probs[:, None]
-    starts = np.cumsum([0] + [len(m.branches) for m in noise_maps[:-1]])
-    return np.multiply.reduce(np.add.reduceat(signs, starts), axis=0)
+    """f(k) = prod_m sum_b p_b (-1)^{|s_b & k|} over the 2^n indices k; support
+    qubits absent from the state are ignored."""
+    live = state._bit.keys()
+    factor = np.ones(2 ** state.n)
+    for noise_map in noise_maps:
+        factor *= sum(prob * state.z_signs(op.support & live) for prob, op in noise_map.branches)
+    return factor
 
 
 def _channel_table(state: DenseState, noise_maps: tuple[NoiseMap, ...], dtype: np.dtype) -> np.ndarray:
@@ -337,6 +338,11 @@ def _replay_adjoint(ket: DenseState, records: tuple[MeasurementRecord, ...], fac
     then the measured qubit put back as its basis ket.  The noise layer is sum_x q(x)
     Z^x |psi><psi| Z^x with q = WHT(f) / 2^n, so M rho M^dagger = Z^T diag(q) conj(Z) for
     Z = WHT(psi * conj(W)).
+
+    ZeroProbabilityError is raised when the joint probability of the records is below 1e-14.
+    measure_dense puts that floor on each record's conditional probability instead, so some
+    runs of unlikely records pass there and raise here: each amplitude here is one signed sum
+    over the whole ket, and its rounding error does not shrink with the joint probability.
     """
     order = {v: i for i, v in enumerate(ket.qubits)}
     gone = {rec.measured for rec in records}
@@ -446,9 +452,11 @@ def crosscheck(
     path replays the records of :func:`~entroll.rolling.resolve`, local
     corrections included, so the two trajectories describe the same state and
     a plan ``resolve`` refuses is refused before any dense matrix is built.
-    The dense path reads only those records and the channel factor.  With n_f
-    of n qubits left it replays them backward when n_f <= n / 2 (default plans;
-    1.1-8x faster at n = 8-10), else forward (14-23x faster at n_f = n).
+    The dense path reads only those records and the channel factor, and
+    replays them backward from the n_f qubits they leave: cheap when n_f is
+    small, as in every default plan, but slower than the forward replay
+    (:func:`apply_channel`, then :func:`measure_with_record`) when most
+    qubits are left, as in rolling-only and empty plans.
     """
     g = state.graph
     if g.n > MAX_CROSSCHECK_QUBITS:
@@ -458,16 +466,7 @@ def crosscheck(
     symbolic_fids = component_fidelities(propagate(ns0, plan))
 
     ket = dense_graph_state(g)
-    if 2 * outcome.graph.n <= g.n:
-        dense = _replay_adjoint(ket, outcome.records, _channel_factor(ket, ns0.maps))
-    else:
-        # |G><G| goes straight into the channel's table: one full-size matrix, not two.
-        rho = _channel_table(ket, ns0.maps, ket.data.dtype)
-        rho *= ket.data[:, None]
-        rho *= ket.data.conj()
-        dense = DenseState("density", ket.qubits, rho)
-        for rec in outcome.records:
-            dense = measure_with_record(dense, rec)
+    dense = _replay_adjoint(ket, outcome.records, _channel_factor(ket, ns0.maps))
 
     entries = []
     for comp in outcome.components:
