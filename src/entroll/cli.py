@@ -1,7 +1,8 @@
 """Command-line harness: build/inspect resources, resolve, sweep, verify.
 
 Data goes to files or stdout; diagnostics go to stderr.  Exit codes: 0 on
-success, 1 on configuration errors, 2 on verification failure.
+success, 1 on configuration errors (a malformed flag among them), 2 on
+verification failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import NoReturn
 
 from .experiments import (
     ExperimentConfig,
@@ -178,10 +180,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a ValueError, so it exits 1 with one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then reused."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entroll",
         description="Entanglement Rolling resource simulator and noise analyzer",
     )
@@ -241,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,17 +4,16 @@ Keeps full statevectors (n <= 12) or density matrices and replays the exact
 same channels, measurements, and recorded local corrections that the
 graph-level pipeline tracks symbolically.  Qubit order is big-endian over the
 ``qubits`` tuple: the first listed vertex owns the most significant bit
-(``DenseState.local_mask`` is that rule's one home).
+(``DenseState._bit`` is that rule's one home).
 
 The data stays real (float64) until a truly complex operator arrives (a Y
 bra or a SQRT_Z(_DAG) correction); numpy's type promotion takes it from there.
 
 Every pass over the data is a plain elementwise product or strided slice.  A
 layer of Z-type noise is one elementwise factor on the density matrix; a
-projection or a non-diagonal correction is one 2 x 2 mix of the halves where
-the qubit is 0 and 1 (``_apply``, on the ket index and for a density matrix
-on the bra index too); the diagonal corrections of a record, with its
-renormalization, fold into one factor per index.
+projection or a correction is one 2 x 2 mix of the halves where the qubit is
+0 and 1 (``_apply``, on the ket index and for a density matrix on the bra
+index too).
 
 :func:`crosscheck` does not replay records forward like this.  It replays
 them backward from the n_f of n qubits they leave (``_replay_adjoint``), on a
@@ -55,7 +54,7 @@ __all__ = [
 
 MAX_DENSE_QUBITS = 12
 
-#: Largest resource :func:`crosscheck` (and so ``verify``) replays as a density matrix.
+#: Largest resource :func:`crosscheck` (and so ``verify``) checks against the dense replay.
 MAX_CROSSCHECK_QUBITS = 10
 
 _H = math.sqrt(0.5)
@@ -69,13 +68,6 @@ CORRECTION_UNITARIES: dict[str, np.ndarray] = {
     "SQRT_Z_DAG": _H * np.diag([1 - 1j, 1 + 1j]),
     "SQRT_Y": _H * np.array([[1.0, 1.0], [-1.0, 1.0]]),
     "SQRT_Y_DAG": _H * np.array([[1.0, -1.0], [1.0, 1.0]]),
-}
-
-# The diagonal tags as c0 + c1 * Z: the factor they give an index is c0 + c1 * (+-1).
-_DIAGONAL: dict[str, tuple[complex, complex]] = {
-    tag: ((u[0, 0] + u[1, 1]) / 2, (u[0, 0] - u[1, 1]) / 2)
-    for tag, u in CORRECTION_UNITARIES.items()
-    if u[0, 1] == 0
 }
 
 _BASIS_KETS: dict[tuple[str, int], np.ndarray] = {
@@ -114,18 +106,22 @@ class DenseState:
         return len(self.qubits)
 
     def position(self, v: int) -> int:
-        return self.qubits.index(v)
+        return self.n - self.local_mask((v,)).bit_length()
 
     @functools.cached_property
     def _bit(self) -> dict[int, int]:
+        """Each qubit's bit in an index: the first listed qubit owns the top bit."""
         return {v: 1 << (self.n - 1 - i) for i, v in enumerate(self.qubits)}
 
     def local_mask(self, vertices: Iterable[int]) -> int:
-        """The bits of ``vertices`` in an index, the first listed qubit owning the top bit."""
+        """The union of the bits of ``vertices`` in an index; a repeated vertex sets its bit once."""
+        mask = 0
         try:
-            return sum(self._bit[v] for v in vertices)
+            for v in vertices:
+                mask |= self._bit[v]
         except KeyError as err:
             raise ValueError(f"qubit {err.args[0]!r} is not in the dense state") from None
+        return mask
 
     def copy(self) -> DenseState:
         return DenseState(self.mode, self.qubits, self.data.copy())
@@ -253,17 +249,6 @@ def _apply(data: np.ndarray, pos: int, mat: np.ndarray, density: bool) -> np.nda
     return data.reshape(shape)
 
 
-def _scale(data: np.ndarray, d: np.ndarray, density: bool, norm: float = 1.0) -> np.ndarray:
-    """Divide by ``norm`` and multiply by the diagonal ``d``: psi * d, or
-    rho * d d^dagger for a density matrix.  In place, unless a complex ``d``
-    meets real data: then into a new complex array."""
-    out = data if np.result_type(data, d) == data.dtype else np.empty(data.shape, complex)
-    np.multiply(data, (d / norm)[:, None] if density else d / norm, out=out)
-    if density:
-        out *= d.conj()
-    return out
-
-
 def measure_dense(
     state: DenseState,
     a: int,
@@ -273,18 +258,13 @@ def measure_dense(
 ) -> DenseState:
     """Project qubit ``a``, renormalize, apply corrections, drop the qubit.
 
-    Diagonal corrections (Z, SQRT_Z, SQRT_Z_DAG) commute with each other, so
-    they are folded into one factor per index and applied in one pass,
-    together with the renormalization; a non-diagonal one applies the factor
-    gathered so far first, which keeps the order of two tags on one qubit.
+    Each correction on another qubit is one :func:`_apply` pass, in record order.
     A bad basis, outcome, qubit or tag raises a ValueError naming it.
     """
     basis = _pauli_basis(basis)
     if outcome not in (1, -1):
         raise ValueError(f"measurement outcome must be +1 or -1, got {outcome!r}")
-    for v in (a, *(c for c, _ in corrections)):
-        if v not in state.qubits:
-            raise ValueError(f"qubit {v!r} is not in the dense state")
+    state.local_mask((a, *(c for c, _ in corrections)))
     for _, tag in corrections:
         if tag not in CORRECTION_UNITARIES:
             raise ValueError(f"unknown correction tag {tag!r}")
@@ -298,24 +278,11 @@ def measure_dense(
         norm = math.sqrt(prob)
     if prob < 1e-14:
         raise ZeroProbabilityError(f"outcome {outcome} of {basis} on {a} has probability ~0")
+    data /= norm
     out = DenseState(state.mode, tuple(v for v in state.qubits if v != a), data)
-    phase = None
     for v, tag in corrections:
-        if v == a:
-            continue
-        if tag in _DIAGONAL:
-            c0, c1 = _DIAGONAL[tag]
-            factor = c0 + c1 * out.z_signs(frozenset((v,)))
-            phase = factor if phase is None else phase * factor
-            continue
-        if phase is not None:
-            out.data = _scale(out.data, phase, density)
-            phase = None
-        out.data = _apply(out.data, out.position(v), CORRECTION_UNITARIES[tag], density)
-    if phase is None:
-        out.data /= norm
-    else:
-        out.data = _scale(out.data, phase, density, norm)
+        if v != a:
+            out.data = _apply(out.data, out.position(v), CORRECTION_UNITARIES[tag], density)
     return out
 
 
@@ -344,7 +311,6 @@ def _replay_adjoint(ket: DenseState, records: tuple[MeasurementRecord, ...], fac
     runs of unlikely records pass there and raise here: each amplitude here is one signed sum
     over the whole ket, and its rounding error does not shrink with the joint probability.
     """
-    order = {v: i for i, v in enumerate(ket.qubits)}
     gone = {rec.measured for rec in records}
     qubits = [v for v in ket.qubits if v not in gone]
     w = np.eye(2 ** len(qubits))
@@ -352,7 +318,7 @@ def _replay_adjoint(ket: DenseState, records: tuple[MeasurementRecord, ...], fac
         for v, tag in reversed(rec.corrections):
             if v != rec.measured:
                 w = _apply(w, qubits.index(v), CORRECTION_UNITARIES[tag].conj().T, False)
-        pos = sum(order[v] < order[rec.measured] for v in qubits)
+        pos = sum(ket._bit[v] > ket._bit[rec.measured] for v in qubits)
         basis_ket = _BASIS_KETS[(rec.basis, rec.outcome)][:, None]
         w = (w.reshape(1 << pos, 1, -1) * basis_ket).reshape(-1, w.shape[1])
         qubits.insert(pos, rec.measured)
@@ -372,7 +338,8 @@ def measure_with_record(state: DenseState, record: MeasurementRecord) -> DenseSt
 
 
 def partial_trace(state: DenseState, keep: frozenset[int]) -> DenseState:
-    """Density-mode reduction onto the given qubit ids."""
+    """Density-mode reduction onto the given qubit ids, each of which must be in the state."""
+    state.local_mask(keep)
     data = state.data if state.mode == "density" else np.outer(state.data, state.data.conj())
     qubits = list(state.qubits)
     n = len(qubits)

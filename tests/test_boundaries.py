@@ -772,6 +772,26 @@ class TestVerifyCounts:
                          "--max-qubits", "1"]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        pytest.param(["verify", "--bogus"], "unrecognized arguments: --bogus", id="unknown-flag"),
+        pytest.param(["sweep", "--kappa-b", "x"], "argument --kappa-b: invalid int value: 'x'", id="bad-int"),
+        pytest.param(["sweep", "--kappa-b", "2", "--n-o", "2", "--target", "w"], "argument --target: invalid choice",
+                     id="bad-choice"),
+        pytest.param(["build", "--n-o", "2"], "the following arguments are required: --kappa-b",
+                     id="missing-kappa-b"),
+        pytest.param([], "the following arguments are required: command", id="no-subcommand"),
+    ],
+)
+def test_malformed_flag_is_one_error_line(capsys, argv, text):
+    # Exit 2 is a failed verification, so a typo must not share it.
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {text}")
+
+
 class TestSizeBound:
     def test_bound_admits_the_measured_rungs(self):
         # The README states the bound and its cost at (2, 1364).

@@ -418,6 +418,12 @@ class TestZSignsAndExpectation:
         with pytest.raises(ValueError, match="qubit 7 is not in the dense state"):
             s.z_signs(frozenset({1, 7}))
 
+    def test_repeated_vertex_is_one_bit(self):
+        s = DenseState("vector", (0, 1, 2), np.zeros(8))
+        assert s.local_mask([2, 2]) == s.local_mask([2]) == 0b001
+        assert s.local_mask([0, 2, 0]) == s.local_mask([0, 2]) == 0b101
+        assert np.array_equal(s.z_signs([2, 2]), s.z_signs([2]))
+
 
 def as_complex(state):
     return DenseState(state.mode, state.qubits, state.data.astype(complex))
@@ -607,6 +613,13 @@ class TestPartialTrace:
         s = dense_graph_state(path_graph(2), mode="density")
         reduced = partial_trace(s, frozenset({0}))
         assert np.allclose(reduced.data, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("mode", ["vector", "density"])
+    def test_id_outside_the_state_is_refused(self, mode):
+        s = dense_graph_state(path_graph(3), mode=mode)
+        with pytest.raises(ValueError) as info:
+            partial_trace(s, frozenset({0, 99}))
+        assert str(info.value) == "qubit 99 is not in the dense state"
 
 
 class TestCrosscheck:
