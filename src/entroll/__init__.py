@@ -26,11 +26,9 @@ from .gtl import (
     validate_gtl,
 )
 from .noise import (
-    CanonicalForm,
     CompiledPlan,
     NoiseMap,
     NoiseState,
-    ZOperator,
     closed_form_maps,
     compile_plan,
     compiled_fidelities,
@@ -58,7 +56,6 @@ from .rolling import (
 )
 
 __all__ = [
-    "CanonicalForm",
     "CompiledPlan",
     "Graph",
     "GtlParams",
@@ -69,7 +66,6 @@ __all__ = [
     "PauliString",
     "ResolutionPlan",
     "RollingOutcome",
-    "ZOperator",
     "bridge_neighborhoods",
     "build_gtl",
     "centralized_resolution",

@@ -12,11 +12,10 @@ int bitmask: :func:`_mask` builds one, :func:`_bits` lists it in ascending
 order.  Frozensets appear only at the public names that return or accept
 them: ``Graph.neighbors``/``components``, ``PauliString``,
 ``bridge_neighborhoods``, ``GtlState.peers``, ``RollingOutcome.rolled_set``/
-``components``, ``ZOperator.support``, ``NoiseMap.from_weights``/``weights()``
-and JSON, ``CanonicalForm.realize``, ``restrict_to_targets``/``fidelity`` and
-``CompiledPlan.qubits``.  A mask is built from an input id only once that id
-is shown live, or, for a noise-map support, below ``MAX_QUBITS``, so no bad
-id is ever shifted.
+``components``, ``NoiseMap.from_weights``/``weights()`` and JSON,
+``restrict_to_targets``/``fidelity`` and ``CompiledPlan.qubits``.  A mask is
+built from an input id only once that id is shown live, or, for a noise-map
+support, below ``MAX_QUBITS``, so no bad id is ever shifted.
 
 Liveness is checked at the public entry points and where ``rolling`` and
 ``noise`` take a plan step; past those checks, internal walks read and write

@@ -18,8 +18,8 @@ signs cancel because every branch enters as a conjugation.
 A support is a bitmask, as every vertex set inside the package is (see
 :mod:`entroll.graphstate`), and branches sort as sorted vertex tuples do
 (:func:`_by_support`).  Fresh and closed-form depolarizing maps come from
-one span rule, :meth:`CanonicalForm._realize`, so both merge coinciding
-branches alike.
+one span rule, :func:`_depolarizing`, so both merge coinciding branches
+alike.
 
 Fidelities of the extracted resources come from an XOR convolution of the
 per-map branch distributions restricted to one connected component: on a
@@ -116,11 +116,9 @@ from .gtl import GtlState
 from .rolling import ResolutionPlan, _require_specialized, _roll
 
 __all__ = [
-    "CanonicalForm",
     "CompiledPlan",
     "NoiseMap",
     "NoiseState",
-    "ZOperator",
     "closed_form_maps",
     "compile_plan",
     "compiled_fidelities",
@@ -137,24 +135,6 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ZOperator:
-    """Pauli string of Z factors only, identified by its support bitmask."""
-
-    mask: int
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(_bits(self.mask))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.mask
-
-    def __mul__(self, other: ZOperator) -> ZOperator:
-        return ZOperator(self.mask ^ other.mask)
 
 
 def _precedes(x: int, y: int) -> bool:
@@ -174,24 +154,28 @@ _SUPPORT_KEY = functools.cmp_to_key(lambda x, y: 0 if x[0] == y[0] else -1 if _p
 
 @dataclass(frozen=True)
 class NoiseMap:
-    """Probabilistic mixture of Z-type operators attached to one qubit.
+    """Probabilistic mixture of Z strings attached to one qubit.
 
-    Branches are kept merged (no two share a support) and sorted, so equal
-    maps compare equal structurally.  Probabilities must sum to one.
+    Each branch is a ``(probability, support)`` pair, the support a
+    nonnegative int bitmask of the Z string's vertices.  Branches are kept
+    merged (no two share a support) and sorted, so equal maps compare equal
+    structurally.  Probabilities must sum to one.
     """
 
     origin: int
-    branches: tuple[tuple[float, ZOperator], ...]
+    branches: tuple[tuple[float, int], ...]
 
     def __post_init__(self) -> None:
         total = 0.0
         seen = set()
-        for prob, op in self.branches:
+        for prob, s in self.branches:
+            if type(s) is not int or s < 0:  # a negative mask never empties under the bit walks
+                raise ValueError(f"branch support {s!r} is not a nonnegative int bitmask")
             if prob < -_PROB_TOL:
                 raise ValueError(f"negative branch probability {prob}")
-            if op.mask in seen:
+            if s in seen:
                 raise ValueError("duplicate branch support; use from_weights to merge")
-            seen.add(op.mask)
+            seen.add(s)
             total += prob
         if not abs(total - 1.0) <= _PROB_TOL:  # also rejects nan
             raise ValueError(f"branch probabilities sum to {total}, expected 1")
@@ -199,9 +183,8 @@ class NoiseMap:
     @classmethod
     def _from_masks(cls, origin: int, weights: dict[int, float]) -> NoiseMap:
         """The map of merged bitmask-keyed weights: zero weights dropped, supports sorted."""
-        merged = {s: p for s, p in weights.items() if p != 0.0} or {0: 1.0}
-        branches = tuple((p, ZOperator(s)) for s, p in _by_support(merged.items()))
-        return cls(origin=origin, branches=branches)
+        merged = {s: p for s, p in weights.items() if p != 0.0}
+        return cls(origin=origin, branches=tuple((p, s) for s, p in _by_support(merged.items())))
 
     @classmethod
     def from_weights(cls, origin: int, weights: dict[frozenset[int], float]) -> NoiseMap:
@@ -210,18 +193,16 @@ class NoiseMap:
     @functools.cached_property
     def _canonical(self) -> bool:
         """Whether the branches are as ``_from_masks`` leaves them: no zero weight, supports sorted."""
-        pairs = [(op.mask, prob) for prob, op in self.branches if prob != 0.0]
+        pairs = [(s, prob) for prob, s in self.branches if prob != 0.0]
         return len(pairs) == len(self.branches) and pairs == _by_support(pairs)
 
     def weights(self) -> dict[frozenset[int], float]:
-        return {op.support: prob for prob, op in self.branches}
+        return {frozenset(_bits(s)): prob for prob, s in self.branches}
 
     def to_json(self) -> dict:
         return {
             "origin": self.origin,
-            "branches": [
-                {"p": prob, "support": list(_bits(op.mask))} for prob, op in self.branches
-            ],
+            "branches": [{"p": prob, "support": list(_bits(s))} for prob, s in self.branches],
         }
 
     @classmethod
@@ -248,37 +229,21 @@ class NoiseMap:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Weights over the (alpha, beta) exponents of Z_j^alpha * Z_N^beta.
+def _depolarizing(origin: int, p: float, image: int, around: int) -> NoiseMap:
+    """Depolarizing(p) on ``origin`` with Z_origin sent to Z on ``image`` and Z on its neighborhood
+    to Z on ``around``.
 
-    This is the shape every fresh depolarizing map starts in; it is preserved
-    by a full rolling sequence for unmeasured qubits, with only the
-    neighborhood changing, which is what makes closed forms possible.
+    A fresh map has ``image`` the origin and ``around`` its neighborhood; a
+    full rolling sequence keeps this shape for unmeasured qubits, changing
+    only ``around``, which is what makes closed forms possible.  Weights
+    landing on one support are summed in the order p + w, then w on
+    ``around``, on ``image`` and on ``image ^ around``, for w = (1 - p) / 4.
     """
-
-    origin: int
-    weights: tuple[tuple[tuple[int, int], float], ...]
-
-    @classmethod
-    def depolarizing(cls, origin: int, p: float) -> CanonicalForm:
-        w = (1.0 - p) / 4.0
-        return cls(
-            origin=origin,
-            weights=(((0, 0), p + w), ((0, 1), w), ((1, 0), w), ((1, 1), w)),
-        )
-
-    def realize(self, neighborhood: frozenset[int]) -> NoiseMap:
-        return self._realize(1 << self.origin, _mask(neighborhood))
-
-    def _realize(self, image: int, around: int) -> NoiseMap:
-        """The map with Z_j sent to Z on ``image`` and Z_N to Z on ``around``;
-        weights landing on one support are summed in weight order."""
-        out: dict[int, float] = {}
-        for (alpha, beta), weight in self.weights:
-            support = (image if alpha else 0) ^ (around if beta else 0)
-            out[support] = out.get(support, 0.0) + weight
-        return NoiseMap._from_masks(self.origin, out)
+    w = (1.0 - p) / 4.0
+    out = {0: p + w}
+    for support in (around, image, image ^ around):
+        out[support] = out.get(support, 0.0) + w
+    return NoiseMap._from_masks(origin, out)
 
 
 @dataclass(frozen=True)
@@ -311,7 +276,7 @@ def depolarizing_map(g: Graph, a: int, p: float) -> NoiseMap:
     """
     _check_depolarizing(p)
     g._require_live(a)
-    return CanonicalForm.depolarizing(a, p)._realize(1 << a, g.neighbor_mask(a))
+    return _depolarizing(a, p, 1 << a, g.neighbor_mask(a))
 
 
 def dephasing_probability(t_ms: float, big_t_ms: float) -> float:
@@ -372,11 +337,11 @@ def _compose(mask: int, rows: dict[int, int]) -> int:
 
 def _apply_images(m: NoiseMap, images: dict[int, int]) -> NoiseMap:
     measured = _mask(images)
-    if not any(op.mask & measured for _, op in m.branches) and m._canonical:
+    if not any(s & measured for _, s in m.branches) and m._canonical:
         return m  # what the rebuild below would give
     out: dict[int, float] = {}
-    for prob, op in m.branches:
-        key = _compose(op.mask, images) if op.mask & measured else op.mask
+    for prob, s in m.branches:
+        key = _compose(s, images) if s & measured else s
         out[key] = out.get(key, 0.0) + prob
     return NoiseMap._from_masks(m.origin, out)
 
@@ -926,7 +891,7 @@ def closed_form_maps(state: GtlState, plan: ResolutionPlan, p: float) -> list[No
             raise ValueError(f"peer {q} is not covered by the rolling sequence")
         else:  # measured: Z_q is gone, Z on its neighborhood went to the later supports
             image, tilde_n = 0, _mask(supports[orch.index(q) :])
-        maps.append(CanonicalForm.depolarizing(q, p)._realize(image, tilde_n))
+        maps.append(_depolarizing(q, p, image, tilde_n))
     return maps
 
 
@@ -956,7 +921,7 @@ def _xor_convolve(maps) -> dict[int, float]:
 
 def _restricted_law(maps, mask: int) -> dict[int, float]:
     """XOR law of the maps' branch supports restricted to ``mask``."""
-    return _xor_convolve([(op.mask & mask, prob) for prob, op in m.branches] for m in maps)
+    return _xor_convolve([(s & mask, prob) for prob, s in m.branches] for m in maps)
 
 
 def restrict_to_targets(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphstate import Graph, MeasurementRecord, PauliString, _pauli_basis, component_key
+from .graphstate import Graph, MeasurementRecord, PauliString, _bits, _mask, _pauli_basis, component_key
 # Unused here, but bench/tracing.py wraps it at this module's name.
 from .graphstate import measure_pauli  # noqa: F401
 from .gtl import GtlState
@@ -146,7 +146,7 @@ class DenseState:
             if eigs.min() < -1e-10:
                 raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
 
-    def z_signs(self, support: frozenset[int]) -> np.ndarray:
+    def z_signs(self, support: Iterable[int]) -> np.ndarray:
         """Diagonal of the Z string on ``support`` as a +-1 vector."""
         return _PARITY[_INDEX[: 2 ** self.n] & self.local_mask(support)]
 
@@ -203,10 +203,10 @@ def apply_channel(state: DenseState, *noise_maps: NoiseMap) -> DenseState:
 def _channel_factor(state: DenseState, noise_maps: tuple[NoiseMap, ...]) -> np.ndarray:
     """f(k) = prod_m sum_b p_b (-1)^{|s_b & k|} over the 2^n indices k; support
     qubits absent from the state are ignored."""
-    live = state._bit.keys()
+    live = _mask(state.qubits)
     factor = np.ones(2 ** state.n)
     for noise_map in noise_maps:
-        factor *= sum(prob * state.z_signs(op.support & live) for prob, op in noise_map.branches)
+        factor *= sum(prob * state.z_signs(_bits(s & live)) for prob, s in noise_map.branches)
     return factor
 
 

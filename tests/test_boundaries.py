@@ -23,7 +23,7 @@ from entroll.gtl import (
     GtlParams, GtlState, Violation, build_gtl, gtl_from_json, gtl_to_json, peer_proximity, validate_gtl
 )
 from entroll.noise import (
-    NoiseMap, ZOperator, closed_form_maps, compile_plan, propagate, propagate_measurement, standard_noise
+    NoiseMap, closed_form_maps, compile_plan, propagate, propagate_measurement, standard_noise
 )
 from entroll.oracle import DenseState, crosscheck, dense_graph_state, graph_state_overlap
 from entroll.rolling import (
@@ -384,14 +384,26 @@ REFUSALS = [
     ),
     (
         "negative-branch",
-        lambda: NoiseMap(0, ((-0.5, ZOperator(0)), (1.5, ZOperator(1)))),
+        lambda: NoiseMap(0, ((-0.5, 0), (1.5, 1))),
         "negative branch probability -0.5",
     ),
     (
         "duplicate-branch",
-        lambda: NoiseMap(0, ((0.5, ZOperator(1)), (0.5, ZOperator(1)))),
+        lambda: NoiseMap(0, ((0.5, 1), (0.5, 1))),
         "duplicate branch support; use from_weights to merge",
     ),
+    # A map with no branch of nonzero weight is no channel, not the identity.
+    (
+        "noise-no-branches",
+        lambda: NoiseMap.from_json({"origin": 0, "branches": []}),
+        "noise map field 'branches': branch probabilities sum to 0.0, expected 1",
+    ),
+    (
+        "noise-zero-branch",
+        lambda: NoiseMap.from_json({"origin": 0, "branches": [{"p": 0.0, "support": []}]}),
+        "noise map field 'branches': branch probabilities sum to 0.0, expected 1",
+    ),
+    ("noise-no-weights", lambda: NoiseMap.from_weights(0, {}), "branch probabilities sum to 0.0, expected 1"),
     ("resolve-dead", lambda: resolve(_edited(delete=(1,)), _plan(((1, 3),))), "step measures 1, which is no longer live"),
     ("plan-target", lambda: default_resolution_plan(STATE, "w"), "unknown resolution target 'w'"),
     # Both proximity calls refuse a peer pair through one rule, with one text.

@@ -4,13 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from entroll.graphstate import Graph, component_key, measure_pauli
+from entroll.graphstate import Graph, _bits, component_key, measure_pauli
 from entroll.gtl import GtlParams, GtlState, build_gtl
 from entroll.noise import (
-    CanonicalForm,
     NoiseMap,
     NoiseState,
-    ZOperator,
     closed_form_maps,
     compile_plan,
     compiled_fidelities,
@@ -55,7 +53,7 @@ def single_branch(origin, support):
 class TestNoiseMap:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            NoiseMap(origin=0, branches=((0.5, ZOperator(0)),))
+            NoiseMap(origin=0, branches=((0.5, 0),))
 
     def test_merging(self):
         m = NoiseMap.from_weights(0, {frozenset(): 0.25, frozenset({1}): 0.75})
@@ -82,12 +80,12 @@ class TestNoiseMap:
         with pytest.raises(ValueError, match=f"noise map field '{field}'"):
             NoiseMap.from_json(data)
 
-    def test_zoperator_algebra(self):
-        a = ZOperator(0b0110)  # Z_1 Z_2
-        b = ZOperator(0b1100)  # Z_2 Z_3
-        assert (a * b).mask == 0b1010
-        assert (a * b).support == frozenset({1, 3})
-        assert (a * a).is_identity
+    @pytest.mark.parametrize("support", [-2, True, np.int64(3), frozenset({1})], ids=repr)
+    def test_support_must_be_a_nonnegative_int(self, support):
+        # A negative mask would send the bit walks of weights() and propagate into an endless loop.
+        with pytest.raises(ValueError) as info:
+            NoiseMap(0, ((1.0, support),))
+        assert str(info.value) == f"branch support {support!r} is not a nonnegative int bitmask"
 
 
 class TestDepolarizing:
@@ -104,6 +102,12 @@ class TestDepolarizing:
         assert w[frozenset({0})] == pytest.approx(0.05)
         assert w[frozenset({1, 2})] == pytest.approx(0.05)
         assert w[frozenset({0, 1, 2})] == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("p", [0.6, 0.9])
+    def test_merged_weights_sum_in_branch_order(self, p):
+        # (p + w) + w and p + (w + w) differ in the last bit at these p.
+        w = (1 - p) / 4
+        assert depolarizing_map(Graph.empty(1), 0, p).branches == (((p + w) + w, 0), (w + w, 1))
 
     def test_isolated_fully_noisy(self):
         g = Graph.empty(1)
@@ -226,8 +230,8 @@ class TestPropagationInvariants:
         ns = propagate(standard_noise(state.graph, 0.8), plan)
         live = set(ns.graph.vertices())
         for m in ns.maps:
-            for _, op in m.branches:
-                assert op.support <= live
+            for _, s in m.branches:
+                assert set(_bits(s)) <= live
 
     def test_same_origin_maps_commute_in_distribution(self):
         state = build_gtl(GtlParams.specialized(2, 2))
@@ -282,15 +286,9 @@ class TestUntouchedMaps:
     def hand_built(g):
         return (
             depolarizing_map(g, 4, 0.8),
-            NoiseMap(origin=5, branches=((0.25, ZOperator(0b110000)), (0.75, ZOperator(0)))),
-            NoiseMap(
-                origin=4,
-                branches=((0.5, ZOperator(0)), (0.0, ZOperator(1 << 5)), (0.5, ZOperator(1 << 4))),
-            ),
-            NoiseMap(
-                origin=1,
-                branches=((0.3, ZOperator(1 << 1)), (0.0, ZOperator(1 << 3)), (0.7, ZOperator(0))),
-            ),
+            NoiseMap(origin=5, branches=((0.25, 0b110000), (0.75, 0))),
+            NoiseMap(origin=4, branches=((0.5, 0), (0.0, 1 << 5), (0.5, 1 << 4))),
+            NoiseMap(origin=1, branches=((0.3, 1 << 1), (0.0, 1 << 3), (0.7, 0))),
         )
 
     @staticmethod
@@ -306,8 +304,8 @@ class TestUntouchedMaps:
             assert out == ref
             assert out == self.rebuilt(out)
             assert out[0] is maps[0]
-            assert out[1].branches == ((0.75, ZOperator(0)), (0.25, ZOperator(0b110000)))
-            assert out[2].branches == ((0.5, ZOperator(0)), (0.5, ZOperator(1 << 4)))
+            assert out[1].branches == ((0.75, 0), (0.25, 0b110000))
+            assert out[2].branches == ((0.5, 0), (0.5, 1 << 4))
 
     def test_plan(self):
         g = self.graph()
@@ -318,7 +316,7 @@ class TestUntouchedMaps:
         assert out == propagate(NoiseState(graph=g.copy(), maps=self.rebuilt(maps)), plan).maps
         assert out == self.rebuilt(out)
         assert out[0] is maps[0]
-        assert out[1].branches == ((0.75, ZOperator(0)), (0.25, ZOperator(0b110000)))
+        assert out[1].branches == ((0.75, 0), (0.25, 0b110000))
         # The measured path's map: Z_1 goes to Z on {2, 3}, and Z_3 is unchanged.
         assert out[3].weights() == {frozenset(): 0.7, frozenset({2, 3}): 0.3}
 
@@ -361,6 +359,16 @@ class TestClosedForms:
             frozenset(): pytest.approx(p + (1 - p) / 2),
             frozenset({b0_last}): pytest.approx((1 - p) / 2),
         }
+
+    @pytest.mark.parametrize("p", [0.6, 0.9])
+    def test_measured_qubit_sums_in_branch_order(self, p):
+        # A measured qubit's image is 0, so its map merges in pairs as an isolated fresh one does.
+        state = build_gtl(GtlParams.specialized(2, 3))
+        plan = bridge_pick_plans(state, limit=1)[0]
+        last = state.orch[-1]
+        w = (1 - p) / 4
+        maps = {m.origin: m for m in closed_form_maps(state, plan, p)}
+        assert maps[last].branches == (((p + w) + w, 0), (w + w, 1 << dict(plan.steps)[last]))
 
     def test_rolled_peer_sees_all_supports(self):
         state = build_gtl(GtlParams.specialized(2, 3))
@@ -446,8 +454,7 @@ class TestClosedForms:
             closed_form_maps(state, plan, 0.9)
 
     def test_canonical_form_realize(self):
-        cf = CanonicalForm.depolarizing(2, 0.6)
-        m = cf.realize(frozenset({4, 5}))
+        m = noise._depolarizing(2, 0.6, 1 << 2, 0b110000)
         w = m.weights()
         assert w[frozenset()] == pytest.approx(0.7)
         assert w[frozenset({2})] == pytest.approx(0.1)
@@ -576,13 +583,13 @@ class TestStepwiseScorersAgree:
         g.delete_vertex(6)
         maps = (
             # zero-weight branches and supports out of order
-            NoiseMap(1, ((0.25, ZOperator(0b110)), (0.0, ZOperator(0b1)), (0.75, ZOperator(0)))),
-            NoiseMap(2, ((0.5, ZOperator(0b100)), (0.0, ZOperator(0)), (0.5, ZOperator(0b10)))),
+            NoiseMap(1, ((0.25, 0b110), (0.0, 0b1), (0.75, 0))),
+            NoiseMap(2, ((0.5, 0b100), (0.0, 0), (0.5, 0b10))),
             # touches no multi-qubit component
-            NoiseMap(5, ((0.875, ZOperator(0)), (0.125, ZOperator(0b100000)))),
+            NoiseMap(5, ((0.875, 0), (0.125, 0b100000))),
             # touch both components; the zero-weight branch {4} lies in the second only
-            NoiseMap(0, ((0.5, ZOperator(0b11001)), (0.5, ZOperator(0b1)), (0.0, ZOperator(0b10000)))),
-            NoiseMap(4, ((0.625, ZOperator(0)), (0.375, ZOperator(0b10100)))),
+            NoiseMap(0, ((0.5, 0b11001), (0.5, 0b1), (0.0, 0b10000))),
+            NoiseMap(4, ((0.625, 0), (0.375, 0b10100))),
         )
         ns = NoiseState(graph=g, maps=maps)
         assert_scorers_agree(ns)
@@ -602,7 +609,7 @@ class TestStepwiseScorersAgree:
                 weights = [rng.choice([0.0, rng.random()]) for _ in supports]
                 weights[0] = weights[0] or 1.0
                 total = sum(weights)
-                maps.append(NoiseMap(v, tuple((w / total, ZOperator(s)) for w, s in zip(weights, supports))))
+                maps.append(NoiseMap(v, tuple((w / total, s) for w, s in zip(weights, supports))))
             assert_scorers_agree(NoiseState(graph=g, maps=tuple(maps)))
 
 
@@ -660,8 +667,7 @@ def assert_compiled_equals_stepwise(g, plan, points):
     compiled = compile_plan(g, plan)
     stepwise = propagate(standard_noise(g, 0.5, 1.0, 2.0), plan).maps  # no weight is zero here
     maps = [
-        (None if i % 2 == 0 else m.origin, [(op.mask, prob) for prob, op in m.branches])
-        for i, m in enumerate(stepwise)
+        (None if i % 2 == 0 else m.origin, [(s, prob) for prob, s in m.branches]) for i, m in enumerate(stepwise)
     ]
     for key, terms in zip(compiled.components, compiled_terms(compiled)):
         assert terms == restricted_terms(maps, {int(v) for v in key.split("-")})
@@ -711,13 +717,13 @@ def forward_terms(g, plan):
     maps = []
     for i, m in enumerate(standard_noise(g, 0.5, 1.0, 2.0).maps):
         weights = {}
-        for prob, op in m.branches:
+        for prob, s in m.branches:
             support = 0
-            for v in op.support:
+            for v in _bits(s):
                 support ^= images[v]
             weights[support] = weights.get(support, 0.0) + prob
-        merged = NoiseMap.from_weights(m.origin, {ZOperator(s).support: x for s, x in weights.items()})
-        maps.append((None if i % 2 == 0 else m.origin, [(op.mask, prob) for prob, op in merged.branches]))
+        merged = NoiseMap.from_weights(m.origin, {frozenset(_bits(s)): x for s, x in weights.items()})
+        maps.append((None if i % 2 == 0 else m.origin, [(s, prob) for prob, s in merged.branches]))
     terms = {
         component_key(comp): restricted_terms(maps, comp) for comp in graph.components() if len(comp) > 1
     }

@@ -11,6 +11,7 @@ from entroll.graphstate import (
     Graph,
     MeasurementRecord,
     PauliString,
+    _bits,
     measure_pauli,
     stabilizer_generators,
 )
@@ -86,10 +87,10 @@ def kraus_sum(state, noise_map):
     """sum_b p_b Z_b rho Z_b, each Z string as its explicit +-1 diagonal."""
     idx = np.arange(2 ** state.n)
     out = np.zeros_like(state.data)
-    for prob, op in noise_map.branches:
+    for prob, s in noise_map.branches:
         signs = np.ones(2 ** state.n)
         for k, v in enumerate(state.qubits):
-            if v in op.support:
+            if v in _bits(s):
                 signs = signs * (1 - 2 * ((idx >> (state.n - 1 - k)) & 1))
         out += prob * (signs[:, None] * state.data * signs[None, :])
     return DenseState("density", state.qubits, out)
