@@ -5,8 +5,9 @@ the plan into per-component term tables (see
 :func:`entroll.noise.compile_plan`).  Points are then scored in batches with
 :func:`entroll.noise.score_points`, building no noise maps: a sweep scores
 its whole grid in one call, and a threshold search scores, each round, every
-bisection probe the next few rounds can reach.  Rows are emitted in grid
-order, and output is byte-stable for a fixed configuration.
+bisection probe the next few levels can reach and a chain of probes it
+predicts below them.  Rows are emitted in grid order, and output is
+byte-stable for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ _REQUIRED = object()
 
 # A threshold search scores, per round and per p, the midpoints of every
 # bracket its next PROBE_TREE_DEPTH bisection probes can reach (a tree of
-# 2**PROBE_TREE_DEPTH - 1 points), then walks the tree probe by probe.
+# 2**PROBE_TREE_DEPTH - 1 points), so that no round advances it fewer levels,
+# plus the predicted chain below the tree (see _Bisection.probes).
 PROBE_TREE_DEPTH = 3
 
 
@@ -208,11 +210,10 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
 
 
 def _probe_tree(lo: float, hi: float, depth: int) -> list[float]:
-    """Midpoints of every bracket the next ``depth`` probes can reach, in heap order.
+    """Midpoints of every bracket the next ``depth`` probes can reach.
 
-    Node i's probe keeps the lower half (child 2i + 1) when the level is
-    reached there, else the upper half (child 2i + 2).  Each midpoint is
-    computed from its bracket exactly as a probe-by-probe bisection would.
+    Each midpoint is computed from its bracket exactly as a probe-by-probe
+    bisection would.
     """
     brackets = [(lo, hi)]
     mids: list[float] = []
@@ -226,26 +227,50 @@ def _probe_tree(lo: float, hi: float, depth: int) -> list[float]:
 
 @dataclass
 class _Bisection:
-    """One p's geometric bisection: its bracket and the probes it has left."""
+    """One p's geometric bisection: its bracket, the worst fidelities at its ends, its probes left."""
 
     p: float
     lo: float
     hi: float
+    f_lo: float
+    f_hi: float
     left: int = 200
+    chain: int = 2 * PROBE_TREE_DEPTH  # twice the probes the last round walked
 
-    def walk(self, tree: list[float], scores: list[float], level: float) -> bool:
-        """Take a probe tree's probes in turn; True once the search stops."""
-        node = 0
-        while node < len(tree):
-            mid, f_mid = tree[node], scores[node]
+    def probes(self, level: float) -> list[float]:
+        """The next round's probes: the probe tree, then the predicted chain below it.
+
+        The chain goes on from the tree leaf that holds the crossing's
+        estimate, the level interpolated linearly in log T between the bracket
+        ends, taking the probes a bisection would take if the crossing sat
+        there.  It ends after ``chain`` probes, at the 1e-7 stop width, or at
+        the probe cap.
+        """
+        depth = min(PROBE_TREE_DEPTH, self.left)
+        t_hat = self.lo * (self.hi / self.lo) ** ((level - self.f_lo) / (self.f_hi - self.f_lo))
+        lo, hi, path = self.lo, self.hi, []
+        for n in range(min(self.left, depth + self.chain)):
+            if n >= depth and (hi - lo) / hi < 1e-7:
+                break
+            mid = math.sqrt(lo * hi)
+            path.append(mid)
+            lo, hi = (lo, mid) if mid >= t_hat else (mid, hi)
+        return _probe_tree(self.lo, self.hi, depth) + path[depth:]
+
+    def walk(self, scored: dict[float, float], level: float) -> bool:
+        """Take probes in turn while the next one was scored; True once the search stops."""
+        left = self.left
+        while (mid := math.sqrt(self.lo * self.hi)) in scored:
+            f_mid = scored[mid]
             if f_mid >= level:
-                self.hi, node = mid, 2 * node + 1
+                self.hi, self.f_hi = mid, f_mid
             else:
-                self.lo, node = mid, 2 * node + 2
+                self.lo, self.f_lo = mid, f_mid
             self.left -= 1
             converged = (self.hi - self.lo) / self.hi < 1e-7 and abs(f_mid - level) < 1e-6
             if converged or self.left == 0:
                 return True
+        self.chain = 2 * (left - self.left)
         return False
 
 
@@ -259,10 +284,14 @@ def find_threshold(
     fidelity sits within 1e-6 of the level, or for at most 200 probes.  Rows
     where the level is unreachable (or already exceeded at the smallest T, so
     no crossing exists in range) are omitted and noted in the diagnostics
-    list.  The plan is compiled once.  Each round scores, in one batch, a
-    tree of probes ahead for every p still searching (see PROBE_TREE_DEPTH)
-    and walks each tree probe by probe, so the probes and rows are those of a
-    plain bisection.
+    list.  The plan is compiled once.  Each round scores, in one batch, for
+    every p still searching, a tree of probes ahead (see PROBE_TREE_DEPTH)
+    and a chain below it towards an interpolated crossing (see
+    ``_Bisection.probes``), at most twice as long as the p's last round
+    walked (2 * PROBE_TREE_DEPTH probes in its first round).  Each search
+    then takes its next probe while that probe was scored, so the probes and
+    rows are those of a plain bisection, and no search takes more rounds than
+    with the tree alone.
     """
     if math.isnan(level):
         raise ValueError("threshold level must be a number, got nan")
@@ -288,16 +317,16 @@ def find_threshold(
         elif curve[0] >= level:
             diagnostics.append(f"p={p}: already above level at T={t_lo} (fidelity {curve[0]:.6f})")
         else:
-            searches.append(_Bisection(p, t_lo, t_hi))
+            searches.append(_Bisection(p, t_lo, t_hi, curve[0], curve[-1]))
     active = searches
     while active:
-        trees = [_probe_tree(s.lo, s.hi, min(PROBE_TREE_DEPTH, s.left)) for s in active]
-        scores = worst([(s.p, mid) for s, tree in zip(active, trees) for mid in tree])
+        probes = [s.probes(level) for s in active]
+        scores = worst([(s.p, t) for s, ts in zip(active, probes) for t in ts])
         searching, start = [], 0
-        for search, tree in zip(active, trees):
-            if not search.walk(tree, scores[start : start + len(tree)], level):
+        for search, ts in zip(active, probes):
+            if not search.walk(dict(zip(ts, scores[start : start + len(ts)])), level):
                 searching.append(search)
-            start += len(tree)
+            start += len(ts)
         active = searching
     return [(s.p, s.hi) for s in searches], diagnostics
 

@@ -138,10 +138,19 @@ _PROB_TOL = 1e-12
 
 
 def _precedes(x: int, y: int) -> bool:
-    """Whether support ``x`` sorts before a different ``y``, as their sorted vertex tuples do: the
-    one holding the lowest vertex in just one of them goes first, unless the other stops before it."""
+    """Whether support ``x`` sorts before ``y`` (never when equal), as their sorted vertex tuples do:
+    the one holding the lowest vertex in just one of them goes first, unless the other stops before it."""
     low = (x ^ y) & -(x ^ y)
     return y >= low if x & low else x < low
+
+
+def _first_kinds(a: int, i: int) -> tuple[int, int]:
+    """The kinds (1, 2, 3 for ``a``, ``i``, ``i ^ a``) of the first two of those supports in
+    :func:`_by_support` order, equal supports in kind order."""
+    b = i ^ a
+    i_a, b_a, b_i = _precedes(i, a), _precedes(b, a), _precedes(b, i)
+    rank = (i_a + b_a, 1 - i_a + b_i, 2 - b_a - b_i)  # how many go before a, i and b
+    return rank.index(0) + 1, rank.index(1) + 1
 
 
 def _by_support(pairs) -> list:
@@ -184,7 +193,9 @@ class NoiseMap:
     def _from_masks(cls, origin: int, weights: dict[int, float]) -> NoiseMap:
         """The map of merged bitmask-keyed weights: zero weights dropped, supports sorted."""
         merged = {s: p for s, p in weights.items() if p != 0.0}
-        return cls(origin=origin, branches=tuple((p, s) for s, p in _by_support(merged.items())))
+        m = cls(origin=origin, branches=tuple((p, s) for s, p in _by_support(merged.items())))
+        m.__dict__["_canonical"] = True  # what the check below would find
+        return m
 
     @classmethod
     def from_weights(cls, origin: int, weights: dict[frozenset[int], float]) -> NoiseMap:
@@ -192,7 +203,10 @@ class NoiseMap:
 
     @functools.cached_property
     def _canonical(self) -> bool:
-        """Whether the branches are as ``_from_masks`` leaves them: no zero weight, supports sorted."""
+        """Whether the branches are as ``_from_masks`` leaves them: no zero weight, supports sorted.
+
+        ``_from_masks`` sets it; a map from the constructor is checked here.
+        """
         pairs = [(s, prob) for prob, s in self.branches if prob != 0.0]
         return len(pairs) == len(self.branches) and pairs == _by_support(pairs)
 
@@ -518,8 +532,7 @@ def compile_plan(g: Graph, plan: ResolutionPlan) -> CompiledPlan:
     around, pattern = [], []
     for v in verts:
         i, a = image[v], _compose(start_rows[v], image)
-        kinds = tuple(k for _, k in _by_support(((a, 1), (i, 2), (i ^ a, 3))))
-        pattern.append(patterns.setdefault(kinds[:2], len(patterns)))
+        pattern.append(patterns.setdefault(_first_kinds(a, i), len(patterns)))
         around.append(a)
 
     # Local keys (bit j for a component's j-th vertex) from a bit matrix with

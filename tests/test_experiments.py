@@ -158,6 +158,54 @@ class TestSweep:
         assert slow["6-7"] == pytest.approx(base["6-7"])
 
 
+def plain_bisection(curves, t_grid, level):
+    """find_threshold's rows and diagnostics from a probe-by-probe bisection of each p's curve."""
+    t_lo, t_hi = min(t_grid), max(t_grid)
+    rows, diagnostics = [], []
+    for p, worst in curves.items():
+        if worst(t_hi) < level:
+            diagnostics.append(f"p={p}: level {level} unreachable (max fidelity {worst(t_hi):.6f})")
+            continue
+        if worst(t_lo) >= level:
+            diagnostics.append(f"p={p}: already above level at T={t_lo} (fidelity {worst(t_lo):.6f})")
+            continue
+        lo, hi = t_lo, t_hi
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            f_mid = worst(mid)
+            lo, hi = (lo, mid) if f_mid >= level else (mid, hi)
+            if (hi - lo) / hi < 1e-7 and abs(f_mid - level) < 1e-6:
+                break
+        rows.append((p, hi))
+    return rows, diagnostics
+
+
+def fake_curve(kind, level, t_grid, rng):
+    """A worst fidelity nondecreasing in T whose crossing of ``level`` lies inside ``t_grid``."""
+    t_lo, t_hi = t_grid
+    t0 = math.exp(rng.uniform(math.log(t_lo) + 0.5, math.log(t_hi) - 0.5))
+    if kind == "sigmoid":  # smooth in log T, with a random slope
+        k = rng.uniform(0.3, 10.0)
+        return lambda t: 1 / (1 + (1 / level - 1) * math.exp(-k * math.log(t / t0)))
+    if kind == "step":  # never within 1e-6 of the level, so the search runs its 200 probes
+        jump = rng.choice((0.1, 3e-6))
+        return lambda t: level + jump if t >= t0 else level - jump
+    if kind == "small step":  # within 1e-6 of the level on both sides of the jump
+        return lambda t: level + 1e-7 if t >= t0 else level - 1e-7
+    if kind == "plateau":  # equal to the level from t0 to t1
+        t1 = t0 * rng.uniform(1.0, 5.0)
+        return lambda t: level - 0.05 * max(0.0, math.log(t0 / t)) + 0.05 * max(0.0, math.log(t / t1))
+    if kind == "at a probe":  # equal to the level at one of the bisection's probes
+        lo, hi = t_lo, t_hi
+        for _ in range(rng.randrange(1, 25)):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if mid >= t0 else (mid, hi)
+        return lambda t: level + 0.1 * math.log(t / mid)
+    if kind == "unreachable":
+        return lambda t: level * (1 - 0.5 / (1 + t))
+    return lambda t: level + 0.1 * t / (1 + t)  # already above
+
+
 class TestThreshold:
     def test_threshold_points_reevaluate_to_level(self):
         config = ExperimentConfig(
@@ -235,7 +283,7 @@ class TestThreshold:
         scored = []
 
         def fake_score(config, compiled, points):
-            scored.extend(points)
+            scored.append(points)
             return [[step(t), 2.0] for _, t in points]
 
         monkeypatch.setattr(experiments, "_score", fake_score)
@@ -245,10 +293,36 @@ class TestThreshold:
             mid = math.sqrt(lo * hi)
             lo, hi = (lo, mid) if step(mid) >= 0.5 else (mid, hi)
         assert find_threshold(config, level=0.5) == ([(0.9, hi), (0.95, hi)], [])
-        probes = len(scored) - 4  # after the four grid points of the monotonicity check
+        # The grid call, then at most ceil(200 / 3) = 67 rounds, as each walks its whole tree.
+        assert len(scored) <= 68
+        # Each round scores, per search, the tree and a chain at most twice as
+        # long as the search's last walk (its first walk counts as the tree's depth).
+        probes = sum(map(len, scored)) - 4  # after the four grid points of the monotonicity check
         depth = experiments.PROBE_TREE_DEPTH
-        rounds = -(-200 // depth)
-        assert probes <= 2 * rounds * (2**depth - 1)
+        assert probes <= 2 * ((len(scored) - 1) * (2**depth - 1) + 2 * (depth + 200))
+
+    def test_fake_curves_match_a_probe_by_probe_bisection(self, monkeypatch, rng):
+        curves, batches = {}, []
+
+        def fake_score(config, compiled, points):
+            batches.append({p for p, _ in points})
+            return [[curves[p](t), 2.0] for p, t in points]
+
+        monkeypatch.setattr(experiments, "_score", fake_score)
+        for _ in range(40):
+            level = rng.choice((0.5, rng.uniform(0.2, 0.8)))
+            t_grid = (rng.uniform(0.1, 2.0), rng.uniform(50.0, 5000.0))
+            curves.clear()
+            for kind in ("sigmoid", "step", "small step", "plateau", "at a probe", "unreachable", "above"):
+                p = round(0.5 + len(curves) / 20, 2)
+                curves[p] = fake_curve(kind, level, t_grid, rng)
+            batches.clear()
+            config = ExperimentConfig(kappa_b_hat=2, n_o=2, p_grid=tuple(curves), t_grid_ms=t_grid)
+            rows, diagnostics = find_threshold(config, level=level)
+            assert (rows, diagnostics) == plain_bisection(curves, t_grid, level)
+            assert len(rows) == 5 and len(diagnostics) == 2
+            for p in curves:  # the grid call, then at most ceil(200 / 3) = 67 rounds per search
+                assert sum(p in batch for batch in batches[1:]) <= 67
 
     def test_nan_level_is_rejected(self):
         config = ExperimentConfig(kappa_b_hat=2, n_o=2, p_grid=(0.9,), t_grid_ms=(1.0, 100.0))

@@ -940,6 +940,25 @@ class TestSupportOrder:
             assert noise._by_support(pairs) == sorted(pairs, key=lambda pair: vertex_tuple(pair[0]))
             assert noise._by_support(pairs[::-1]) == sorted(pairs[::-1], key=lambda pair: vertex_tuple(pair[0]))
 
+    def test_first_kinds_follow_the_sort(self, rng):
+        # compile_plan's pattern: the kinds of A, I and I ^ A's first two in
+        # _by_support order, including A or I zero and A equal to I.
+        masks = [0, 1, 2, 3, 1 << 64, (1 << 64) | 1] + [rng.getrandbits(rng.choice((3, 8, 70))) for _ in range(60)]
+        for _ in range(2000):
+            x, y = rng.choice(masks), rng.choice(masks)
+            for a, i in ((x, y), (x, x), (0, y), (x, 0), (0, 0)):
+                kinds = tuple(k for _, k in noise._by_support(((a, 1), (i, 2), (i ^ a, 3))))
+                assert noise._first_kinds(a, i) == kinds[:2]
+
+    def test_maps_built_from_masks_are_marked_canonical(self):
+        m = noise.NoiseMap._from_masks(3, {0b1010: 0.25, 0: 0.5, 0b1000: 0.25, 0b100: 0.0})
+        assert m.__dict__["_canonical"] is True
+        assert NoiseMap(3, m.branches)._canonical  # the check agrees
+        assert noise._apply_images(m, {0: 0b1}) is m
+        unsorted = NoiseMap(3, (m.branches[1], m.branches[0], m.branches[2]))
+        assert not unsorted._canonical
+        assert noise._apply_images(unsorted, {0: 0b1}) == m
+
     @pytest.mark.parametrize("kb, n_o, target", BENCH_INSTANCES)
     def test_bench_instances_compile_as_stepwise(self, kb, n_o, target):
         state = build_gtl(GtlParams.specialized(kb, n_o))
