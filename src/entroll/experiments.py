@@ -4,16 +4,18 @@ A sweep or threshold search builds its resource and plan once and compiles
 the plan into per-component term tables (see
 :func:`entroll.noise.compile_plan`).  Points are then scored in batches with
 :func:`entroll.noise.score_points`, building no noise maps: a sweep scores
-its whole grid in one call, and a threshold search scores, each round, every
-bisection probe the next few levels can reach and a chain of probes it
-predicts below them.  Rows are emitted in grid order, and output is
-byte-stable for a fixed configuration.
+its whole grid in one call, and a threshold search scores its grid values
+with a first probe tree, then, each round, every bisection probe the next
+few levels can reach and a chain of probes it predicts below them.  Rows
+are emitted in grid order, and output is byte-stable for a fixed
+configuration.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import oracle
@@ -55,10 +57,13 @@ __all__ = [
 
 _REQUIRED = object()
 
-# A threshold search scores, per round and per p, the midpoints of every
-# bracket its next PROBE_TREE_DEPTH bisection probes can reach (a tree of
-# 2**PROBE_TREE_DEPTH - 1 points), so that no round advances it fewer levels,
-# plus the predicted chain below the tree (see _Bisection.probes).
+# A threshold search's first batch scores, per p, its grid values and the
+# midpoints of every bracket its first FIRST_TREE_DEPTH bisection probes can
+# reach.  Each later round scores, per p, the tree of the next
+# PROBE_TREE_DEPTH probes (2**PROBE_TREE_DEPTH - 1 points), so that no round
+# advances it fewer levels, plus the predicted chain below the tree (see
+# _Bisection.probes).
+FIRST_TREE_DEPTH = 4
 PROBE_TREE_DEPTH = 3
 
 
@@ -227,27 +232,51 @@ def _probe_tree(lo: float, hi: float, depth: int) -> list[float]:
 
 @dataclass
 class _Bisection:
-    """One p's geometric bisection: its bracket, the worst fidelities at its ends, its probes left."""
+    """One p's geometric bisection: its bracket, the worst fidelity at every T it scored, its probes left."""
 
     p: float
     lo: float
     hi: float
-    f_lo: float
-    f_hi: float
+    scored: dict[float, float]
     left: int = 200
-    chain: int = 2 * PROBE_TREE_DEPTH  # twice the probes the last round walked
+    chain: int = 0  # twice the probes the last round walked
+
+    def aim(self, level: float) -> float:
+        """The crossing's estimate: inverse cubic interpolation in log T, clamped to the bracket.
+
+        The cubic gives log T as a function of fidelity through the four
+        scored points nearest the bracket (in log T; of the points inside it,
+        those whose fidelity lies nearest the level).  If two of them have
+        equal fidelity, or the estimate is not finite, the estimate is the
+        bracket's midpoint.
+        """
+        lo, hi, scored = self.lo, self.hi, self.scored
+        ts = sorted(scored)
+        window = ts[max(bisect_left(ts, lo) - 2, 0) : bisect_right(ts, hi) + 2]
+        near = sorted(window, key=lambda t: (max(lo / t, t / hi, 1.0), abs(scored[t] - level)))[:4]
+        log_t = 0.0
+        for a in near:
+            term = math.log(a)
+            for b in near:
+                if b != a:
+                    if scored[a] == scored[b]:
+                        return math.sqrt(lo * hi)
+                    term *= (level - scored[b]) / (scored[a] - scored[b])
+            log_t += term
+        if not math.isfinite(log_t):
+            return math.sqrt(lo * hi)
+        return min(max(math.exp(min(log_t, math.log(hi))), lo), hi)
 
     def probes(self, level: float) -> list[float]:
         """The next round's probes: the probe tree, then the predicted chain below it.
 
         The chain goes on from the tree leaf that holds the crossing's
-        estimate, the level interpolated linearly in log T between the bracket
-        ends, taking the probes a bisection would take if the crossing sat
-        there.  It ends after ``chain`` probes, at the 1e-7 stop width, or at
-        the probe cap.
+        estimate (see ``aim``), taking the probes a bisection would take if
+        the crossing sat there.  It ends after ``chain`` probes, at the 1e-7
+        stop width, or at the probe cap.
         """
         depth = min(PROBE_TREE_DEPTH, self.left)
-        t_hat = self.lo * (self.hi / self.lo) ** ((level - self.f_lo) / (self.f_hi - self.f_lo))
+        t_hat = self.aim(level)
         lo, hi, path = self.lo, self.hi, []
         for n in range(min(self.left, depth + self.chain)):
             if n >= depth and (hi - lo) / hi < 1e-7:
@@ -257,15 +286,15 @@ class _Bisection:
             lo, hi = (lo, mid) if mid >= t_hat else (mid, hi)
         return _probe_tree(self.lo, self.hi, depth) + path[depth:]
 
-    def walk(self, scored: dict[float, float], level: float) -> bool:
+    def walk(self, level: float) -> bool:
         """Take probes in turn while the next one was scored; True once the search stops."""
         left = self.left
-        while (mid := math.sqrt(self.lo * self.hi)) in scored:
-            f_mid = scored[mid]
+        while (mid := math.sqrt(self.lo * self.hi)) in self.scored:
+            f_mid = self.scored[mid]
             if f_mid >= level:
-                self.hi, self.f_hi = mid, f_mid
+                self.hi = mid
             else:
-                self.lo, self.f_lo = mid, f_mid
+                self.lo = mid
             self.left -= 1
             converged = (self.hi - self.lo) / self.hi < 1e-7 and abs(f_mid - level) < 1e-6
             if converged or self.left == 0:
@@ -284,20 +313,27 @@ def find_threshold(
     fidelity sits within 1e-6 of the level, or for at most 200 probes.  Rows
     where the level is unreachable (or already exceeded at the smallest T, so
     no crossing exists in range) are omitted and noted in the diagnostics
-    list.  The plan is compiled once.  Each round scores, in one batch, for
-    every p still searching, a tree of probes ahead (see PROBE_TREE_DEPTH)
-    and a chain below it towards an interpolated crossing (see
-    ``_Bisection.probes``), at most twice as long as the p's last round
-    walked (2 * PROBE_TREE_DEPTH probes in its first round).  Each search
-    then takes its next probe while that probe was scored, so the probes and
-    rows are those of a plain bisection, and no search takes more rounds than
-    with the tree alone.
+    list.  The grid ends must lie in [2**-511, 2**511] ms.  The plan is
+    compiled once.  A first batch scores, for every p, the grid values (which
+    the monotonicity check and the diagnostics read) and a tree of probes
+    FIRST_TREE_DEPTH levels deep.  Each later round scores, in one batch, for
+    every p still searching, a tree of probes PROBE_TREE_DEPTH levels deep
+    and a chain below it towards the crossing's estimate from all the points
+    that p has scored (see ``_Bisection.aim``), twice as long as the p's
+    last round walked.  Each search then takes its next probe while that
+    probe was scored, so the probes and rows are those of a plain bisection.
     """
     if math.isnan(level):
         raise ValueError("threshold level must be a number, got nan")
     t_lo, t_hi = min(config.t_grid_ms), max(config.t_grid_ms)
     if math.isinf(t_hi):
         raise ValueError("threshold search needs a finite T grid")
+    # Between these ends the product of two probes is a finite normal float,
+    # so math.sqrt(lo * hi) neither overflows to inf nor underflows to 0.
+    if not (2.0**-511 <= t_lo and t_hi <= 2.0**511):
+        raise ValueError(
+            f"threshold search needs T grid ends in [2**-511, 2**511] ms, got {t_lo!r} and {t_hi!r}"
+        )
     compiled = _compile(config)
 
     def worst(points: list[tuple[float, float]]) -> list[float]:
@@ -305,11 +341,13 @@ def find_threshold(
 
     # The grid values double as the bracket ends: sorted, they run from t_lo to t_hi.
     grid = sorted(config.t_grid_ms)
-    curves = worst([(p, t) for p in config.p_grid for t in grid])
+    first = grid + _probe_tree(t_lo, t_hi, FIRST_TREE_DEPTH)
+    scores = worst([(p, t) for p in config.p_grid for t in first])
     diagnostics: list[str] = []
     searches: list[_Bisection] = []
     for i, p in enumerate(config.p_grid):
-        curve = curves[i * len(grid) : (i + 1) * len(grid)]
+        row = scores[i * len(first) : (i + 1) * len(first)]
+        curve = row[: len(grid)]
         if any(b < a - 1e-12 for a, b in zip(curve, curve[1:])):
             raise ValueError(f"worst-resource fidelity is not monotone in T at p={p}")
         if curve[-1] < level:
@@ -317,14 +355,15 @@ def find_threshold(
         elif curve[0] >= level:
             diagnostics.append(f"p={p}: already above level at T={t_lo} (fidelity {curve[0]:.6f})")
         else:
-            searches.append(_Bisection(p, t_lo, t_hi, curve[0], curve[-1]))
-    active = searches
+            searches.append(_Bisection(p, t_lo, t_hi, dict(zip(first, row))))
+    active = [s for s in searches if not s.walk(level)]
     while active:
         probes = [s.probes(level) for s in active]
         scores = worst([(s.p, t) for s, ts in zip(active, probes) for t in ts])
         searching, start = [], 0
         for search, ts in zip(active, probes):
-            if not search.walk(dict(zip(ts, scores[start : start + len(ts)])), level):
+            search.scored.update(zip(ts, scores[start : start + len(ts)]))
+            if not search.walk(level):
                 searching.append(search)
             start += len(ts)
         active = searching

@@ -585,26 +585,35 @@ def _weights(compiled: CompiledPlan, points) -> np.ndarray:
     """Weight table of a batch of (p, t_ms, big_t_ms, qubit_times_ms) points, a column per point.
 
     Each point is checked as :func:`standard_noise` checks its arguments: p,
-    then ids, then the waits it reads, raising for the first vertex in order.
+    then ids, then the waits it reads, raising for the first vertex in order,
+    and the points in batch order.  A point without ``qubit_times_ms`` reads
+    one q for every qubit; these fill the q rows in one assignment, and each
+    point with waits then overwrites the rows of its waiting qubits.
     """
     points = list(points)
     q_row = {v: _DEPHASING + 1 + 3 * s for s, v in enumerate(compiled.dephasing)}
     table = np.zeros((_DEPHASING - 1 + 3 * len(q_row), len(points)))
-    for j, (p, t_ms, big_t_ms, qubit_times_ms) in enumerate(points):
+    uniform = [0.0] * len(points)  # each point's q at t_ms, if it reads one
+    waited: list[tuple[int, int, float]] = []  # (row, point, q) of each waiting qubit
+    for j, (p, t_ms, big_t_ms, waits) in enumerate(points):
         _check_depolarizing(p)
-        waits = qubit_times_ms or {}
+        if not waits:
+            if compiled.qubits:  # else standard_noise never reads t_ms
+                uniform[j] = dephasing_probability(t_ms, big_t_ms)
+            continue
         _check_wait_ids(waits, compiled.qubits)
         try:
             q = {t: dephasing_probability(t, big_t_ms) for t in waits.values()}
             if len(waits) < len(compiled.qubits):  # else standard_noise never reads t_ms
-                table[_DEPHASING + 1 :: 3, j] = dephasing_probability(t_ms, big_t_ms)
+                uniform[j] = dephasing_probability(t_ms, big_t_ms)
         except ValueError:
             for v in sorted(compiled.qubits):  # raise for the first vertex, as standard_noise does
                 dephasing_probability(waits.get(v, t_ms), big_t_ms)
             raise
-        for v, t in waits.items():
-            if v in q_row:
-                table[q_row[v], j] = q[t]
+        waited += [(q_row[v], j, q[t]) for v, t in waits.items() if v in q_row]
+    table[_DEPHASING + 1 :: 3] = uniform
+    for row, j, q_v in waited:
+        table[row, j] = q_v
     p = np.array([point[0] for point in points], dtype=np.float64)
     w = (1.0 - p) / 4.0
     table[_DEPOLARIZING] = p + w

@@ -746,6 +746,28 @@ class TestConfigChecks:
         config = ExperimentConfig(2, 2, t_grid_ms=(1.0, math.inf))
         assert _error(lambda: find_threshold(config)) == "threshold search needs a finite T grid"
 
+    @pytest.mark.parametrize(
+        "t_grid, protocol_ms",
+        # sqrt(lo * hi) of these ends overflows to inf or underflows to 0.
+        [((1e200, 1e300), 1e250), ((1e-200, 1e-150), 1e-175), ((2.0**-512, 1.0), 1.0), ((1.0, 2.0**512), 1.0)],
+    )
+    def test_threshold_needs_t_grid_ends_within_2_to_511(self, tmp_path, capsys, t_grid, protocol_ms):
+        path = tmp_path / "config.json"
+        data = {"kappa_b_hat": 2, "n_o": 2, "p_grid": [0.99], "T_grid_ms": list(t_grid), "protocol_time_ms": protocol_ms}
+        path.write_text(json.dumps(data))
+        assert cli.main(["threshold", "--config", str(path), "--level", "0.8"]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        lo, hi = t_grid
+        assert err == f"error: threshold search needs T grid ends in [2**-511, 2**511] ms, got {lo!r} and {hi!r}\n"
+
+    def test_threshold_takes_t_grid_ends_at_2_to_511(self):
+        # Every probe between these ends is a finite normal float.
+        for t_grid, protocol_ms in [((2.0**-511, 2.0**511), 1.0), ((2.0**-511, 2.0**-400), 2.0**-450)]:
+            config = ExperimentConfig(2, 2, p_grid=(0.99, 0.9), t_grid_ms=t_grid, protocol_time_ms=protocol_ms)
+            rows, diagnostics = find_threshold(config)
+            assert diagnostics == [] and all(t_grid[0] < t < t_grid[1] for _, t in rows)
+
 
 class TestVerifyCounts:
     @pytest.mark.parametrize(

@@ -18,7 +18,14 @@ from entroll.experiments import (
     verify,
 )
 from entroll.gtl import GtlParams, build_gtl, gtl_to_json
-from entroll.noise import propagate, standard_noise, component_fidelities
+from entroll.noise import (
+    compile_plan,
+    compiled_fidelities,
+    component_fidelities,
+    propagate,
+    score_points,
+    standard_noise,
+)
 from entroll.oracle import MAX_CROSSCHECK_QUBITS, crosscheck
 from entroll.rolling import default_resolution_plan
 
@@ -323,6 +330,33 @@ class TestThreshold:
             assert len(rows) == 5 and len(diagnostics) == 2
             for p in curves:  # the grid call, then at most ceil(200 / 3) = 67 rounds per search
                 assert sum(p in batch for batch in batches[1:]) <= 67
+
+    def test_real_searches_take_at_most_four_rounds(self, monkeypatch):
+        # Brackets and p pairs of the benchmark's threshold calls on its
+        # (2, 10) and (3, 6) instances.  Chains aimed by a straight line in
+        # log T between the bracket ends would take 4 rounds on each of them.
+        calls = []
+
+        def counting(compiled, points):
+            calls.append(points)
+            return score_points(compiled, points)
+
+        monkeypatch.setattr(experiments, "score_points", counting)
+        rounds = []
+        for kb, n_o in [(2, 10), (3, 6)]:
+            state = build_gtl(GtlParams.specialized(kb, n_o))
+            compiled = compile_plan(state.graph, default_resolution_plan(state, "bell"))
+            for p_grid, t_grid in [((0.9, 0.91), (1.0, 1000.0)), ((0.92, 0.94), (2.0, 500.0)),
+                                   ((0.95, 0.96), (0.5, 1000.0)), ((0.98, 0.99), (0.25, 400.0))]:
+                calls.clear()
+                config = ExperimentConfig(kappa_b_hat=kb, n_o=n_o, p_grid=p_grid, t_grid_ms=t_grid)
+                rows, diagnostics = find_threshold(config)
+                rounds.append(len(calls))
+                curves = {p: lambda t, p=p: min(compiled_fidelities(compiled, p, 1.0, t).values()) for p in p_grid}
+                assert (rows, diagnostics) == plain_bisection(curves, t_grid, 0.5)
+                assert len(rows) == 2
+        assert max(rounds) <= 4
+        assert sum(rounds) <= 26  # most calls take 3 rounds
 
     def test_nan_level_is_rejected(self):
         config = ExperimentConfig(kappa_b_hat=2, n_o=2, p_grid=(0.9,), t_grid_ms=(1.0, 100.0))

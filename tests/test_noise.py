@@ -1171,6 +1171,38 @@ class TestCompiledPlan:
         message = _raised(lambda: compiled_fidelities(compiled, p, t_ms, big_t_ms, times))
         assert message == _raised(lambda: standard_noise(state.graph, p, t_ms, big_t_ms, times))
 
+    # A batch with two or three bad points, with and without waits, raises
+    # the first one's error, as scoring its points one by one would.
+    BATCH = {
+        "good": (0.9, 1.0, 5.0, None),
+        "good waits": (0.95, 1.0, 5.0, {3: 1.0, 6: 0.0}),
+        "off-graph id": (0.9, 1.0, 5.0, {999: 1.0}),
+        "bad T": (0.9, 1.0, 0.0, None),
+        "bad wait": (0.9, 1.0, 5.0, {3: -2.0}),
+        "bad t": (0.9, -1.0, 5.0, None),
+        "bad p": (1.5, 1.0, 5.0, {3: 1.0}),
+    }
+
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("good", "good waits", "bad T", "bad p"),
+            ("good", "off-graph id", "bad T", "bad p"),
+            ("good waits", "bad wait", "bad t", "good"),
+            ("good waits", "good", "bad t", "bad wait"),
+            ("good", "good waits", "bad p", "bad T"),
+        ],
+    )
+    def test_batch_raises_for_its_first_bad_point(self, names):
+        state = build_gtl(GtlParams.specialized(2, 2))
+        compiled = compile_plan(state.graph, default_resolution_plan(state, "bell"))
+        batch = [self.BATCH[name] for name in names]
+        first_bad, *later = (point for name, point in zip(names, batch) if not name.startswith("good"))
+        message = _raised(lambda: score_points(compiled, batch))
+        assert message == _raised(lambda: standard_noise(state.graph, *first_bad))
+        for point in later:
+            assert message != _raised(lambda: standard_noise(state.graph, *point))
+
     @pytest.mark.parametrize(
         "times, bad",
         [({999: -1.0}, 999), ({3: 2.0, 999: -1.0}, 999), ({-4: -1.0, 0: 0.5}, -4), ({4000: 5.0, -3: 9.0}, 4000)],
