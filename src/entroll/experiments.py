@@ -335,6 +335,8 @@ def find_threshold(
             f"threshold search needs T grid ends in [2**-511, 2**511] ms, got {t_lo!r} and {t_hi!r}"
         )
     compiled = _compile(config)
+    if not compiled.components:
+        raise ValueError("threshold search needs a component to score, but the plan leaves none")
 
     def worst(points: list[tuple[float, float]]) -> list[float]:
         return [min(row) for row in _score(config, compiled, points)]

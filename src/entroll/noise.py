@@ -692,34 +692,18 @@ def _counting(basis) -> list[int]:
     return keys
 
 
-def _transition(basis: tuple[int, ...], m: tuple[int, ...]):
-    """One step of _xor_convolve run on keys, in closed form over bases (see the module docstring).
-
-    ``basis`` is the law's and ``m`` the term's, which must be independent.
-    Returns the next basis and a :func:`_tables` partial making the
-    (contributions, next keys) table pair: each product's parent index and
-    marginal code.
-    """
-    s = len(m)
-    relations = _relations(m + basis)  # bit j names (m + basis)[j]; the top bit, a dependent basis vector
-    assert all(t >> s for t in relations), f"term basis {m} is dependent"
-    dependent = sum(1 << t.bit_length() - 1 - s for t in relations)
-    nxt = m + tuple(b for j, b in enumerate(basis) if not dependent >> j & 1)
-    return nxt, functools.partial(_tables, len(basis), s, dependent, tuple(_counting(relations)))
-
-
 @functools.lru_cache(maxsize=16)
-def _tables(dim: int, s: int, dependent: int, inside: tuple[int, ...], kept=None) -> np.ndarray:
-    """A transition's table pair, read-only, over the next indices that the tags ``kept`` span, in
-    counting order; all of them if None.
+def _tables(dim: int, s: int, dependent: int, inside: tuple[int, ...], kept: tuple[int, ...]) -> np.ndarray:
+    """A transition's table pair, read-only: each product's parent index and marginal code, over the
+    next indices that the tags ``kept`` span, in counting order.
 
-    The tables depend on these arguments only: the parent law's dimension,
-    the term's, the parent's dependent positions and the tags of T,
-    ascending.  The default plans' programs use the same dozen or fewer, so
-    they are cached.
+    The tables depend on these arguments only, which :func:`_step` derives:
+    the parent law's dimension, the term's, the parent's dependent
+    positions, the tags of T, ascending, and the kept tags.  The default
+    plans' programs use the same dozen or fewer, so they are cached.
     """
     i, t = np.arange(1 << dim), np.array(inside)[:, None]
-    x = np.arange(1 << dim + s - dependent.bit_count()) if kept is None else np.array(_counting(kept))
+    x = np.array(_counting(kept))
     pair = np.array((i[i & dependent == 0][x >> s] ^ t >> s, _CODE_SLOT + ((x ^ t) & (1 << s) - 1)))
     pair.flags.writeable = False
     return pair
@@ -742,18 +726,23 @@ def _span(basis: tuple[int, ...], vectors) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=4096)
 def _step(basis: tuple[int, ...], m: tuple[int, ...], needed: tuple[int, ...]):
-    """The kept basis of the child of a law with ``basis`` under a term with basis ``m``, and the
-    :func:`_tables` arguments of its tables, the child keeping the keys in the subspace ``needed``.
+    """One step of _xor_convolve run on keys, in closed form over bases (see the module docstring).
 
-    The kept indices, those of the next keys in the span of ``needed``, form
-    a subspace of the index space: the relations of ``needed + nxt`` without
-    their bits on ``needed``.  Its echelon basis (:func:`_relations`) gives
-    the kept basis, whose counting order is the ascending order of those
-    indices.
+    ``basis`` is the law's and ``m`` the term's, which must be independent.
+    Returns the child's kept basis, spanning its keys in the subspace
+    ``needed``, and the :func:`_tables` arguments of its tables.  The kept
+    indices form a subspace of the index space: the relations of ``needed +
+    nxt`` without their bits on ``needed``, whose echelon basis
+    (:func:`_relations`) gives the kept basis in ascending index order.
     """
-    nxt, tables = _transition(basis, m)
-    tags = tuple(t >> len(needed) for t in _relations(needed + nxt))
-    return tuple(_compose(t, dict(enumerate(nxt))) for t in tags), (*tables.args, tags)
+    s = len(m)
+    relations = _relations(m + basis)  # bit j names (m + basis)[j]; the top bit, a dependent basis vector
+    assert all(t >> s for t in relations), f"term basis {m} is dependent"
+    dependent = sum(1 << t.bit_length() - 1 - s for t in relations)
+    nxt = m + tuple(b for j, b in enumerate(basis) if not dependent >> j & 1)
+    kept = tuple(t >> len(needed) for t in _relations(needed + nxt))
+    tables = (len(basis), s, dependent, tuple(_counting(relations)), kept)
+    return tuple(_compose(t, dict(enumerate(nxt))) for t in kept), tables
 
 
 def _build_program(compiled: CompiledPlan, zero: np.ndarray) -> _Program:
@@ -764,10 +753,10 @@ def _build_program(compiled: CompiledPlan, zero: np.ndarray) -> _Program:
     weight.  A node is a distinct prefix of some component's kept terms, a
     term's kind being its (basis, first weight row) pair.  A node keeps the
     keys of its law in its needed subspace, the span of the terms below it
-    (see the module docstring).  Transitions are memoized on the parent's
-    basis, the term's and the node's needed subspace, so the nodes of a
-    ladder share them; a node's codes are its template's, moved onto its
-    kind's weight rows.  The tables use the narrowest unsigned type that
+    (see the module docstring).  Each transition comes from :func:`_step`,
+    memoized on the parent's basis, the term's and the node's needed
+    subspace, so the nodes of a ladder share it; a node's codes are its
+    template's (:func:`_tables`), moved onto its kind's weight rows.  The tables use the narrowest unsigned type that
     holds their entries.  Their size sets the scoring's peak memory, so a
     law above _MAX_LAW_KEYS keys raises a ValueError before any table is made.
     """

@@ -221,10 +221,12 @@ _NOT_SPECIALIZED = "extraction needs the specialized regime kappa_c = 2*kappa_b_
 
 
 def _require_specialized(state: GtlState, message: str = _NOT_SPECIALIZED) -> GtlParams:
-    """The state's parameters, which must be in the specialized regime with kappa_b_hat >= 2."""
+    """The state's parameters: specialized, with kappa_b_hat >= 2 and n_o its chain's length."""
     params = state.params
     if params is None or not params.is_specialized or params.kappa_b_hat < 2:
         raise ValueError(message)
+    if len(state.orch) != params.n_o:
+        raise ValueError(f"state's orch has length {len(state.orch)}, but its params give n_o={params.n_o}")
     return params
 
 

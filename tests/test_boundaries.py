@@ -879,3 +879,85 @@ class TestSizeBound:
         assert out == ""
         component = "-".join(map(str, range(29)))
         assert err == f"error: scoring component {component} takes 524,288 keys (at most 262,144)\n"
+
+
+class TestPathIsADirectory:
+    # Reading or writing a directory raises IsADirectoryError, an OSError.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inspect", "{dir}"],
+            ["resolve", "{dir}"],
+            ["resolve", "{state}", "--plan", "{dir}"],
+            ["sweep", "--config", "{dir}"],
+            ["threshold", "--config", "{dir}"],
+            ["verify", "--state", "{dir}"],
+        ],
+        ids=["inspect", "resolve", "resolve-plan", "sweep-config", "threshold-config", "verify-state"],
+    )
+    def test_input_path(self, tmp_path, capsys, argv):
+        self._assert_one_error_line(tmp_path, capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--kappa-b", "2", "--n-o", "2", "--out", "{dir}"],
+            ["inspect", "{state}", "--out", "{dir}"],
+            ["resolve", "{state}", "--out", "{dir}"],
+            ["sweep", "--kappa-b", "2", "--n-o", "2", "--out", "{dir}"],
+            ["threshold", "--kappa-b", "2", "--n-o", "2", "--p-grid", "0.9", "--t-grid", "1,100", "--out", "{dir}"],
+        ],
+        ids=["build", "inspect", "resolve", "sweep", "threshold"],
+    )
+    def test_output_path(self, tmp_path, capsys, argv):
+        self._assert_one_error_line(tmp_path, capsys, argv)
+
+    @staticmethod
+    def _assert_one_error_line(tmp_path, capsys, argv):
+        state, directory = tmp_path / "state.json", tmp_path / "dir"
+        state.write_text(STATE_JSON)
+        directory.mkdir()
+        argv = [a.format(dir=directory, state=state) for a in argv]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and str(directory) in err
+
+
+class TestChainDisagreesWithParams:
+    # STATE's params give n_o=2; an orch of another length is no chain they describe.
+    @pytest.mark.parametrize("orch", [[], [0]])
+    def test_cli_resolve_prints_one_error_line(self, tmp_path, capsys, orch):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**json.loads(STATE_JSON), "orch": orch}))
+        assert cli.main(["resolve", str(path)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: state's orch has length {len(orch)}, but its params give n_o=2\n"
+
+    @pytest.mark.parametrize("orch", [(), (0,), (0, 1, 2)])
+    def test_closed_forms_are_refused(self, orch):
+        state = dataclasses.replace(STATE, orch=orch)
+        message = f"state's orch has length {len(orch)}, but its params give n_o=2"
+        assert _error(lambda: closed_form_maps(state, _plan(((0, 2), (1, 6))), 0.9)) == message
+        assert _error(lambda: default_resolution_plan(state)) == message
+
+
+class TestPlanLeavingNoComponent:
+    # Isolating every peer of (2, 2) leaves only the two unmeasured orchestration qubits, apart.
+    CONFIG = {"kappa_b_hat": 2, "n_o": 2, "p_grid": [0.9], "T_grid_ms": [1, 100],
+              "plan": {"steps": [], "isolation": [2, 3, 4, 5, 6, 7]}}
+
+    def test_threshold_prints_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.CONFIG))
+        assert cli.main(["threshold", "--config", str(path)]) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: threshold search needs a component to score, but the plan leaves none\n"
+
+    def test_sweep_writes_its_header(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(self.CONFIG))
+        assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr() == ("p,T_ms,resource_id,fidelity\n", "")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from entroll.experiments import (
 )
 from entroll.gtl import GtlParams, build_gtl, gtl_to_json
 from entroll.noise import (
+    NoiseMap,
     compile_plan,
     compiled_fidelities,
     component_fidelities,
@@ -26,8 +28,8 @@ from entroll.noise import (
     score_points,
     standard_noise,
 )
-from entroll.oracle import MAX_CROSSCHECK_QUBITS, crosscheck
-from entroll.rolling import default_resolution_plan
+from entroll.oracle import MAX_CROSSCHECK_QUBITS, CrosscheckEntry, CrosscheckReport, crosscheck
+from entroll.rolling import bridge_pick_plans, default_resolution_plan
 
 # The CLI runs in a child process; point it at this checkout's package.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -369,6 +371,19 @@ class TestThreshold:
         assert rows == []
         assert any("unreachable" in d for d in diagnostics)
 
+    def test_non_monotone_curve_is_refused(self, tmp_path, capsys, monkeypatch):
+        # A worst fidelity that falls between grid values is no threshold curve.
+        monkeypatch.setattr(experiments, "_score", lambda config, compiled, points: [[1.0 / t] for _, t in points])
+        config = ExperimentConfig(kappa_b_hat=2, n_o=2, p_grid=(0.9,), t_grid_ms=(1.0, 100.0))
+        message = "worst-resource fidelity is not monotone in T at p=0.9"
+        with pytest.raises(ValueError) as info:
+            find_threshold(config)
+        assert str(info.value) == message
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_json()))
+        assert cli.main(["threshold", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_larger_chains_need_longer_memory(self):
         curves = {}
         for n_o in (2, 3):
@@ -400,6 +415,58 @@ class TestVerify:
     def test_unknown_scope(self):
         with pytest.raises(ValueError):
             verify(scope="everything")
+
+    @staticmethod
+    def _assert_fails(capsys, line, **kwargs):
+        """``verify(**kwargs)`` reports ``line`` and fails; so does ``entroll verify``, with exit 2."""
+        report = verify(**kwargs)
+        assert report.ok is False
+        assert line in report.lines()
+        argv = [a for k, v in kwargs.items() for a in (f"--{k.replace('_', '-')}", str(v))]
+        assert cli.main(["verify", *argv]) == cli.EXIT_VERIFY
+        assert line in capsys.readouterr().out.splitlines()
+
+    def test_structure_failure_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "schmidt_upper_bound", lambda state: state.params.n_o + 1)
+        bad = "; ".join(
+            f"GtlParams(kappa_b_hat=1, kappa_c={kc}, n_o=1): adjacency rank != 2 n_o" for kc in (2, 3, 4)
+        )
+        line = f"[FAIL] structure round-trip: {bad}"
+        self._assert_fails(capsys, line, scope="structure", max_kappa_b=1, max_n_o=1)
+
+    def test_rolling_failure_is_reported(self, capsys, monkeypatch):
+        # A step that changes nothing breaks every postcondition; the detail names the first three.
+        monkeypatch.setattr(
+            experiments, "rolling_step", lambda state, o, b0: types.SimpleNamespace(graph=state.graph.copy())
+        )
+        step = "GtlParams(kappa_b_hat=2, kappa_c=4, n_o=2) step 1,3"
+        bad = "; ".join(
+            f"{step}: {failure}"
+            for failure in ("support star broken", "rolled set not adjacent to 0", "non-support bridge 2 kept edges")
+        )
+        line = f"[FAIL] rolling-step postconditions: {bad}"
+        self._assert_fails(capsys, line, scope="rolling", max_kappa_b=2, max_n_o=2, trials=1)
+
+    def test_closed_form_failure_is_reported(self, capsys, monkeypatch):
+        # Qubit 0's map of the (2, 3) resource's first plan is replaced by the identity.
+        closed_form_maps = experiments.closed_form_maps
+
+        def perturbed(state, plan, p):
+            maps = closed_form_maps(state, plan, p)
+            if state.params.n_o == 3 and plan == bridge_pick_plans(state, limit=1)[0]:
+                maps[0] = NoiseMap.from_weights(0, {(): 1.0})
+            return maps
+
+        monkeypatch.setattr(experiments, "closed_form_maps", perturbed)
+        bad = "GtlParams(kappa_b_hat=2, kappa_c=4, n_o=3): closed form differs on qubit 0"
+        self._assert_fails(capsys, f"[FAIL] closed forms vs stepwise: {bad}", scope="nsf", max_qubits=5)
+
+    def test_crosscheck_failure_is_reported(self, capsys, monkeypatch):
+        report = CrosscheckReport((CrosscheckEntry((0, 1), 0.5, 0.75),))
+        monkeypatch.setattr(experiments.oracle, "crosscheck", lambda state, plan, **kwargs: report)
+        params = "GtlParams(kappa_b_hat=2, kappa_c=4, n_o=1)"
+        bad = f"{params} p=0.8: delta 2.50e-01; {params} p=1.0: delta 2.50e-01"
+        self._assert_fails(capsys, f"[FAIL] oracle crosscheck: {bad}", scope="nsf", max_qubits=5)
 
     def test_default_bound_is_the_crosscheck_bound(self):
         assert inspect.signature(verify).parameters["max_qubits"].default == MAX_CROSSCHECK_QUBITS

@@ -983,8 +983,10 @@ class TestTransition:
                     for _ in range(s - overlap):
                         m.append(independent_vector(rng, None, basis + m))
                     rng.shuffle(m)
-                    following, tables = noise._transition(tuple(basis), tuple(m))
-                    src, code = tables()
+                    # A needed subspace spanning every next key keeps them all.
+                    needed = noise._span((), tuple(basis + m))
+                    following, tables = noise._step(tuple(basis), tuple(m), needed)
+                    src, code = noise._tables(*tables)
                     sums = replay_transition(counting_order(basis), counting_order(m))
                     assert counting_order(following) == list(sums)
                     assert len(following) == len(basis) + s - overlap
@@ -995,7 +997,7 @@ class TestTransition:
     @pytest.mark.parametrize("marginal", [(0,), (1, 1), (0, 4), (4, 0), (3, 3)])
     def test_signature_outside_the_invariant_is_refused(self, marginal):
         with pytest.raises(AssertionError):
-            noise._transition((1, 2), marginal)
+            noise._step((1, 2), marginal, noise._span((), (1, 2) + marginal))
 
     @pytest.mark.parametrize("kb, n_o, target", BENCH_INSTANCES)
     def test_bench_signatures_span_two_keys(self, kb, n_o, target):
