@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import oracle
-from .graphstate import check_vertex_id, json_field, json_float, json_int, json_object
+from .graphstate import check_vertex_id, json_field, json_float, json_int, json_list, json_object
 from .gtl import GtlParams, GtlState, bridge_neighborhoods, build_gtl, validate_gtl
 from .noise import (
     CompiledPlan,
@@ -57,13 +57,11 @@ __all__ = [
 
 _REQUIRED = object()
 
-# A threshold search's first batch scores, per p, its grid values and the
-# midpoints of every bracket its first FIRST_TREE_DEPTH bisection probes can
-# reach.  Each later round scores, per p, the tree of the next
-# PROBE_TREE_DEPTH probes (2**PROBE_TREE_DEPTH - 1 points), so that no round
-# advances it fewer levels, plus the predicted chain below the tree (see
-# _Bisection.probes).
-FIRST_TREE_DEPTH = 4
+# Every batch of a threshold search scores, per p, the midpoints of every
+# bracket its next PROBE_TREE_DEPTH bisection probes can reach
+# (2**PROBE_TREE_DEPTH - 1 points), so that no round advances it fewer
+# levels.  The first batch adds the grid values; each later one, the
+# predicted chain below the tree (see _Bisection.probes).
 PROBE_TREE_DEPTH = 3
 
 
@@ -116,10 +114,10 @@ class ExperimentConfig:
             check_vertex_id(v := json_int(value))
             return v
 
-        def _list(value: object) -> list:
-            if not isinstance(value, (list, tuple)):
-                raise TypeError(f"expected a list, got {type(value).__name__}")
-            return list(value)
+        def _waits(value: object) -> tuple[tuple[int, float], ...]:
+            if value is not None and not isinstance(value, dict):
+                raise TypeError(f"expected an object, got {type(value).__name__}")
+            return tuple(sorted((_vertex(k), json_float(t)) for k, t in (value or {}).items()))
 
         def field(name: str, parse, default=_REQUIRED):
             if name not in data:
@@ -133,14 +131,10 @@ class ExperimentConfig:
             kappa_b_hat=field("kappa_b_hat", json_int),
             n_o=field("n_o", json_int),
             target=field("target", str, "bell"),
-            p_grid=field("p_grid", lambda v: tuple(json_float(p) for p in _list(v)), (1.0,)),
-            t_grid_ms=field("T_grid_ms", lambda v: tuple(_t(t) for t in _list(v)), (math.inf,)),
+            p_grid=field("p_grid", lambda v: tuple(json_float(p) for p in json_list(v)), (1.0,)),
+            t_grid_ms=field("T_grid_ms", lambda v: tuple(_t(t) for t in json_list(v)), (math.inf,)),
             protocol_time_ms=field("protocol_time_ms", json_float, 1.0),
-            qubit_times_ms=field(
-                "qubit_times_ms",
-                lambda v: tuple(sorted((_vertex(k), json_float(t)) for k, t in (v or {}).items())),
-                (),
-            ),
+            qubit_times_ms=field("qubit_times_ms", _waits, ()),
             plan=field("plan", lambda v: None if v is None else ResolutionPlan.from_json(v), None),
             seed=field("seed", json_int, 0),
         )
@@ -239,7 +233,6 @@ class _Bisection:
     hi: float
     scored: dict[float, float]
     left: int = 200
-    chain: int = 0  # twice the probes the last round walked
 
     def aim(self, level: float) -> float:
         """The crossing's estimate: inverse cubic interpolation in log T, clamped to the bracket.
@@ -272,13 +265,12 @@ class _Bisection:
 
         The chain goes on from the tree leaf that holds the crossing's
         estimate (see ``aim``), taking the probes a bisection would take if
-        the crossing sat there.  It ends after ``chain`` probes, at the 1e-7
-        stop width, or at the probe cap.
+        the crossing sat there, down to the 1e-7 stop width or the probe cap.
         """
         depth = min(PROBE_TREE_DEPTH, self.left)
         t_hat = self.aim(level)
         lo, hi, path = self.lo, self.hi, []
-        for n in range(min(self.left, depth + self.chain)):
+        for n in range(self.left):
             if n >= depth and (hi - lo) / hi < 1e-7:
                 break
             mid = math.sqrt(lo * hi)
@@ -288,18 +280,13 @@ class _Bisection:
 
     def walk(self, level: float) -> bool:
         """Take probes in turn while the next one was scored; True once the search stops."""
-        left = self.left
         while (mid := math.sqrt(self.lo * self.hi)) in self.scored:
             f_mid = self.scored[mid]
-            if f_mid >= level:
-                self.hi = mid
-            else:
-                self.lo = mid
+            self.lo, self.hi = (self.lo, mid) if f_mid >= level else (mid, self.hi)
             self.left -= 1
             converged = (self.hi - self.lo) / self.hi < 1e-7 and abs(f_mid - level) < 1e-6
             if converged or self.left == 0:
                 return True
-        self.chain = 2 * (left - self.left)
         return False
 
 
@@ -314,14 +301,14 @@ def find_threshold(
     where the level is unreachable (or already exceeded at the smallest T, so
     no crossing exists in range) are omitted and noted in the diagnostics
     list.  The grid ends must lie in [2**-511, 2**511] ms.  The plan is
-    compiled once.  A first batch scores, for every p, the grid values (which
-    the monotonicity check and the diagnostics read) and a tree of probes
-    FIRST_TREE_DEPTH levels deep.  Each later round scores, in one batch, for
-    every p still searching, a tree of probes PROBE_TREE_DEPTH levels deep
-    and a chain below it towards the crossing's estimate from all the points
-    that p has scored (see ``_Bisection.aim``), twice as long as the p's
-    last round walked.  Each search then takes its next probe while that
-    probe was scored, so the probes and rows are those of a plain bisection.
+    compiled once.  Every batch scores, for each p still searching, a tree
+    of probes PROBE_TREE_DEPTH levels deep.  The first batch adds every p's
+    grid values, which the monotonicity check and the diagnostics read.
+    Each later batch adds a chain below the tree towards the crossing's
+    estimate from all the points that p has scored (see
+    ``_Bisection.aim``), down to the stop width or the probe cap.  Each
+    search then takes its next probe while that probe was scored, so the
+    probes and rows are those of a plain bisection.
     """
     if math.isnan(level):
         raise ValueError("threshold level must be a number, got nan")
@@ -343,7 +330,7 @@ def find_threshold(
 
     # The grid values double as the bracket ends: sorted, they run from t_lo to t_hi.
     grid = sorted(config.t_grid_ms)
-    first = grid + _probe_tree(t_lo, t_hi, FIRST_TREE_DEPTH)
+    first = grid + _probe_tree(t_lo, t_hi, PROBE_TREE_DEPTH)
     scores = worst([(p, t) for p in config.p_grid for t in first])
     diagnostics: list[str] = []
     searches: list[_Bisection] = []
@@ -361,14 +348,10 @@ def find_threshold(
     active = [s for s in searches if not s.walk(level)]
     while active:
         probes = [s.probes(level) for s in active]
-        scores = worst([(s.p, t) for s, ts in zip(active, probes) for t in ts])
-        searching, start = [], 0
+        scores = iter(worst([(s.p, t) for s, ts in zip(active, probes) for t in ts]))
         for search, ts in zip(active, probes):
-            search.scored.update(zip(ts, scores[start : start + len(ts)]))
-            if not search.walk(level):
-                searching.append(search)
-            start += len(ts)
-        active = searching
+            search.scored.update(zip(ts, scores))  # zip stops at the end of ts, taking no extra score
+        active = [s for s in active if not s.walk(level)]
     return [(s.p, s.hi) for s in searches], diagnostics
 
 

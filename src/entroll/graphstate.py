@@ -424,6 +424,20 @@ def json_int(value: object) -> int:
     return out
 
 
+def json_list(value: object) -> list:
+    """A JSON array; a string or an object is refused rather than iterated."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return list(value)
+
+
+def json_pair(value: object) -> tuple[int, int]:
+    """A JSON array of exactly two integers."""
+    if len(pair := json_list(value)) != 2:
+        raise ValueError(f"expected a pair of integers, got {value!r}")
+    return json_int(pair[0]), json_int(pair[1])
+
+
 def json_float(value: object) -> float:
     """A real JSON value: ints, floats and numeric strings load; a bool is refused."""
     if isinstance(value, bool):
@@ -444,7 +458,8 @@ def graph_from_json(data: dict) -> Graph:
         if n > MAX_QUBITS:
             raise ValueError(f"{n} vertices exceed the bound of {MAX_QUBITS} qubits")
     with json_field("graph JSON", "labels"):
-        live = sorted(int(k) for k in data.get("labels") or {}) or list(range(n))
+        labels = data.get("labels") or {}
+        live = sorted(map(int, labels if isinstance(labels, dict) else json_list(labels))) or list(range(n))
         if live:
             check_vertex_id(live[0])
             check_vertex_id(live[-1])
@@ -455,7 +470,7 @@ def graph_from_json(data: dict) -> Graph:
     g._rows = [0] * (max(live, default=-1) + 1)
     g._live = _mask(live)
     with json_field("graph JSON", "edges"):
-        for u, v in data.get("edges", []):
-            g.add_edge(json_int(u), json_int(v))
+        for edge in json_list(data.get("edges", [])):
+            g.add_edge(*json_pair(edge))
     return g
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from .graphstate import (
-    MAX_QUBITS, Graph, _bits, _mask, graph_from_json, graph_to_json, json_field, json_int, json_object
+    MAX_QUBITS, Graph, _bits, _mask, graph_from_json, graph_to_json, json_field, json_int, json_list, json_object
 )
 
 __all__ = [
@@ -377,9 +377,9 @@ def gtl_from_json(data: dict) -> GtlState:
     json_object("GTL state", data)
     graph = graph_from_json(data)
     with json_field("GTL JSON", "orch"):
-        orch = tuple(json_int(o) for o in data["orch"])
+        orch = tuple(json_int(o) for o in json_list(data["orch"]))
     with json_field("GTL JSON", "peers"):
-        peers = frozenset(json_int(c) for c in data["peers"])
+        peers = frozenset(json_int(c) for c in json_list(data["peers"]))
     params = None
     if "params" in data:
         with json_field("GTL JSON", "params"):

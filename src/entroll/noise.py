@@ -110,7 +110,7 @@ import numpy as np
 
 from .graphstate import (
     Graph, _bits, _mask, _pauli_basis, check_vertex_id, component_key, json_field, json_float, json_int,
-    json_object, measure_pauli,
+    json_list, json_object, measure_pauli,
 )
 from .gtl import GtlState
 from .rolling import ResolutionPlan, _require_specialized, _roll
@@ -228,9 +228,9 @@ class NoiseMap:
             check_vertex_id(origin)
         with json_field("noise map", "branches"):
             weights: dict[frozenset[int], float] = {}
-            for b in data["branches"]:
+            for b in json_list(data["branches"]):
                 support: set[int] = set()
-                for v in [json_int(v) for v in b["support"]]:
+                for v in [json_int(v) for v in json_list(b["support"])]:
                     check_vertex_id(v)
                     if v in support:
                         raise ValueError(f"support lists vertex {v} twice")

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graphstate import (
-    Graph, MeasurementRecord, _bits, _mask, gf2_rank, json_field, json_int, json_object, measure_pauli
+    Graph, MeasurementRecord, _bits, _mask, gf2_rank, json_field, json_int, json_list, json_object, json_pair,
+    measure_pauli,
 )
 from .gtl import GtlParams, GtlState, _bridge_sides, _peer_predecessors
 
@@ -82,9 +83,9 @@ class ResolutionPlan:
         """Parse a plan object; a malformed field raises a ValueError naming it."""
         json_object("plan", data)
         with json_field("plan", "steps"):
-            steps = tuple((json_int(o), json_int(b)) for o, b in data["steps"])
+            steps = tuple(json_pair(step) for step in json_list(data["steps"]))
         with json_field("plan", "isolation"):
-            isolation = tuple(json_int(v) for v in data.get("isolation", []))
+            isolation = tuple(json_int(v) for v in json_list(data.get("isolation", [])))
         return cls(
             steps=steps,
             isolation=isolation,

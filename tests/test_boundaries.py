@@ -961,3 +961,78 @@ class TestPlanLeavingNoComponent:
         path.write_text(json.dumps(self.CONFIG))
         assert cli.main(["sweep", "--config", str(path)]) == cli.EXIT_OK
         assert capsys.readouterr() == ("p,T_ms,resource_id,fidelity\n", "")
+
+
+def _state_with(**fields) -> dict:
+    return {**json.loads(STATE_JSON), **fields}
+
+
+# (id, loader, parsed JSON, CLI command that reads it or None, error): a
+# string or an object where a list belongs was once iterated, so "03" read as
+# the ids 0 and 3, and a malformed qubit_times_ms once read as no waits.
+NOT_A_LIST_CASES = [
+    ("plan-steps-string", ResolutionPlan.from_json, {"steps": ["03"]}, "resolve",
+     "plan field 'steps': expected a list, got str"),
+    ("plan-steps-object", ResolutionPlan.from_json, {"steps": {"03": 1}}, "resolve",
+     "plan field 'steps': expected a list, got dict"),
+    ("plan-isolation", ResolutionPlan.from_json, {"steps": [], "isolation": "23"}, "resolve",
+     "plan field 'isolation': expected a list, got str"),
+    ("graph-edges", graph_from_json, _state_with(edges=["02", *json.loads(STATE_JSON)["edges"][1:]]), "inspect",
+     "graph JSON field 'edges': expected a list, got str"),
+    ("graph-labels", graph_from_json, _state_with(labels="01234567"), "inspect",
+     "graph JSON field 'labels': expected a list, got str"),
+    ("gtl-orch", gtl_from_json, _state_with(orch="01"), "inspect", "GTL JSON field 'orch': expected a list, got str"),
+    ("gtl-peers", gtl_from_json, _state_with(peers="234567"), "inspect",
+     "GTL JSON field 'peers': expected a list, got str"),
+    ("noise-support", NoiseMap.from_json, {"origin": 1, "branches": [{"p": 1.0, "support": "12"}]}, None,
+     "noise map field 'branches': expected a list, got str"),
+    *(
+        (f"qubit_times_ms-{name}", ExperimentConfig.from_json, {"kappa_b_hat": 2, "n_o": 2, "qubit_times_ms": value},
+         "sweep", f"config field 'qubit_times_ms': expected an object, got {kind}")
+        for name, kind, value in [
+            ("empty-list", "list", []), ("zero", "int", 0), ("empty-string", "str", ""), ("false", "bool", False),
+            ("pair-list", "list", [[4, 1.0]]),
+        ]
+    ),
+]
+
+
+class TestNotAList:
+    @pytest.mark.parametrize(
+        "load, data, message", [pytest.param(c[1], c[2], c[4], id=c[0]) for c in NOT_A_LIST_CASES]
+    )
+    def test_loader_names_the_field(self, load, data, message):
+        assert _error(lambda: load(data)) == message
+
+    @pytest.mark.parametrize(
+        "data, command, message", [pytest.param(*c[2:], id=c[0]) for c in NOT_A_LIST_CASES if c[3]]
+    )
+    def test_cli_prints_one_error_line(self, tmp_path, capsys, data, command, message):
+        path, state = tmp_path / "input.json", tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        state.write_text(STATE_JSON)
+        argv = {
+            "resolve": ["resolve", str(state), "--plan", str(path)],
+            "inspect": ["inspect", str(path)],
+            "sweep": ["sweep", "--config", str(path)],
+        }[command]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "load, data, field, pair",
+        [
+            (ResolutionPlan.from_json, {"steps": [[0, 3, 5]]}, "plan field 'steps'", [0, 3, 5]),
+            (graph_from_json, {"n": 3, "edges": [[0, 1], [2]]}, "graph JSON field 'edges'", [2]),
+        ],
+        ids=["step", "edge"],
+    )
+    def test_step_or_edge_needs_two_ids(self, load, data, field, pair):
+        assert _error(lambda: load(data)) == f"{field}: expected a pair of integers, got {pair!r}"
+
+    def test_lists_and_absent_waits_load(self):
+        plan = ResolutionPlan.from_json({"steps": [[0, 3]], "isolation": [2, 3]})
+        assert (plan.steps, plan.isolation) == (((0, 3),), (2, 3))
+        assert gtl_from_json(_state_with(labels=[str(v) for v in range(8)])) == STATE
+        for waits in (None, {}):
+            assert ExperimentConfig.from_json({"kappa_b_hat": 2, "n_o": 2, "qubit_times_ms": waits}).qubit_times_ms == ()

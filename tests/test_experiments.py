@@ -304,8 +304,9 @@ class TestThreshold:
         assert find_threshold(config, level=0.5) == ([(0.9, hi), (0.95, hi)], [])
         # The grid call, then at most ceil(200 / 3) = 67 rounds, as each walks its whole tree.
         assert len(scored) <= 68
-        # Each round scores, per search, the tree and a chain at most twice as
-        # long as the search's last walk (its first walk counts as the tree's depth).
+        # Each round scores, per search, the tree and a chain that ends at the
+        # 1e-7 stop width, which a bisection of [1, 100] reaches in 26 probes;
+        # past that width a round scores the tree alone.
         probes = sum(map(len, scored)) - 4  # after the four grid points of the monotonicity check
         depth = experiments.PROBE_TREE_DEPTH
         assert probes <= 2 * ((len(scored) - 1) * (2**depth - 1) + 2 * (depth + 200))
@@ -332,6 +333,72 @@ class TestThreshold:
             assert len(rows) == 5 and len(diagnostics) == 2
             for p in curves:  # the grid call, then at most ceil(200 / 3) = 67 rounds per search
                 assert sum(p in batch for batch in batches[1:]) <= 67
+
+    def test_each_batch_scores_one_tree_depth_and_chains_to_the_stop_width(self, monkeypatch, rng):
+        curves, batches = {}, []
+
+        def fake_score(config, compiled, points):
+            batches.append(points)
+            return [[curves[p](t), 2.0] for p, t in points]
+
+        monkeypatch.setattr(experiments, "_score", fake_score)
+        depth = experiments.PROBE_TREE_DEPTH
+        for _ in range(20):
+            level = rng.uniform(0.2, 0.8)
+            t_lo, t_hi = rng.uniform(0.1, 2.0), rng.uniform(50.0, 5000.0)
+            grid = (t_hi, math.sqrt(t_lo * t_hi) * 1.5, t_lo)
+            curves.clear()
+            for kind in ("sigmoid", "step", "small step", "plateau", "at a probe", "unreachable", "above"):
+                curves[round(0.5 + len(curves) / 20, 2)] = fake_curve(kind, level, (t_lo, t_hi), rng)
+            batches.clear()
+            config = ExperimentConfig(kappa_b_hat=2, n_o=2, p_grid=tuple(curves), t_grid_ms=grid)
+            rows, _ = find_threshold(config, level=level)
+            tree = experiments._probe_tree(t_lo, t_hi, depth)
+            for p in curves:  # len(grid) + 7 points per p
+                assert [t for q, t in batches[0] if q == p] == sorted(grid) + tree
+            # Replay each search probe by probe: (lo, hi, probes left, scored T).
+            searches = {p: (t_lo, t_hi, 200, set(grid + tuple(tree))) for p, _ in rows}
+            for i, batch in enumerate(batches):
+                for p, (lo, hi, left, scored) in list(searches.items()):
+                    scored.update(t for q, t in batch if q == p)
+                    f_mid = None
+                    while (mid := math.sqrt(lo * hi)) in scored:
+                        f_mid = curves[p](mid)
+                        lo, hi = (lo, mid) if f_mid >= level else (mid, hi)
+                        left -= 1
+                        if left == 0 or ((hi - lo) / hi < 1e-7 and abs(f_mid - level) < 1e-6):
+                            assert (p, hi) in rows
+                            del searches[p]
+                            break
+                    else:
+                        assert f_mid is not None  # every batch advances every search
+                        searches[p] = (lo, hi, left, scored)
+                if i == len(batches) - 1:
+                    assert not searches
+                    break
+                after = batches[i + 1]
+                assert {q for q, _ in after} == set(searches)
+                for p, (lo, hi, left, _) in searches.items():
+                    ts = [t for q, t in after if q == p]
+                    d = min(depth, left)
+                    assert ts[: 2**d - 1] == experiments._probe_tree(lo, hi, d)
+                    self._assert_chain_ends_at_the_stop_width_or_cap(lo, hi, d, left, ts[2**d - 1 :])
+
+    @staticmethod
+    def _assert_chain_ends_at_the_stop_width_or_cap(lo, hi, depth, left, chain):
+        def narrow(bracket):
+            return (bracket[1] - bracket[0]) / bracket[1] < 1e-7
+
+        brackets = [(lo, hi)]
+        for _ in range(depth):
+            brackets = [half for a, b in brackets for half in ((a, math.sqrt(a * b)), (math.sqrt(a * b), b))]
+        # The chain halves one leaf bracket of the tree, then one half after another.
+        for t in chain:
+            [bracket] = [br for br in brackets if math.sqrt(br[0] * br[1]) == t]
+            assert not narrow(bracket)
+            a, b = bracket
+            brackets = [(a, t), (t, b)]
+        assert depth + len(chain) == left or any(map(narrow, brackets))
 
     def test_real_searches_take_at_most_four_rounds(self, monkeypatch):
         # Brackets and p pairs of the benchmark's threshold calls on its
