@@ -90,11 +90,13 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_resolve(args: argparse.Namespace) -> int:
     if args.p is None and (args.dephasing_time is not None or args.protocol_time is not None):
         raise ValueError("--dephasing-time and --protocol-time apply only with --p")
+    if args.plan and args.target is not None:
+        raise ValueError("--target applies only without --plan")
     state = gtl_from_json(_load_json(args.state))
     if args.plan:
         plan = ResolutionPlan.from_json(_load_json(args.plan))
     else:
-        plan = default_resolution_plan(state, args.target)
+        plan = default_resolution_plan(state, args.target or "bell")
     outcome = resolve(state, plan)
     counts: dict[str, int] = {"X": 0, "Y": 0, "Z": 0}
     for rec in outcome.records:
@@ -141,8 +143,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         data["p_grid"] = args.p_grid.split(",")
     if args.t_grid is not None:
         data["T_grid_ms"] = args.t_grid.split(",")
-    if args.seed is not None:
-        data["seed"] = args.seed
     return ExperimentConfig.from_json(data)
 
 
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_resolve = sub.add_parser("resolve", help="execute a resolution plan")
     p_resolve.add_argument("state")
     p_resolve.add_argument("--plan", default=None, help="plan JSON file")
-    p_resolve.add_argument("--target", default="bell", choices=_TARGETS)
+    p_resolve.add_argument("--target", default=None, choices=_TARGETS, help="bell (default) or ghz, without --plan")
     p_resolve.add_argument("--p", type=float, default=None,
                            help="also report fidelities under depolarizing(p)")
     p_resolve.add_argument("--dephasing-time", type=float, default=None,
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target", default=None, choices=_TARGETS)
         p.add_argument("--p-grid", default=None, help="comma-separated depolarizing parameters")
         p.add_argument("--t-grid", default=None, help="comma-separated dephasing times in ms (inf allowed)")
-        p.add_argument("--seed", type=int, default=None)
         if name == "threshold":
             p.add_argument("--level", type=float, default=0.5)
         p.add_argument("-o", "--out", default=None)

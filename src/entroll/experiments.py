@@ -103,7 +103,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, data: dict) -> ExperimentConfig:
         """Parse a config object; a malformed field raises a ValueError naming it."""
-        json_object("config", data)
+        json_object("config", data, (
+            "kappa_b_hat", "n_o", "target", "p_grid", "T_grid_ms", "protocol_time_ms", "qubit_times_ms", "plan", "seed",
+        ))
 
         def _t(value: object) -> float:
             if isinstance(value, str) and value.lower() in ("inf", "infinity"):

@@ -445,10 +445,14 @@ def json_float(value: object) -> float:
     return float(value)  # type: ignore[arg-type]
 
 
-def json_object(source: str, data: object) -> None:
-    """Reject a parsed JSON value that is not an object."""
+def json_object(source: str, data: object, fields: tuple[str, ...] | None = None) -> None:
+    """Reject a parsed JSON value that is not an object, or, given the field
+    names its loader reads, one with any other field."""
     if not isinstance(data, dict):
         raise ValueError(f"{source} must be a JSON object, got {type(data).__name__}")
+    for name in data:
+        if fields is not None and name not in fields:
+            raise ValueError(f"{source} field {name!r} is unknown")
 
 
 def graph_from_json(data: dict) -> Graph:

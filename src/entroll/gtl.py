@@ -10,7 +10,7 @@ kappa_c = 2 * kappa_b_hat it collapses to two parameters.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .graphstate import (
     MAX_QUBITS, Graph, _bits, _mask, graph_from_json, graph_to_json, json_field, json_int, json_list, json_object
@@ -74,19 +74,29 @@ class GtlParams:
 
 @dataclass(frozen=True)
 class GtlState:
-    """A built GTL resource: graph plus the orchestration/peer bookkeeping.
+    """A built GTL resource: graph, orchestration line, peers and design parameters.
 
-    ``bridges`` maps each consecutive orchestration pair to its bridge ids;
-    ``leaves`` maps each orchestration qubit to its non-bridge peer neighbors.
-    Instances are treated as immutable; resolution runs work on graph copies.
+    ``bridges`` and ``leaves`` are read off the current graph, so a state over
+    an edited graph reports that graph's.  Instances are treated as immutable;
+    resolution runs work on graph copies.
     """
 
     graph: Graph
     orch: tuple[int, ...]
     peers: frozenset[int]
-    bridges: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    leaves: dict[int, tuple[int, ...]] = field(default_factory=dict)
     params: GtlParams | None = None
+
+    @property
+    def bridges(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Each consecutive orchestration pair's shared neighbors, its bridges."""
+        g, pairs = self.graph, zip(self.orch, self.orch[1:])
+        return {(o, nxt): tuple(_bits(g.neighbor_mask(o) & g.neighbor_mask(nxt))) for o, nxt in pairs}
+
+    @property
+    def leaves(self) -> dict[int, tuple[int, ...]]:
+        """Each orchestration qubit's neighbors that no other orchestration qubit shares."""
+        orch_mask, rows = self.graph.mask(self.orch), self.graph._rows
+        return {o: tuple(c for c in _bits(rows[o]) if rows[c] & orch_mask == 1 << o) for o in self.orch}
 
 
 def build_gtl(params: GtlParams) -> GtlState:
@@ -109,15 +119,7 @@ def build_gtl(params: GtlParams) -> GtlState:
         rows += [1 << i] * n_leaf
     g = Graph()
     g._rows, g._live = rows, (1 << len(rows)) - 1
-    return _gtl_state(g, tuple(range(n_o)), frozenset(range(n_o, len(rows))), params)
-
-
-def _gtl_state(graph: Graph, orch: tuple[int, ...], peers: frozenset[int], params) -> GtlState:
-    """The state, with its bridges and leaves read off the graph (orchestration qubits must be live)."""
-    orch_mask, rows = graph.mask(orch), graph._rows
-    bridges = {(o, nxt): tuple(_bits(rows[o] & rows[nxt])) for o, nxt in zip(orch, orch[1:])}
-    leaves = {o: tuple(c for c in _bits(rows[o]) if rows[c] & orch_mask == 1 << o) for o in orch}
-    return GtlState(graph=graph, orch=orch, peers=peers, bridges=bridges, leaves=leaves, params=params)
+    return GtlState(g, tuple(range(n_o)), frozenset(range(n_o, len(rows))), params)
 
 
 @dataclass(frozen=True)
@@ -387,5 +389,6 @@ def gtl_from_json(data: dict) -> GtlState:
             params = GtlParams(json_int(p["kappa_b_hat"]), json_int(p["kappa_c"]), json_int(p["n_o"]))
     if params is not None:
         _check_params(params, validate_gtl(graph, orch, peers).params)
-    return _gtl_state(graph, orch, peers, params)
+    graph.mask(orch)  # every orchestration qubit must be live
+    return GtlState(graph, orch, peers, params)
 

@@ -81,7 +81,7 @@ class ResolutionPlan:
     @classmethod
     def from_json(cls, data: dict) -> ResolutionPlan:
         """Parse a plan object; a malformed field raises a ValueError naming it."""
-        json_object("plan", data)
+        json_object("plan", data, ("steps", "isolation", "stop_stage"))
         with json_field("plan", "steps"):
             steps = tuple(json_pair(step) for step in json_list(data["steps"]))
         with json_field("plan", "isolation"):
@@ -102,54 +102,57 @@ class StepTrace:
 
     ``side`` is the support-side set (the current bridge set containing the
     support, or the degenerate leaf set at the chain end), ``rolled`` the
-    neighbors that move on, ``nonsupport`` the side minus the support.
+    neighbors that move on.
     """
 
     measured: int
     support: int
     side: int
     rolled: int
-    nonsupport: int
+
+    @property
+    def nonsupport(self) -> int:
+        """The side minus the support."""
+        return self.side & ~(1 << self.support)
 
 
 @dataclass(frozen=True)
 class RollingOutcome:
+    """A run's final graph, its measurement records and its last step's rolled set.
+
+    ``components``, ``pairs`` and ``stars`` are read off the graph.
+    """
+
     graph: Graph
     records: tuple[MeasurementRecord, ...]
     rolled_set: frozenset[int]
-    components: tuple[frozenset[int], ...]
-    pairs: tuple[tuple[int, int], ...]
-    stars: tuple[tuple[int, tuple[int, ...]], ...]
 
+    @property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """The connected components, ordered by smallest member."""
+        return self.graph.components()
 
-def _outcome(graph: Graph, records, rolled: int) -> RollingOutcome:
-    """The outcome of a run ending in ``graph``, with its pairs and stars found."""
-    components = graph.components()
-    pairs = []
-    stars = []
-    for comp in components:
-        if len(comp) == 2:
-            pairs.append(tuple(sorted(comp)))
-        elif len(comp) >= 3:
-            centers = [v for v in comp if graph.degree(v) == len(comp) - 1]
-            if len(centers) == 1 and all(
-                graph.degree(v) == 1 for v in comp if v != centers[0]
-            ):
-                stars.append((centers[0], tuple(sorted(comp - {centers[0]}))))
-    return RollingOutcome(
-        graph, tuple(records), frozenset(_bits(rolled)), components, tuple(pairs), tuple(stars)
-    )
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The two-vertex components, each as its sorted ids."""
+        return tuple(tuple(sorted(comp)) for comp in self.components if len(comp) == 2)
+
+    @property
+    def stars(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The components of three or more vertices that are stars, as (center, sorted leaves)."""
+        graph, stars = self.graph, []
+        for comp in self.components:
+            if len(comp) >= 3:
+                centers = [v for v in comp if graph.degree(v) == len(comp) - 1]
+                if len(centers) == 1 and all(graph.degree(v) == 1 for v in comp if v != centers[0]):
+                    stars.append((centers[0], tuple(sorted(comp - {centers[0]}))))
+        return tuple(stars)
 
 
 def _leaf_side(graph: Graph, o: int) -> int:
     """The current neighbors of ``o`` whose only neighbor is ``o``."""
     bit = 1 << o
     return _mask(v for v in _bits(graph.neighbor_mask(o)) if graph.neighbor_mask(v) == bit)
-
-
-def _step(graph: Graph, o: int, b0: int, side: int) -> StepTrace:
-    nbrs = graph.neighbor_mask(o)
-    return StepTrace(o, b0, side, rolled=nbrs & ~side, nonsupport=side & ~(1 << b0))
 
 
 def _support_side(graph: Graph, orch: tuple[int, ...], i: int, b0: int, carried: int) -> int:
@@ -176,7 +179,7 @@ def _roll(graph: Graph, order, pick) -> Iterator[StepTrace]:
         nbrs = graph.neighbor_mask(o)
         side = nbrs & graph.neighbor_mask(order[i + 1]) if i + 1 < len(order) else _leaf_side(graph, o)
         b0 = pick(i, side)
-        yield _step(graph, o, b0, side)
+        yield StepTrace(o, b0, side, nbrs & ~side)
         graph._measure_x(o, b0)
 
 
@@ -195,7 +198,7 @@ def _execute(
         if not (g.is_live(b0) and g.has_edge(o_i, b0)):
             raise ValueError(f"support {b0} is not a neighbor of {o_i}")
         side = _support_side(g, state.orch, state.orch.index(o_i), b0, carried)
-        trace.append(_step(g, o_i, b0, side))
+        trace.append(StepTrace(o_i, b0, side, g.neighbor_mask(o_i) & ~side))
         g, rec = measure_pauli(g, o_i, "X", b0)
         records.append(rec)
         carried = trace[-1].rolled
@@ -210,7 +213,7 @@ def _execute(
 def resolve(state: GtlState, plan: ResolutionPlan) -> RollingOutcome:
     """Execute a resolution plan on a copy of the state's graph."""
     g, records, trace = _execute(state, plan)
-    return _outcome(g, records, trace[-1].rolled if trace else 0)
+    return RollingOutcome(g, tuple(records), frozenset(_bits(trace[-1].rolled if trace else 0)))
 
 
 def rolling_step(state: GtlState, o_i: int, b0: int) -> RollingOutcome:
@@ -319,7 +322,7 @@ def centralized_resolution(state: GtlState, basis: str) -> RollingOutcome:
     for o in state.orch:
         g, rec = measure_pauli(g, o, basis)
         records.append(rec)
-    return _outcome(g, records, 0)
+    return RollingOutcome(g, tuple(records), frozenset())
 
 
 def schmidt_upper_bound(state: GtlState) -> int:

@@ -429,17 +429,17 @@ REFUSALS = [
     ),
     (
         "density-trace",
-        lambda: DenseState("density", (0,), np.diag([0.6, 0.6])).validate(),
+        lambda: DenseState((0,), np.diag([0.6, 0.6])).validate(),
         "density trace (1.2+0j) is not 1",
     ),
     (
         "density-hermitian",
-        lambda: DenseState("density", (0,), np.array([[0.5, 0.5], [0.0, 0.5]])).validate(),
+        lambda: DenseState((0,), np.array([[0.5, 0.5], [0.0, 0.5]])).validate(),
         "density matrix is not Hermitian",
     ),
     (
         "density-eigenvalue",
-        lambda: DenseState("density", (0,), np.diag([1.2, -0.2])).validate(),
+        lambda: DenseState((0,), np.diag([1.2, -0.2])).validate(),
         "density matrix has negative eigenvalue -0.2",
     ),
 ]
@@ -816,6 +816,10 @@ class TestVerifyCounts:
         pytest.param(["build", "--n-o", "2"], "the following arguments are required: --kappa-b",
                      id="missing-kappa-b"),
         pytest.param([], "the following arguments are required: command", id="no-subcommand"),
+        pytest.param(["sweep", "--kappa-b", "2", "--n-o", "2", "--seed", "1"], "unrecognized arguments: --seed 1",
+                     id="sweep-seed"),
+        pytest.param(["threshold", "--kappa-b", "2", "--n-o", "2", "--t-grid", "1,100", "--seed", "1"],
+                     "unrecognized arguments: --seed 1", id="threshold-seed"),
     ],
 )
 def test_malformed_flag_is_one_error_line(capsys, argv, text):
@@ -1036,3 +1040,37 @@ class TestNotAList:
         assert gtl_from_json(_state_with(labels=[str(v) for v in range(8)])) == STATE
         for waits in (None, {}):
             assert ExperimentConfig.from_json({"kappa_b_hat": 2, "n_o": 2, "qubit_times_ms": waits}).qubit_times_ms == ()
+
+
+# (id, loader, parsed JSON, CLI commands that read it, error): a misspelled
+# field once loaded as if it were absent, so "p_gird" gave the p = 1 rows.
+UNKNOWN_FIELD_CASES = [
+    ("config", ExperimentConfig.from_json, {"kappa_b_hat": 2, "n_o": 2, "p_gird": [0.9], "T_grid_ms": [10]},
+     ("sweep", "threshold"), "config field 'p_gird' is unknown"),
+    ("plan", ResolutionPlan.from_json, {"steps": [], "isolaton": [3]}, ("resolve",),
+     "plan field 'isolaton' is unknown"),
+    ("config-plan", ExperimentConfig.from_json, {"kappa_b_hat": 2, "n_o": 2, "plan": {"steps": [], "isolaton": [3]}},
+     ("sweep", "threshold"), "config field 'plan': plan field 'isolaton' is unknown"),
+]
+
+
+class TestUnknownField:
+    @pytest.mark.parametrize(
+        "load, data, message", [pytest.param(c[1], c[2], c[4], id=c[0]) for c in UNKNOWN_FIELD_CASES]
+    )
+    def test_loader_names_the_field(self, load, data, message):
+        assert _error(lambda: load(data)) == message
+
+    @pytest.mark.parametrize(
+        "data, command, message",
+        [pytest.param(c[2], command, c[4], id=f"{c[0]}-{command}") for c in UNKNOWN_FIELD_CASES for command in c[3]],
+    )
+    def test_cli_prints_one_error_line(self, tmp_path, capsys, data, command, message):
+        path, state = tmp_path / "input.json", tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        state.write_text(STATE_JSON)
+        argv = [command, "--config", str(path)]
+        if command == "resolve":
+            argv = ["resolve", str(state), "--plan", str(path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -84,9 +84,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="config field 'n_o' is required"):
             ExperimentConfig.from_json({"kappa_b_hat": 2})
 
-    def test_workers_key_is_ignored(self):
-        config = ExperimentConfig.from_json({"kappa_b_hat": 2, "n_o": 2, "workers": 4})
-        assert config == ExperimentConfig(kappa_b_hat=2, n_o=2)
+    def test_workers_key_is_refused(self):
+        with pytest.raises(ValueError, match="^config field 'workers' is unknown$"):
+            ExperimentConfig.from_json({"kappa_b_hat": 2, "n_o": 2, "workers": 4})
 
 
 class TestSweep:
@@ -472,8 +472,7 @@ class TestVerify:
         g = state.graph.copy()
         g.remove_edge(1, state.bridges[(0, 1)][0])
         broken = type(state)(
-            graph=g, orch=state.orch, peers=state.peers,
-            bridges=state.bridges, leaves=state.leaves, params=state.params,
+            graph=g, orch=state.orch, peers=state.peers, params=state.params,
         )
         report = verify(scope="rolling", trials=5, state=broken)
         assert not report.ok
@@ -614,6 +613,17 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: --dephasing-time and --protocol-time apply only with --p\n"
 
+    @pytest.mark.parametrize("target", ["bell", "ghz"])
+    def test_resolve_target_applies_only_without_plan(self, tmp_path, capsys, target):
+        state = build_gtl(GtlParams.specialized(2, 3))
+        state_file, plan_file = tmp_path / "state.json", tmp_path / "plan.json"
+        state_file.write_text(json.dumps(gtl_to_json(state)))
+        plan_file.write_text(default_resolution_plan(state, "bell").dumps())
+        argv = ["resolve", str(state_file), "--plan", str(plan_file), "--target", target]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --target applies only without --plan\n"
+
     @pytest.mark.parametrize("flags, name", [(["--n-o", "2"], "kappa_b_hat"), (["--kappa-b", "2"], "n_o")])
     def test_sweep_names_a_missing_required_field(self, capsys, flags, name):
         assert cli.main(["sweep", *flags]) == cli.EXIT_CONFIG
@@ -746,8 +756,7 @@ class TestCli:
         g.remove_edge(1, state.bridges[(0, 1)][0])
         data = gtl_to_json(
             type(state)(
-                graph=g, orch=state.orch, peers=state.peers,
-                bridges=state.bridges, leaves=state.leaves, params=state.params,
+                graph=g, orch=state.orch, peers=state.peers, params=state.params,
             )
         )
         bad = tmp_path / "bad.json"

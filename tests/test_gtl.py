@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -239,8 +240,6 @@ class TestPeerProximity:
             graph=g,
             orch=state.orch,
             peers=state.peers,
-            bridges=state.bridges,
-            leaves=state.leaves,
             params=state.params,
         )
         with pytest.raises(ValueError, match="disconnected"):
@@ -263,6 +262,17 @@ def test_state_json_round_trip():
     assert back.bridges == state.bridges
     assert back.leaves == state.leaves
     assert back.params == state.params
+
+
+def test_replaced_graph_gives_its_own_bridges_and_leaves():
+    # Cutting bridge 3 from orchestration qubit 1 makes it a leaf of 0.
+    state = build_gtl(GtlParams.specialized(2, 3))
+    assert state.bridges == {(0, 1): (3, 4), (1, 2): (7, 8)}
+    g = state.graph.copy()
+    g.remove_edge(1, 3)
+    edited = dataclasses.replace(state, graph=g)
+    assert edited.bridges == {(0, 1): (4,), (1, 2): (7, 8)}
+    assert edited.leaves == {0: (3, *state.leaves[0]), 1: state.leaves[1], 2: state.leaves[2]}
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,13 @@ class TestDenseGraphState:
         with pytest.raises(ValueError):
             dense_graph_state(Graph.empty(13))
 
+    def test_mode_is_read_off_the_data(self):
+        ket = DenseState((0, 1), np.full(4, 0.5))
+        assert ket.mode == "vector"
+        assert ket.to_density().mode == "density"
+        assert DenseState((0,), np.eye(2) / 2).mode == "density"
+        assert dense_graph_state(path_graph(3), mode="density").mode == "density"
+
     def test_stabilizers_have_unit_expectation(self):
         state = build_gtl(GtlParams(2, 4, 1))
         s = dense_graph_state(state.graph)
@@ -93,7 +100,7 @@ def kraus_sum(state, noise_map):
             if v in _bits(s):
                 signs = signs * (1 - 2 * ((idx >> (state.n - 1 - k)) & 1))
         out += prob * (signs[:, None] * state.data * signs[None, :])
-    return DenseState("density", state.qubits, out)
+    return DenseState(state.qubits, out)
 
 
 def random_maps(g, rng):
@@ -293,10 +300,10 @@ def random_dense(n, mode, rng):
     dim = 2**n
     if mode == "vector":
         vec = gen.normal(size=dim) + 1j * gen.normal(size=dim)
-        return DenseState("vector", tuple(range(n)), vec / np.linalg.norm(vec))
+        return DenseState(tuple(range(n)), vec / np.linalg.norm(vec))
     a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     rho = a @ a.conj().T
-    return DenseState("density", tuple(range(n)), rho / np.trace(rho))
+    return DenseState(tuple(range(n)), rho / np.trace(rho))
 
 
 def assert_matches_kron(state, a, basis, outcome, corrections):
@@ -361,7 +368,7 @@ class TestZSignsAndExpectation:
         for _ in range(20):
             n = rng.randint(1, 7)
             qubits = tuple(rng.sample(range(20), n))
-            s = DenseState("vector", qubits, np.zeros(2**n))
+            s = DenseState(qubits, np.zeros(2**n))
             support = frozenset(q for q in qubits if rng.random() < 0.5)
             idx = np.arange(2**n)
             expected = np.ones(2**n)
@@ -420,14 +427,14 @@ class TestZSignsAndExpectation:
             s.z_signs(frozenset({1, 7}))
 
     def test_repeated_vertex_is_one_bit(self):
-        s = DenseState("vector", (0, 1, 2), np.zeros(8))
+        s = DenseState((0, 1, 2), np.zeros(8))
         assert s.local_mask([2, 2]) == s.local_mask([2]) == 0b001
         assert s.local_mask([0, 2, 0]) == s.local_mask([0, 2]) == 0b101
         assert np.array_equal(s.z_signs([2, 2]), s.z_signs([2]))
 
 
 def as_complex(state):
-    return DenseState(state.mode, state.qubits, state.data.astype(complex))
+    return DenseState(state.qubits, state.data.astype(complex))
 
 
 class TestRealArithmetic:
@@ -592,7 +599,7 @@ class TestAdjointReplay:
         # jointly: above measure_dense's per-record floor of 1e-14, below the
         # backward replay's floor on the joint probability.
         one = np.array([math.sqrt(1 - 1e-8), 1e-4])
-        ket = DenseState("vector", (0, 1, 2), np.kron(np.kron(one, one), [math.sqrt(0.5)] * 2))
+        ket = DenseState((0, 1, 2), np.kron(np.kron(one, one), [math.sqrt(0.5)] * 2))
         records = tuple(MeasurementRecord(v, "Z", None, -1, ()) for v in (0, 1))
         out = forward_replay(ket, (), records)
         assert np.allclose(out.data, [[0.5, 0.5], [0.5, 0.5]])

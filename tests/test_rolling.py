@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ from entroll.gtl import GtlParams, GtlState, bridge_neighborhoods, build_gtl, pe
 from entroll.rolling import (
     STOP_AFTER_ROLLING,
     ResolutionPlan,
+    _execute,
     bridge_pick_plans,
     centralized_resolution,
     default_resolution_plan,
@@ -133,8 +135,6 @@ class TestProximityReduction:
                 graph=out.graph,
                 orch=state.orch,
                 peers=state.peers,
-                bridges=state.bridges,
-                leaves=state.leaves,
                 params=state.params,
             )
             pi_next = peer_proximity(current, c_i, c_j)
@@ -370,7 +370,7 @@ class TestPlans:
         g = state.graph.copy()
         for b in state.bridges[0, 1]:
             g.remove_edge(1, b)
-        cut = GtlState(g, state.orch, state.peers, state.bridges, state.leaves, state.params)
+        cut = GtlState(g, state.orch, state.peers, state.params)
         message = "no admissible support for 0; not a rollable GTL state"
         for planner in (lambda: default_resolution_plan(cut, "bell"), lambda: bridge_pick_plans(cut)):
             with pytest.raises(ValueError) as info:
@@ -425,3 +425,42 @@ class TestPlans:
         for (c_i, c_j), expected in proximity.items():
             plan = plan_proximity_reduction(state, c_i, c_j)
             assert plan == ResolutionPlan(expected, stop_stage=STOP_AFTER_ROLLING)
+
+
+# sha256 (first 16 hex digits) of the bridges, leaves, pairs, stars and the
+# nonsupport of every step of the default plan, pinned so that how they are
+# derived cannot change their values: the bench rungs, then the widest Bell
+# and GHZ rungs of the CI pins.
+DERIVED_DIGESTS = {
+    (2, 10, "bell"): "0e4236f8c88939d8",
+    (3, 20, "bell"): "a37c0aa4f0cff633",
+    (4, 20, "bell"): "327f167ef7ce842e",
+    (2, 40, "bell"): "04115a344687f8bb",
+    (3, 6, "bell"): "6b220d34dd2c1805",
+    (8, 3, "ghz"): "e501d127bd3005a8",
+    (10, 2, "ghz"): "7247d7b039edcc4e",
+    (3, 1, "bell"): "05e0ef945e8c5da3",
+    (3, 1, "ghz"): "37a91545267ee3dc",
+    (2, 2, "bell"): "9daa1aa574ff905e",
+    (2, 2, "ghz"): "9daa1aa574ff905e",
+    (4, 1, "bell"): "13d7bead85742e74",
+    (4, 1, "ghz"): "eb737f30fde8c41a",
+    (2, 160, "bell"): "13b3cb650b279229",
+    (16, 2, "ghz"): "751f6a953aff7c0c",
+}
+
+
+@pytest.mark.parametrize("kb, n_o, target", list(DERIVED_DIGESTS))
+def test_derived_facts_keep_their_values(kb, n_o, target):
+    state = build_gtl(GtlParams.specialized(kb, n_o))
+    plan = default_resolution_plan(state, target)
+    out = resolve(state, plan)
+    facts = {
+        "bridges": [[*pair, *ids] for pair, ids in state.bridges.items()],
+        "leaves": [[o, *ids] for o, ids in state.leaves.items()],
+        "pairs": out.pairs,
+        "stars": out.stars,
+        "nonsupport": [t.nonsupport for t in _execute(state, plan)[2]],
+    }
+    digest = hashlib.sha256(json.dumps(facts).encode()).hexdigest()[:16]
+    assert digest == DERIVED_DIGESTS[kb, n_o, target]
