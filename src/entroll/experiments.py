@@ -442,12 +442,12 @@ def _verify_nsf(max_qubits: int) -> list[tuple[str, bool, str]]:
     bad: list[str] = []
     for kb, n_o in ((2, 1), (2, 2), (3, 1), (3, 2), (2, 3)):
         state = build_gtl(GtlParams.specialized(kb, n_o))
+        start = NoiseState(
+            graph=state.graph.copy(),
+            maps=tuple(depolarizing_map(state.graph, v, 0.9) for v in state.graph.vertices()),
+        )
         for plan in bridge_pick_plans(state, limit=3):
             closed = closed_form_maps(state, plan, 0.9)
-            start = NoiseState(
-                graph=state.graph.copy(),
-                maps=tuple(depolarizing_map(state.graph, v, 0.9) for v in state.graph.vertices()),
-            )
             stepwise = propagate(start, plan).maps
             for cf, sw in zip(closed, stepwise):
                 if cf != sw:  # both from NoiseMap._from_masks: equal weights, equal branches
@@ -461,8 +461,8 @@ def _verify_nsf(max_qubits: int) -> list[tuple[str, bool, str]]:
         if state.graph.n > max_qubits:
             continue
         plan = default_resolution_plan(state, "bell")
-        for p in (0.8, 1.0):
-            report = oracle.crosscheck(state, plan, p=p, t_ms=1.0, big_t_ms=10.0)
+        points = [(p, 1.0, 10.0, None) for p in (0.8, 1.0)]
+        for (p, *_), report in zip(points, oracle.crosscheck_points(state, plan, points)):
             ran += 1
             if not report.ok:
                 bad.append(f"{state.params} p={p}: delta {report.max_delta:.2e}")

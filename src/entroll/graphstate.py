@@ -455,8 +455,13 @@ def json_object(source: str, data: object, fields: tuple[str, ...] | None = None
             raise ValueError(f"{source} field {name!r} is unknown")
 
 
+# The fields of a GTL state file: its graph's, then the GTL roles and parameters.
+STATE_FIELDS = ("n", "edges", "labels", "orch", "peers", "params")
+
+
 def graph_from_json(data: dict) -> Graph:
-    json_object("graph", data)
+    """The graph of a graph or GTL state object; a field of neither is refused."""
+    json_object("graph", data, STATE_FIELDS)
     with json_field("graph JSON", "n"):
         n = json_int(data["n"])
         if n > MAX_QUBITS:

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .graphstate import (
-    MAX_QUBITS, Graph, _bits, _mask, graph_from_json, graph_to_json, json_field, json_int, json_list, json_object
+    MAX_QUBITS, STATE_FIELDS, Graph, _bits, _mask, graph_from_json, graph_to_json, json_field, json_int, json_list,
+    json_object,
 )
 
 __all__ = [
@@ -376,7 +377,7 @@ def _check_params(claimed: GtlParams, inferred: GtlParams | None) -> None:
 
 
 def gtl_from_json(data: dict) -> GtlState:
-    json_object("GTL state", data)
+    json_object("GTL state", data, STATE_FIELDS)
     graph = graph_from_json(data)
     with json_field("GTL JSON", "orch"):
         orch = tuple(json_int(o) for o in json_list(data["orch"]))
@@ -386,6 +387,7 @@ def gtl_from_json(data: dict) -> GtlState:
     if "params" in data:
         with json_field("GTL JSON", "params"):
             p = data["params"]
+            json_object("params", p, ("kappa_b_hat", "kappa_c", "n_o"))
             params = GtlParams(json_int(p["kappa_b_hat"]), json_int(p["kappa_c"]), json_int(p["n_o"]))
     if params is not None:
         _check_params(params, validate_gtl(graph, orch, peers).params)

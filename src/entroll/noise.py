@@ -222,13 +222,14 @@ class NoiseMap:
     @classmethod
     def from_json(cls, data: dict) -> NoiseMap:
         """Parse a map object; a malformed field raises a ValueError naming it."""
-        json_object("noise map", data)
+        json_object("noise map", data, ("origin", "branches"))
         with json_field("noise map", "origin"):
             origin = json_int(data["origin"])
             check_vertex_id(origin)
         with json_field("noise map", "branches"):
             weights: dict[frozenset[int], float] = {}
             for b in json_list(data["branches"]):
+                json_object("branch", b, ("p", "support"))
                 support: set[int] = set()
                 for v in [json_int(v) for v in json_list(b["support"])]:
                     check_vertex_id(v)

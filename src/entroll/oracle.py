@@ -15,10 +15,13 @@ elementwise product on the density matrix; a projection or a correction is
 one 2 x 2 mix of the halves where the qubit is 0 and 1 (``_apply``, on the
 ket index and for a density matrix on the bra index too).
 
-:func:`crosscheck` does not replay records forward like this.  It replays
-them backward from the n_f of n qubits they leave (``_replay_adjoint``), on a
-2^n x 2^n_f array, in O(n 2^(n + n_f) + 2^(n + 2 n_f)) time against O(4^n)
-forward: faster for every default plan, slower when most qubits are left.
+:func:`crosscheck_points` does not replay records forward like this.  It
+replays them once per batch of points, backward from the n_f of n qubits they
+leave (``_adjoint_amplitudes``), on a 2^n x 2^n_f array in O(n 2^(n + n_f))
+time.  Each point then costs its channel factor, one sign-row gather per
+branch slot (``_channel_factor``), and one O(2^(n + 2 n_f)) Gram product
+(``_replay_adjoint``), against O(4^n) forward: faster for every default plan,
+slower when most qubits are left.  :func:`crosscheck` is its one-point call.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "ZeroProbabilityError",
     "apply_channel",
     "crosscheck",
+    "crosscheck_points",
     "dense_graph_state",
     "graph_state_overlap",
     "measure_dense",
@@ -207,12 +211,21 @@ def apply_channel(state: DenseState, *noise_maps: NoiseMap) -> DenseState:
 
 def _channel_factor(state: DenseState, noise_maps: tuple[NoiseMap, ...]) -> np.ndarray:
     """f(k) = prod_m sum_b p_b (-1)^{|s_b & k|} over the 2^n indices k; support
-    qubits absent from the state are ignored."""
-    live = _mask(state.qubits)
-    factor = np.ones(2 ** state.n)
-    for noise_map in noise_maps:
-        factor *= sum(prob * state.z_signs(_bits(s & live)) for prob, s in noise_map.branches)
-    return factor
+    qubits absent from the state are ignored.
+
+    One gather per branch slot b takes every map's b-th sign row, a map with
+    fewer branches padded with zero-weight rows at the end.  Branches are added
+    in branch order and maps multiplied in map order: the per-branch loop's bits.
+    """
+    live, width = _mask(state.qubits), max((len(m.branches) for m in noise_maps), default=0)
+    rows = [(m.branches + ((0.0, 0),) * width)[:width] for m in noise_maps]
+    probs = np.array([[prob for prob, _ in row] for row in rows]).reshape(len(rows), width)
+    masks = np.array([[state.local_mask(_bits(s & live)) for _, s in row] for row in rows], dtype=np.intp)
+    index = _INDEX[: 2 ** state.n]
+    sums = np.zeros((len(rows), len(index)))
+    for b in range(width):
+        sums += probs[:, b, None] * _PARITY[masks[:, b, None] & index]
+    return np.multiply.reduce(sums, axis=0)
 
 
 def _apply(data: np.ndarray, pos: int, mat: np.ndarray, density: bool) -> np.ndarray:
@@ -284,20 +297,14 @@ def _wht(data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _replay_adjoint(ket: DenseState, records: tuple[MeasurementRecord, ...], factor: np.ndarray) -> DenseState:
-    """The state that :func:`measure_with_record` leaves after ``records`` on the vector
-    ``ket`` under the noise layer whose :func:`_channel_factor` is ``factor``.
+def _adjoint_amplitudes(ket: DenseState, records: tuple[MeasurementRecord, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The qubits that :func:`measure_with_record` leaves after ``records`` on the vector
+    ``ket``, and the amplitudes Z = WHT(psi * conj(W)) that :func:`_replay_adjoint` reads.
 
     The records compose to a map M onto the surviving qubits.  W = M^dagger is built from
     their identity: record by record, last first, the adjoint corrections in reverse order,
-    then the measured qubit put back as its basis ket.  The noise layer is sum_x q(x)
-    Z^x |psi><psi| Z^x with q = WHT(f) / 2^n, so M rho M^dagger = Z^T diag(q) conj(Z) for
-    Z = WHT(psi * conj(W)).
-
-    ZeroProbabilityError is raised when the joint probability of the records is below 1e-14.
-    measure_dense puts that floor on each record's conditional probability instead, so some
-    runs of unlikely records pass there and raise here: each amplitude here is one signed sum
-    over the whole ket, and its rounding error does not shrink with the joint probability.
+    then the measured qubit put back as its basis ket.  Neither depends on the noise, so a
+    batch of points builds them once.
     """
     gone = {rec.measured for rec in records}
     qubits = [v for v in ket.qubits if v not in gone]
@@ -310,12 +317,26 @@ def _replay_adjoint(ket: DenseState, records: tuple[MeasurementRecord, ...], fac
         basis_ket = _BASIS_KETS[(rec.basis, rec.outcome)][:, None]
         w = (w.reshape(1 << pos, 1, -1) * basis_ket).reshape(-1, w.shape[1])
         qubits.insert(pos, rec.measured)
-    z = _wht(ket.data[:, None] * w.conj())
+    return tuple(v for v in ket.qubits if v not in gone), _wht(ket.data[:, None] * w.conj())
+
+
+def _replay_adjoint(qubits: tuple[int, ...], z: np.ndarray, factor: np.ndarray) -> DenseState:
+    """The state the records behind :func:`_adjoint_amplitudes` ``(qubits, z)`` leave under the
+    noise layer whose :func:`_channel_factor` is ``factor``.
+
+    The noise layer is sum_x q(x) Z^x |psi><psi| Z^x with q = WHT(f) / 2^n, so
+    M rho M^dagger = Z^T diag(q) conj(Z).
+
+    ZeroProbabilityError is raised when the joint probability of the records is below 1e-14.
+    measure_dense puts that floor on each record's conditional probability instead, so some
+    runs of unlikely records pass there and raise here: each amplitude here is one signed sum
+    over the whole ket, and its rounding error does not shrink with the joint probability.
+    """
     rho = (z.T * _wht(factor / factor.size)) @ z.conj()
     prob = float(np.trace(rho).real)
     if prob < 1e-14:
         raise ZeroProbabilityError("the recorded outcomes have probability ~0")
-    return DenseState(tuple(v for v in ket.qubits if v not in gone), rho / prob)
+    return DenseState(qubits, rho / prob)
 
 
 def measure_with_record(state: DenseState, record: MeasurementRecord) -> DenseState:
@@ -400,38 +421,47 @@ def crosscheck(
     t_ms: float = 1.0,
     big_t_ms: float = math.inf,
 ) -> CrosscheckReport:
-    """Run the noise pipeline symbolically and densely; compare fidelities.
+    """Run the noise pipeline symbolically and densely at one point; compare fidelities.
 
-    Both paths start from the same initial maps attached to the undisturbed
-    resource and execute the same plan with forced "+" outcomes; the dense
-    path replays the records of :func:`~entroll.rolling.resolve`, local
-    corrections included, so the two trajectories describe the same state and
-    a plan ``resolve`` refuses is refused before any dense matrix is built.
-    The dense path reads only those records and the channel factor, and
-    replays them backward from the n_f qubits they leave: cheap when n_f is
-    small, as in every default plan, but slower than the forward replay
-    (:func:`apply_channel`, then :func:`measure_with_record`) when most
-    qubits are left, as in rolling-only and empty plans.
+    The one-point call of :func:`crosscheck_points`, with its checks and texts.
+    """
+    return crosscheck_points(state, plan, [(p, t_ms, big_t_ms, None)])[0]
+
+
+def crosscheck_points(state: GtlState, plan: ResolutionPlan, points) -> tuple[CrosscheckReport, ...]:
+    """One :class:`CrosscheckReport` per ``(p, t_ms, big_t_ms, qubit_times_ms)`` point, in order.
+
+    Both paths start from the same :func:`~entroll.noise.standard_noise` maps attached to the
+    undisturbed resource and execute the same plan with forced "+" outcomes.  The symbolic
+    path propagates each point's maps step by step.  The dense path replays the records of
+    :func:`~entroll.rolling.resolve`, local corrections included, so the two trajectories
+    describe the same state.  Checked in order before any dense array is built: the size
+    bound, ``resolve``'s plan refusal, then each point's noise arguments.
+
+    The records are replayed backward once per call; each point adds its channel factor, one
+    gather per branch slot, and one Gram product (see the module docstring).  That is slower
+    than the forward replay (:func:`apply_channel`, then :func:`measure_with_record`) only when
+    most qubits are left, as in rolling-only and empty plans.
     """
     g = state.graph
     if g.n > MAX_CROSSCHECK_QUBITS:
         raise ValueError(f"crosscheck is limited to {MAX_CROSSCHECK_QUBITS} qubits, got {g.n}")
     outcome = resolve(state, plan)
-    ns0 = standard_noise(g, p, t_ms, big_t_ms)
-    symbolic_fids = component_fidelities(propagate(ns0, plan))
-
+    starts = [standard_noise(g, *point) for point in points]
     ket = dense_graph_state(g)
-    dense = _replay_adjoint(ket, outcome.records, _channel_factor(ket, ns0.maps))
-
-    entries = []
-    for comp in outcome.components:
-        if len(comp) < 2:
-            continue
-        entries.append(
+    qubits, z = _adjoint_amplitudes(ket, outcome.records)
+    comps = [comp for comp in outcome.components if len(comp) >= 2]
+    reports = []
+    for ns0 in starts:
+        symbolic_fids = component_fidelities(propagate(ns0, plan))
+        dense = _replay_adjoint(qubits, z, _channel_factor(ket, ns0.maps))
+        entries = tuple(
             CrosscheckEntry(
                 component=tuple(sorted(comp)),
                 fidelity_symbolic=symbolic_fids[component_key(comp)],
                 fidelity_dense=dense_component_fidelity(dense, outcome.graph, comp),
             )
+            for comp in comps
         )
-    return CrosscheckReport(entries=tuple(entries))
+        reports.append(CrosscheckReport(entries=entries))
+    return tuple(reports)

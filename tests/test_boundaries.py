@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from entroll import cli
 from entroll.experiments import ExperimentConfig, find_threshold
-from entroll.graphstate import MAX_QUBITS, Graph, graph_from_json, measure_pauli
+from entroll.graphstate import MAX_QUBITS, Graph, graph_from_json, graph_to_json, measure_pauli
 from entroll.gtl import (
     GtlParams, GtlState, Violation, build_gtl, gtl_from_json, gtl_to_json, peer_proximity, validate_gtl
 )
@@ -1074,3 +1074,62 @@ class TestUnknownField:
             argv = ["resolve", str(state), "--plan", str(path)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _state_renamed(old: str, new: str) -> dict:
+    data = json.loads(STATE_JSON)
+    data[new] = data.pop(old)
+    return data
+
+
+# (id, loader, parsed JSON, whether the CLI reads it as a state, error): a
+# misspelled "edges" once loaded as an edgeless graph, and "inspect" exited 0
+# with "valid": false; a misspelled "params" loaded as no params.
+STATE_FIELD_CASES = [
+    ("gtl-edgse", gtl_from_json, _state_renamed("edges", "edgse"), True, "GTL state field 'edgse' is unknown"),
+    ("gtl-parms", gtl_from_json, _state_renamed("params", "parms"), True, "GTL state field 'parms' is unknown"),
+    ("gtl-extra", gtl_from_json, _state_with(note="x"), True, "GTL state field 'note' is unknown"),
+    ("gtl-params-field", gtl_from_json, _state_with(params={"kappa_b_hat": 2, "kappa_c": 4, "n_0": 2}), True,
+     "GTL JSON field 'params': params field 'n_0' is unknown"),
+    ("graph-edgse", graph_from_json, {"n": 2, "edgse": [[0, 1]]}, False, "graph field 'edgse' is unknown"),
+    ("noise-extra", NoiseMap.from_json, {"origin": 1, "branches": [{"p": 1.0, "support": []}], "weights": []}, False,
+     "noise map field 'weights' is unknown"),
+    ("noise-branch", NoiseMap.from_json, {"origin": 1, "branches": [{"prob": 1.0, "support": []}]}, False,
+     "noise map field 'branches': branch field 'prob' is unknown"),
+]
+
+
+class TestStateFields:
+    @pytest.mark.parametrize(
+        "load, data, message", [pytest.param(c[1], c[2], c[4], id=c[0]) for c in STATE_FIELD_CASES]
+    )
+    def test_loader_names_the_field(self, load, data, message):
+        assert _error(lambda: load(data)) == message
+
+    @pytest.mark.parametrize(
+        "data, command, message",
+        [
+            pytest.param(c[2], command, c[4], id=f"{c[0]}-{command[0]}")
+            for c in STATE_FIELD_CASES if c[3]
+            for command in (["inspect"], ["resolve"], ["verify", "--scope", "structure", "--state"])
+        ],
+    )
+    def test_cli_prints_one_error_line(self, tmp_path, capsys, data, command, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([*command, str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_every_written_state_loads(self, tmp_path):
+        # What build writes, with and without params, a bare graph, and a whole state read as its graph.
+        for kb, n_o in ((2, 1), (2, 3), (3, 2), (16, 2)):
+            path = tmp_path / f"gtl_{kb}_{n_o}.json"
+            assert cli.main(["build", "--kappa-b", str(kb), "--n-o", str(n_o), "--out", str(path)]) == 0
+            data = json.loads(path.read_text())
+            state = gtl_from_json(data)
+            assert gtl_to_json(state) == data
+            assert gtl_from_json({k: v for k, v in data.items() if k != "params"}).graph == state.graph
+            assert graph_from_json(data) == state.graph
+        assert graph_from_json(graph_to_json(STATE.graph)) == STATE.graph
+        noise_map = NoiseMap.from_weights(1, {frozenset(): 0.75, frozenset({1, 4}): 0.25})
+        assert NoiseMap.from_json(noise_map.to_json()) == noise_map

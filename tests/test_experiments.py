@@ -529,7 +529,7 @@ class TestVerify:
 
     def test_crosscheck_failure_is_reported(self, capsys, monkeypatch):
         report = CrosscheckReport((CrosscheckEntry((0, 1), 0.5, 0.75),))
-        monkeypatch.setattr(experiments.oracle, "crosscheck", lambda state, plan, **kwargs: report)
+        monkeypatch.setattr(experiments.oracle, "crosscheck_points", lambda state, plan, points: (report,) * len(points))
         params = "GtlParams(kappa_b_hat=2, kappa_c=4, n_o=1)"
         bad = f"{params} p=0.8: delta 2.50e-01; {params} p=1.0: delta 2.50e-01"
         self._assert_fails(capsys, f"[FAIL] oracle crosscheck: {bad}", scope="nsf", max_qubits=5)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -12,6 +13,7 @@ from entroll.graphstate import (
     MeasurementRecord,
     PauliString,
     _bits,
+    _mask,
     measure_pauli,
     stabilizer_generators,
 )
@@ -24,6 +26,7 @@ from entroll.oracle import (
     ZeroProbabilityError,
     apply_channel,
     crosscheck,
+    crosscheck_points,
     dense_graph_state,
     graph_state_overlap,
     measure_dense,
@@ -528,8 +531,13 @@ def forward_replay(ket, maps, records):
     return dense
 
 
+def adjoint_replay(ket, maps, records):
+    factor = oracle._channel_factor(ket, tuple(maps))
+    return oracle._replay_adjoint(*oracle._adjoint_amplitudes(ket, tuple(records)), factor)
+
+
 def assert_adjoint_matches_forward(ket, maps, records):
-    adjoint = oracle._replay_adjoint(ket, tuple(records), oracle._channel_factor(ket, tuple(maps)))
+    adjoint = adjoint_replay(ket, maps, records)
     forward = forward_replay(ket, maps, records)
     assert adjoint.mode == "density" and adjoint.qubits == forward.qubits
     assert adjoint.data.dtype == forward.data.dtype
@@ -592,7 +600,7 @@ class TestAdjointReplay:
         with pytest.raises(ZeroProbabilityError):
             forward_replay(ket, (), records)
         with pytest.raises(ZeroProbabilityError):
-            oracle._replay_adjoint(ket, records, oracle._channel_factor(ket, ()))
+            adjoint_replay(ket, (), records)
 
     def test_floor_on_the_joint_probability(self):
         # Z outcome -1 on qubits 0 and 1 has conditional probability 1e-8 each, 1e-16
@@ -604,8 +612,8 @@ class TestAdjointReplay:
         out = forward_replay(ket, (), records)
         assert np.allclose(out.data, [[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ZeroProbabilityError):
-            oracle._replay_adjoint(ket, records, oracle._channel_factor(ket, ()))
-        adjoint = oracle._replay_adjoint(ket, records[:1], oracle._channel_factor(ket, ()))
+            adjoint_replay(ket, (), records)
+        adjoint = adjoint_replay(ket, (), records[:1])
         assert np.max(np.abs(adjoint.data - forward_replay(ket, (), records[:1]).data)) < 1e-12
 
 
@@ -727,6 +735,130 @@ class TestCrosscheck:
             tracemalloc.stop()
         assert report.ok
         assert peak < 1.5e6, peak
+
+
+def report_hex(report):
+    return ";".join(f"{e.component}:{e.fidelity_symbolic.hex()}:{e.fidelity_dense.hex()}" for e in report.entries)
+
+
+def per_branch_factor(state, maps):
+    """The channel factor one branch at a time: the reference _channel_factor must equal to the last bit."""
+    live = _mask(state.qubits)
+    factor = np.ones(2 ** state.n)
+    for m in maps:
+        factor *= sum(prob * state.z_signs(_bits(s & live)) for prob, s in m.branches)
+    return factor
+
+
+class TestCrosscheckPoints:
+    """One record replay per batch gives each point the report of its one-point call."""
+
+    def test_criterion_5_points_equal_one_point_calls(self):
+        for kb, n_o in ((2, 1), (2, 2), (3, 1)):
+            state = build_gtl(GtlParams.specialized(kb, n_o))
+            plan = default_resolution_plan(state, "bell")
+            points = [(p, 1.0, big_t, None) for p in (0.7, 0.8, 0.9, 1.0) for big_t in (1.0, 10.0, 100.0)]
+            batch = crosscheck_points(state, plan, points)
+            single = [crosscheck(state, plan, p=p, t_ms=t, big_t_ms=big_t) for p, t, big_t, _ in points]
+            assert [report_hex(r) for r in batch] == [report_hex(r) for r in single]
+            assert all(r.entries and r.ok for r in batch)
+
+    def test_reports_equal_the_per_point_replay(self):
+        # sha256 of the reports the per-point replay gave before batching: 4 resources x
+        # Bell/GHZ x default/rolling-only plans x 9 (p, T) points, fidelities in float.hex.
+        lines = []
+        for kb, n_o in ((2, 1), (2, 2), (3, 1), (4, 1)):
+            state = build_gtl(GtlParams.specialized(kb, n_o))
+            for target in ("bell", "ghz"):
+                plan = default_resolution_plan(state, target)
+                for plan in (plan, ResolutionPlan(steps=plan.steps, stop_stage=STOP_AFTER_ROLLING)):
+                    points = [(p, 1.0, big_t, None) for p in (0.7, 0.86, 1.0) for big_t in (1.0, 10.0, math.inf)]
+                    lines += [report_hex(r) for r in crosscheck_points(state, plan, points)]
+        assert len(lines) == 144
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "f3eaef83e6e17e26272a04865860327713b1659acecf13d91d0bdd14106b4c30"
+
+    @pytest.mark.parametrize("target", ["bell", "ghz"])
+    def test_waits_match_the_forward_replay(self, target):
+        state = build_gtl(GtlParams.specialized(2, 2))
+        g = state.graph
+        plan = default_resolution_plan(state, target)
+        outcome = resolve(state, plan)
+        points = [(0.9, 2.5, 10.0, {4: 0.0, 6: 3.5}), (1.0, 1.0, 3.0, {2: 7.0}), (0.8, 0.5, math.inf, {5: 2.0})]
+        for (p, t, big_t, waits), report in zip(points, crosscheck_points(state, plan, points)):
+            maps = standard_noise(g, p, t, big_t, waits).maps
+            forward = forward_replay(dense_graph_state(g), maps, outcome.records)
+            assert report.entries and report.ok
+            for entry in report.entries:
+                reference = oracle.dense_component_fidelity(forward, outcome.graph, frozenset(entry.component))
+                assert abs(entry.fidelity_dense - reference) < 1e-9
+                assert abs(entry.fidelity_symbolic - reference) < 1e-9
+        # The waits reach the report: without them the first point reads otherwise.
+        plain = crosscheck(state, plan, p=0.9, t_ms=2.5, big_t_ms=10.0)
+        assert report_hex(plain) != report_hex(crosscheck_points(state, plan, points[:1])[0])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((1.5, 1.0, 10.0, None), "depolarizing parameter 1.5 outside [0, 1]"),
+            ((0.9, 1.0, 10.0, {99: 1.0}), "qubit_times_ms names vertex 99, which is not a live qubit of the resource"),
+            ((0.9, 1.0, 10.0, {4: -1.0}), "wait time must be nonnegative, got -1.0"),
+            ((0.9, 1.0, 0.0, None), "dephasing time must be positive, got 0.0"),
+        ],
+        ids=["p", "ids", "waits", "T"],
+    )
+    def test_bad_point_is_refused_before_any_dense_array(self, monkeypatch, bad, message):
+        state = build_gtl(GtlParams.specialized(2, 2))
+        plan = default_resolution_plan(state, "bell")
+        built = []
+        monkeypatch.setattr(oracle, "dense_graph_state", lambda *args: built.append(args))
+        with pytest.raises(ValueError) as info:
+            crosscheck_points(state, plan, [(0.9, 1.0, 10.0, None), bad, (2.0, 1.0, 10.0, {98: 1.0})])
+        assert str(info.value) == message
+        assert built == []
+
+    def test_checks_run_in_order(self):
+        # The size bound, then resolve's refusal, then the points.
+        bad_point = [(2.0, 1.0, 10.0, None)]
+        big = build_gtl(GtlParams.specialized(3, 2))
+        with pytest.raises(ValueError, match=f"limited to {MAX_CROSSCHECK_QUBITS} qubits, got 11"):
+            crosscheck_points(big, ResolutionPlan(steps=((5, 0),)), bad_point)
+        state = build_gtl(GtlParams.specialized(2, 1))
+        with pytest.raises(ValueError) as info:
+            crosscheck_points(state, ResolutionPlan(steps=((1, 0),), stop_stage=STOP_AFTER_ROLLING), bad_point)
+        assert str(info.value) == "step measures 1, which is not an orchestration qubit"
+
+    def test_empty_batch(self):
+        state = build_gtl(GtlParams.specialized(2, 1))
+        assert crosscheck_points(state, default_resolution_plan(state, "bell"), []) == ()
+
+
+class TestChannelFactor:
+    """_channel_factor, one gather per branch slot, against the per-branch loop, byte for byte."""
+
+    @pytest.mark.parametrize("kb,n_o", [(2, 1), (3, 1), (2, 2), (4, 1)])
+    def test_standard_noise(self, kb, n_o):
+        g = build_gtl(GtlParams.specialized(kb, n_o)).graph
+        ket = dense_graph_state(g)
+        for p in (0.0, 0.1, 0.25, 0.86, 1.0):
+            for t, big_t in ((1.0, 10.0), (0.0, 1.0), (5.0, math.inf)):
+                maps = standard_noise(g, p, t, big_t, {g.vertices()[1]: 2.5}).maps
+                factor = oracle._channel_factor(ket, maps)
+                assert factor.tobytes() == per_branch_factor(ket, maps).tobytes()
+
+    def test_random_maps_with_supports_off_the_state(self, rng):
+        negative = 0
+        for _ in range(30):
+            g = random_graph(rng.randint(1, 7), rng)
+            ket = dense_graph_state(g)
+            maps = random_maps(g, rng)
+            # A zero-weight branch, as the constructor admits it, and no maps at all.
+            maps.append(NoiseMap(g.vertices()[0], ((1.0, 0), (0.0, 1 << g.vertices()[-1]))))
+            for chosen in (maps, maps[: rng.randint(0, 3)]):
+                factor = oracle._channel_factor(ket, tuple(chosen))
+                assert factor.tobytes() == per_branch_factor(ket, chosen).tobytes()
+                negative += bool((factor < 0).any())
+        assert negative  # a map with more than half its weight off the identity
 
 
 def test_fidelity_invariant_under_corrections_on_non_targets(rng):
